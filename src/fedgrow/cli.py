@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -15,7 +16,7 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         config.master_seed = args.seed
         if config.partition is not None:
-            config.partition = None  # re-derive the partition seed
+            config.partition = dataclasses.replace(config.partition, seed=args.seed)
     if args.rounds is not None:
         config.rounds = args.rounds
     if args.output is not None:

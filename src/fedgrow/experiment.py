@@ -12,7 +12,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
+import typing
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 from . import __version__
@@ -105,6 +106,9 @@ class ExperimentConfig:
             problems.append("switch window and lag must be >= 1")
         if self.eval_every < 0:
             problems.append("eval_every must be >= 0")
+        keep = self.fd_keep_fraction
+        if keep is not None and not 0.0 < keep <= 1.0:
+            problems.append(f"fd_keep_fraction must be in (0, 1], got {keep}")
         ref = self.resolved_schedule_ref()
         if ref not in growth.THRESHOLDS and not Path(ref).exists():
             problems.append(f"schedule {ref!r} is neither builtin nor an existing file")
@@ -133,20 +137,18 @@ class ExperimentConfig:
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         data = dict(data)
         if "train" in data and data["train"] is not None:
-            data["train"] = nn.TrainConfig(**data["train"])
+            data["train"] = _from_fields(nn.TrainConfig, data["train"], "train")
         if "partition" in data and data["partition"] is not None:
-            data["partition"] = fedsim.PartitionSpec(**data["partition"])
+            data["partition"] = _from_fields(fedsim.PartitionSpec, data["partition"],
+                                             "partition")
         if "synthetic" in data and data["synthetic"] is not None:
             syn = dict(data["synthetic"])
             if "dims" in syn:
                 syn["dims"] = tuple(syn["dims"])
-            data["synthetic"] = SyntheticSpec(**syn)
+            data["synthetic"] = _from_fields(SyntheticSpec, syn, "synthetic")
         if "thresholds_override" in data and data["thresholds_override"] is not None:
             data["thresholds_override"] = tuple(data["thresholds_override"])
-        unknown = set(data) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+        return _from_fields(cls, data, "config")
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
@@ -156,6 +158,20 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+def _from_fields(cls, data: dict, where: str):
+    """Build config dataclass ``cls`` from ``data``, rejecting unknown keys
+    and non-integer values of integer fields with a ConfigError."""
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    for key, value in data.items():
+        integer = hints[key] == int or (hints[key] == int | None and value is not None)
+        if integer and type(value) is not int:
+            raise ConfigError(f"{where} field {key!r} must be an integer, got {value!r}")
+    return cls(**data)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +197,6 @@ def build_dataset(config: ExperimentConfig):
             train_x.shape[0], size=config.max_train_samples, replace=False)
         keep.sort()
         train_x, train_y = train_x[keep], train_y[keep]
-    train_x = train_x.reshape(train_x.shape[0], *train_x.shape[1:])
     return train_x, train_y, test_x, test_y
 
 
@@ -202,7 +217,7 @@ def build_schedule(config: ExperimentConfig) -> growth.GrowthSchedule:
 # Run
 
 
-def _fmt(value, places=None) -> str:
+def _fmt(value) -> str:
     if value is None:
         return ""
     if isinstance(value, bool):

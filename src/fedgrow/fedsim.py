@@ -18,7 +18,7 @@ Methods:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -224,18 +224,12 @@ def _in_index(arch: nn.ModelArch, layer: int, kept: dict[int, np.ndarray],
     prev = prev_map.get(layer)
     if prev is None or prev not in kept:
         return None
-    spec = arch.layers[layer]
-    prev_width = _out_width(arch.layers[prev])
-    in_full = spec.kernel.i if spec.kind == "conv2d" else spec.in_units
-    ratio = in_full // prev_width  # spatial positions per channel across flatten
+    prev_width = arch.layers[prev].weight_shape[-1]
+    ratio = arch.layers[layer].weight_shape[-2] // prev_width  # positions across flatten
     kp = kept[prev]
-    if spec.kind == "conv2d" or ratio == 1:
+    if ratio == 1:
         return kp
     return (np.arange(ratio)[:, None] * prev_width + kp[None, :]).ravel()
-
-
-def _out_width(spec: nn.LayerSpec) -> int:
-    return spec.kernel.o if spec.kind == "conv2d" else spec.out_units
 
 
 def _prev_trainable_map(arch: nn.ModelArch) -> dict[int, int]:
@@ -261,7 +255,7 @@ def fd_extract(arch: nn.ModelArch, params: nn.Params, keep_fraction: float,
     trainables = nn.trainable_indices(arch)
     kept: dict[int, np.ndarray] = {}
     for i in trainables[:-1]:
-        width = _out_width(arch.layers[i])
+        width = arch.layers[i].weight_shape[-1]
         count = int(math.floor(width * keep_fraction))
         if count == 0:
             raise ConfigError(
@@ -280,23 +274,13 @@ def _crop_model(arch: nn.ModelArch, params: nn.Params, mask: DropoutMask):
     layers = list(arch.layers)
     sub_params: nn.Params = {}
     for i in nn.trainable_indices(arch):
-        spec = arch.layers[i]
-        p = params[i]
-        w, b = p.w, p.b
+        spec, p = arch.layers[i], params[i]
         in_idx = _in_index(arch, i, mask.kept, prev_map)
-        if in_idx is not None:
-            w = w[:, :, in_idx, :] if spec.kind == "conv2d" else w[in_idx, :]
         out_idx = mask.kept.get(i)
-        if out_idx is not None:
-            w = w[..., out_idx]
-            b = b[out_idx]
-        sub_params[i] = nn.LayerParams(np.ascontiguousarray(w), b.copy())
-        if spec.kind == "conv2d":
-            k = spec.kernel
-            layers[i] = nn.conv2d(nn.KernelShape(k.w, k.h, w.shape[2], w.shape[3]),
-                                  spec.padding, spec.stride)
-        else:
-            layers[i] = nn.dense(w.shape[0], w.shape[1])
+        w = np.ascontiguousarray(p.w[_index_expr(spec, in_idx, out_idx)])
+        b = p.b[out_idx] if out_idx is not None else p.b.copy()
+        sub_params[i] = nn.LayerParams(w, b)
+        layers[i] = spec.with_widths(*w.shape[-2:])
     sub_arch = arch.with_layers(layers)
     nn.validate_arch(sub_arch)
     return sub_arch, sub_params
@@ -317,22 +301,21 @@ def fd_merge(arch: nn.ModelArch, global_params: nn.Params,
     prev_map = _prev_trainable_map(arch)
     merged: nn.Params = {}
     for i in nn.trainable_indices(arch):
+        spec = arch.layers[i]
+        *kernel, full_in, full_out = spec.weight_shape
         g = global_params[i]
         acc_w = np.zeros(g.w.shape, dtype=np.float64)
         cov_w = np.zeros(g.w.shape, dtype=np.float64)
         acc_b = np.zeros(g.b.shape, dtype=np.float64)
         cov_b = np.zeros(g.b.shape, dtype=np.float64)
         for sub, mask, n in updates:
-            spec = arch.layers[i]
             in_idx = _in_index(arch, i, mask.kept, prev_map)
             out_idx = mask.kept.get(i)
             sw = sub[i].w
-            expect_in = len(in_idx) if in_idx is not None else \
-                (spec.kernel.i if spec.kind == "conv2d" else spec.in_units)
-            expect_out = len(out_idx) if out_idx is not None else _out_width(spec)
-            in_axis = 2 if spec.kind == "conv2d" else 0
-            if sw.shape[in_axis] != expect_in or sw.shape[-1] != expect_out or \
-                    sub[i].b.shape[0] != expect_out:
+            expect_in = len(in_idx) if in_idx is not None else full_in
+            expect_out = len(out_idx) if out_idx is not None else full_out
+            if sw.shape != (*kernel, expect_in, expect_out) or \
+                    sub[i].b.shape != (expect_out,):
                 raise ConfigError(
                     f"fd_merge: layer {i} update shape {sw.shape} inconsistent "
                     f"with its mask")
@@ -354,21 +337,14 @@ def fd_merge(arch: nn.ModelArch, global_params: nn.Params,
 
 
 def _index_expr(spec, in_idx, out_idx):
-    if spec.kind == "conv2d":
-        if in_idx is None and out_idx is None:
-            return (slice(None),)
-        if in_idx is None:
-            return (slice(None), slice(None), slice(None), out_idx)
-        if out_idx is None:
-            return (slice(None), slice(None), in_idx, slice(None))
-        return (slice(None), slice(None)) + np.ix_(in_idx, out_idx)
-    if in_idx is None and out_idx is None:
-        return (slice(None),)
+    """Index of the kept (input, output) block of ``spec``'s weight array;
+    None keeps the whole axis. Every trainable kind keeps inputs on axis -2
+    and outputs on axis -1, so ``spec`` does not change the expression."""
     if in_idx is None:
-        return (slice(None), out_idx)
+        return (Ellipsis,) if out_idx is None else (Ellipsis, out_idx)
     if out_idx is None:
-        return (in_idx, slice(None))
-    return np.ix_(in_idx, out_idx)
+        return (Ellipsis, in_idx, slice(None))
+    return (Ellipsis,) + np.ix_(in_idx, out_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +363,13 @@ def evaluate(arch: nn.ModelArch, params: nn.Params, samples: np.ndarray,
 
 
 @dataclass
-class LedgerRow:
+class RoundMetrics:
     round: int
     model_index: int
-    clients: int
+    weighted_loss: float
+    test_accuracy: float | None
+    signal: float | None
+    switched: bool
     download_bytes: int
     upload_bytes: int
     cumulative_bytes: int
@@ -399,19 +378,9 @@ class LedgerRow:
 
 @dataclass
 class CommLedger:
-    """Per-round communication and computation accounting."""
+    """Communication view of a run's per-round records."""
 
-    rows: list[LedgerRow] = field(default_factory=list)
-
-    def add(self, round_idx: int, model_index: int, clients: int,
-            down_scalars: int, up_scalars: int, flops_per_client: int) -> LedgerRow:
-        down = down_scalars * BYTES_PER_SCALAR
-        up = up_scalars * BYTES_PER_SCALAR
-        prev = self.rows[-1].cumulative_bytes if self.rows else 0
-        row = LedgerRow(round_idx, model_index, clients, down, up,
-                        prev + down + up, flops_per_client)
-        self.rows.append(row)
-        return row
+    rows: list[RoundMetrics]
 
     @property
     def total_bytes(self) -> int:
@@ -425,20 +394,6 @@ class CommLedger:
             total += row.download_bytes + row.upload_bytes
             out.append(total)
         return out
-
-
-@dataclass
-class RoundMetrics:
-    round: int
-    model_index: int
-    weighted_loss: float
-    test_accuracy: float | None
-    signal: float | None
-    switched: bool
-    download_bytes: int
-    upload_bytes: int
-    cumulative_bytes: int
-    flops_per_client: int
 
 
 @dataclass
@@ -475,11 +430,14 @@ class RunSettings:
 @dataclass
 class RunResult:
     metrics: list[RoundMetrics]
-    ledger: CommLedger
     events: list[SwitchEvent]
     final_arch: nn.ModelArch
     final_params: nn.Params
     final_model_index: int
+
+    @property
+    def ledger(self) -> CommLedger:
+        return CommLedger(self.metrics)
 
 
 def run_experiment(method: str, schedule: GrowthSchedule,
@@ -512,8 +470,8 @@ def run_experiment(method: str, schedule: GrowthSchedule,
     can_eval = test_samples is not None and test_samples.shape[0] > 0
 
     metrics: list[RoundMetrics] = []
-    ledger = CommLedger()
     events: list[SwitchEvent] = []
+    cumulative_bytes = 0
 
     for r in range(settings.rounds):
         try:
@@ -570,14 +528,13 @@ def run_experiment(method: str, schedule: GrowthSchedule,
             # Accounting reports the model trained this round (pre-switch).
             mean_n = total_n / len(sel)
             flops = int(nn.fwd_bwd_flops(bc_arch) * mean_n)
-            lrow = ledger.add(r, trained_index, len(sel),
-                              scalars * len(sel), scalars * len(sel), flops)
-            row = RoundMetrics(r, trained_index, wloss, accuracy, signal,
-                               switched, lrow.download_bytes, lrow.upload_bytes,
-                               lrow.cumulative_bytes, lrow.flops_per_client)
+            down = up = scalars * len(sel) * BYTES_PER_SCALAR
+            cumulative_bytes += down + up
+            row = RoundMetrics(r, trained_index, wloss, accuracy, signal, switched,
+                               down, up, cumulative_bytes, flops)
             metrics.append(row)
             if on_round is not None:
                 on_round(row)
         except (NumericalError, ConfigError, TransformError) as e:
             raise type(e)(f"round {r}: {e}") from e
-    return RunResult(metrics, ledger, events, arch, params, model_index)
+    return RunResult(metrics, events, arch, params, model_index)

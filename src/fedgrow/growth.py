@@ -27,6 +27,9 @@ CLIENTS_PER_ROUND = {"emnist": 35, "cifar10": 10, "mnist": 10}
 
 DEFAULT_DROPOUT = 0.125
 
+# The transform step that widens each trainable layer kind.
+WIDEN_STEP = {"conv2d": "widen-conv", "dense": "widen-dense"}
+
 
 @dataclass(frozen=True)
 class GrowthSchedule:
@@ -209,33 +212,25 @@ def apply_step_to_arch(arch: nn.ModelArch, step: TransformStep) -> nn.ModelArch:
     elif step.kind == "insert-dense-identity":
         rate = _nearest_dropout_rate(arch)
         layers[i:i] = [nn.dense(step.units, step.units), nn.relu(), nn.dropout(rate)]
-    elif step.kind in ("widen-conv", "widen-dense"):
+    elif step.kind in WIDEN_STEP.values():
         spec = layers[i]
-        if step.kind == "widen-conv":
-            if spec.kind != "conv2d":
-                raise ScheduleError(f"widen-conv at layer {i}: not a conv layer")
-            old_width = spec.kernel.o
-            k = spec.kernel
-            layers[i] = nn.conv2d(nn.KernelShape(k.w, k.h, k.i, step.new_width),
-                                  spec.padding, spec.stride)
-        else:
-            if spec.kind != "dense":
-                raise ScheduleError(f"widen-dense at layer {i}: not a dense layer")
-            old_width = spec.out_units
-            layers[i] = nn.dense(spec.in_units, step.new_width)
+        if WIDEN_STEP.get(spec.kind) != step.kind:
+            raise ScheduleError(f"{step.kind} at layer {i}: found a {spec.kind} layer")
+        in_width, old_width = spec.weight_shape[-2:]
+        layers[i] = spec.with_widths(in_width, step.new_width)
         nxt = nn.next_trainable(arch, i)
         if nxt is None:
             raise ScheduleError(f"widen at layer {i}: no next trainable layer")
         # The receiving layer sees `ratio` inputs per channel of the widened
         # layer: 1 when directly adjacent or across gap, H*W across flatten.
         nspec = layers[nxt]
-        next_in_old = nspec.kernel.i if nspec.kind == "conv2d" else nspec.in_units
+        next_in_old, next_out = nspec.weight_shape[-2:]
         if next_in_old % old_width:
             raise ScheduleError(
                 f"widen at layer {i}: next layer input {next_in_old} is not a "
                 f"multiple of width {old_width}")
         ratio = next_in_old // old_width
-        layers[nxt] = _with_in_width(nspec, ratio * step.new_width)
+        layers[nxt] = nspec.with_widths(ratio * step.new_width, next_out)
     else:
         raise ScheduleError(f"unknown transform step kind {step.kind!r}")
     return arch.with_layers(layers)
@@ -253,13 +248,6 @@ def _incoming_width(arch: nn.ModelArch, position: int) -> int:
     ``position`` in the layer list."""
     shape = nn.shape_before(arch, position)
     return shape[2] if len(shape) == 3 else int(shape[0])
-
-
-def _with_in_width(spec: nn.LayerSpec, width: int) -> nn.LayerSpec:
-    if spec.kind == "conv2d":
-        k = spec.kernel
-        return nn.conv2d(nn.KernelShape(k.w, k.h, width, k.o), spec.padding, spec.stride)
-    return nn.dense(width, spec.out_units)
 
 
 def _structurally_same(a: nn.LayerSpec, b: nn.LayerSpec) -> bool:
@@ -343,18 +331,14 @@ def diff_models(a: nn.ModelArch, b: nn.ModelArch) -> ModelDiff:
     # Widenings, in layer order.
     for i, tb in enumerate(b.layers):
         ca = cur.layers[i]
-        if ca.kind == "conv2d" and ca.kernel.o != tb.kernel.o:
-            if ca.kernel.o > tb.kernel.o:
-                raise ScheduleError(f"layer {i}: target conv is narrower "
-                                    f"({ca.kernel.o} -> {tb.kernel.o})")
-            step = TransformStep("widen-conv", i, new_width=tb.kernel.o)
-            cur = apply_step_to_arch(cur, step)
-            steps.append(step)
-        elif ca.kind == "dense" and ca.out_units != tb.out_units:
-            if ca.out_units > tb.out_units:
-                raise ScheduleError(f"layer {i}: target dense is narrower "
-                                    f"({ca.out_units} -> {tb.out_units})")
-            step = TransformStep("widen-dense", i, new_width=tb.out_units)
+        if ca.kind not in WIDEN_STEP:
+            continue
+        have, want = ca.weight_shape[-1], tb.weight_shape[-1]
+        if have > want:
+            raise ScheduleError(f"layer {i}: target {ca.kind} is narrower "
+                                f"({have} -> {want})")
+        if have < want:
+            step = TransformStep(WIDEN_STEP[ca.kind], i, new_width=want)
             cur = apply_step_to_arch(cur, step)
             steps.append(step)
 

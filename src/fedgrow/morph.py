@@ -28,11 +28,11 @@ import numpy as np
 
 from . import nn
 from .errors import TransformError
-from .growth import ModelDiff, TransformStep, apply_step_to_arch
+from .growth import WIDEN_STEP, ModelDiff, TransformStep, apply_step_to_arch
 
 __all__ = [
-    "WidenMapping", "widen", "widen_through_flatten", "deepen_conv",
-    "deepen_dense", "split_pool", "apply_diff",
+    "WidenMapping", "widen", "deepen_conv", "deepen_dense", "split_pool",
+    "apply_diff",
 ]
 
 
@@ -66,10 +66,6 @@ def sample_mapping(layer: int, old_width: int, new_width: int,
     return WidenMapping(layer, mapping, counts)
 
 
-def _layer_width(spec: nn.LayerSpec) -> int:
-    return spec.kernel.o if spec.kind == "conv2d" else spec.out_units
-
-
 def _shift_params(params: nn.Params, at: int, by: int) -> nn.Params:
     """Re-key params after layers were inserted at index ``at``."""
     return {(i + by if i >= at else i): p for i, p in params.items()}
@@ -92,7 +88,7 @@ def widen_with_mapping(arch: nn.ModelArch, params: nn.Params,
     spec = arch.layers[layer]
     if spec.kind not in nn.TRAINABLE_KINDS:
         raise TransformError(f"layer {layer}: only conv/dense layers can be widened")
-    old_width = _layer_width(spec)
+    old_width = spec.weight_shape[-1]
     new_width = len(mapping.mapping)
     if new_width < old_width:
         raise TransformError(f"layer {layer}: new width {new_width} is narrower "
@@ -100,43 +96,32 @@ def widen_with_mapping(arch: nn.ModelArch, params: nn.Params,
     nxt = _find_next_trainable(arch, layer)
 
     g = mapping.mapping
-    counts = mapping.counts.astype(nn.DTYPE)
+    div = mapping.counts.astype(nn.DTYPE)[g]
 
     new_params = nn.copy_params(params)
     p = params[layer]
-    if spec.kind == "conv2d":
-        new_params[layer] = nn.LayerParams(p.w[:, :, :, g].copy(), p.b[g].copy())
-    else:
-        new_params[layer] = nn.LayerParams(p.w[:, g].copy(), p.b[g].copy())
+    new_params[layer] = nn.LayerParams(p.w[..., g].copy(), p.b[g].copy())
 
     # Incoming weights of the next trainable layer: replicated inputs are
     # divided by their replication count so each group sums to the original.
     q = params[nxt]
-    nspec = arch.layers[nxt]
-    div = counts[g]
-    if nspec.kind == "conv2d":
-        new_w = q.w[:, :, g, :] / div[None, None, :, None]
-    else:
-        next_in = nspec.in_units
-        if next_in % old_width:
-            raise TransformError(
-                f"layer {nxt}: input size {next_in} is not a multiple of the "
-                f"widened width {old_width}")
-        ratio = next_in // old_width  # spatial positions per channel (1 if flat)
-        if ratio == 1:
-            new_w = q.w[g, :] / div[:, None]
-        else:
-            # Row-major flatten layout (positions, channels): rows for spatial
-            # position p and channel q sit at p * channels + q.
-            per_pos = q.w.reshape(ratio, old_width, nspec.out_units)
-            new_w = (per_pos[:, g, :] / div[None, :, None]).reshape(
-                ratio * len(g), nspec.out_units)
+    *kernel, next_in, next_out = q.w.shape
+    if next_in % old_width:
+        raise TransformError(
+            f"layer {nxt}: input size {next_in} is not a multiple of the "
+            f"widened width {old_width}")
+    # Spatial positions per channel: H*W across a flatten, else 1. Row-major
+    # flatten puts spatial position p, channel c at input p * channels + c.
+    ratio = next_in // old_width
+    per_pos = q.w.reshape(*kernel, ratio, old_width, next_out)
+    new_w = (per_pos[..., g, :] / div[:, None]).reshape(
+        *kernel, ratio * new_width, next_out)
     new_params[nxt] = nn.LayerParams(new_w.astype(nn.DTYPE), q.b.copy())
 
     # Structural update via the shared step machinery keeps arch and params
     # edits in one place each.
-    kind = "widen-conv" if spec.kind == "conv2d" else "widen-dense"
-    new_arch = apply_step_to_arch(arch, TransformStep(kind, layer, new_width=new_width))
+    new_arch = apply_step_to_arch(
+        arch, TransformStep(WIDEN_STEP[spec.kind], layer, new_width=new_width))
     nn.validate_arch(new_arch)
     return new_arch, new_params
 
@@ -151,30 +136,12 @@ def widen(arch: nn.ModelArch, params: nn.Params, layer: int, new_width: int,
     spec = arch.layers[layer]
     if spec.kind not in nn.TRAINABLE_KINDS:
         raise TransformError(f"layer {layer}: only conv/dense layers can be widened")
-    old_width = _layer_width(spec)
+    old_width = spec.weight_shape[-1]
     if new_width < old_width:
         raise TransformError(f"layer {layer}: cannot shrink {old_width} -> {new_width}")
     mapping = sample_mapping(layer, old_width, new_width, rng)
     new_arch, new_params = widen_with_mapping(arch, params, mapping)
     return new_arch, new_params, mapping
-
-
-def widen_through_flatten(arch: nn.ModelArch, params: nn.Params, conv_layer: int,
-                          new_channels: int, rng: np.random.Generator):
-    """Widen a conv layer whose next trainable layer is dense across a
-    flatten (optionally with pooling between). Validates that boundary,
-    then widens; each dense input row for spatial position p and source
-    channel q is copied to the new channel and divided by its replication
-    count."""
-    spec = arch.layers[conv_layer]
-    if spec.kind != "conv2d":
-        raise TransformError(f"layer {conv_layer}: widen_through_flatten needs a conv layer")
-    nxt = _find_next_trainable(arch, conv_layer)
-    between = [s.kind for s in arch.layers[conv_layer + 1:nxt]]
-    if arch.layers[nxt].kind != "dense" or "flatten" not in between:
-        raise TransformError(
-            f"layer {conv_layer}: next trainable layer is not dense-across-flatten")
-    return widen(arch, params, conv_layer, new_channels, rng)
 
 
 def _check_nonneg_insertion_point(arch: nn.ModelArch, position: int) -> None:

@@ -3,12 +3,15 @@
 Supports exactly the layer kinds needed by the staged model families:
 conv2d, dense, maxpool, global-average-pool, dropout, relu, softmax and
 flatten. Activations are laid out as (batch, height, width, channels);
-flattening is row-major over (height, width, channels). Plain SGD with
-sparse categorical cross-entropy is the only optimizer/loss pair.
+flattening is row-major over (height, width, channels). Trainable weights
+put input channels on axis -2 and output channels on axis -1, for conv2d
+(kh, kw, in, out) and dense (in, out) alike. Plain SGD with sparse
+categorical cross-entropy is the only optimizer/loss pair.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -58,6 +61,26 @@ class LayerSpec:
     out_units: int = 0
     window: int = 0
     rate: float = 0.0
+
+    @property
+    def weight_shape(self) -> tuple[int, ...]:
+        """Weight array shape: (kh, kw, in, out) for conv2d, (in, out) for dense."""
+        if self.kind == "conv2d":
+            k = self.kernel
+            return (k.h, k.w, k.i, k.o)
+        if self.kind == "dense":
+            return (self.in_units, self.out_units)
+        raise ConfigError(f"{self.kind} layer has no weights")
+
+    def with_widths(self, in_width: int, out_width: int) -> "LayerSpec":
+        """The same conv2d/dense layer with other input and output widths."""
+        if self.kind == "conv2d":
+            k = self.kernel
+            return conv2d(KernelShape(k.w, k.h, in_width, out_width),
+                          self.padding, self.stride)
+        if self.kind == "dense":
+            return dense(in_width, out_width)
+        raise ConfigError(f"{self.kind} layer has no weights")
 
 
 def conv2d(kernel: KernelShape, padding: str = "same", stride: int = 1) -> LayerSpec:
@@ -285,18 +308,9 @@ def init_params(arch: ModelArch, rng: np.random.Generator,
     """Fresh trainable parameters: truncated-normal weights, zero biases."""
     params: Params = {}
     for i in trainable_indices(arch):
-        spec = arch.layers[i]
-        if spec.kind == "conv2d":
-            k = spec.kernel
-            fan_in = k.h * k.w * k.i
-            w = _truncated_normal(rng, (k.h, k.w, k.i, k.o), _init_std(scheme, fan_in))
-            b = np.zeros(k.o, dtype=DTYPE)
-        else:
-            fan_in = spec.in_units
-            w = _truncated_normal(rng, (spec.in_units, spec.out_units),
-                                  _init_std(scheme, fan_in))
-            b = np.zeros(spec.out_units, dtype=DTYPE)
-        params[i] = LayerParams(w, b)
+        shape = arch.layers[i].weight_shape
+        w = _truncated_normal(rng, shape, _init_std(scheme, math.prod(shape[:-1])))
+        params[i] = LayerParams(w, np.zeros(shape[-1], dtype=DTYPE))
     return params
 
 
@@ -306,28 +320,17 @@ def copy_params(params: Params) -> Params:
 
 def count_params(arch: ModelArch) -> int:
     """Exact number of trainable scalars (weights plus biases)."""
-    total = 0
-    for spec in arch.layers:
-        if spec.kind == "conv2d":
-            k = spec.kernel
-            total += k.h * k.w * k.i * k.o + k.o
-        elif spec.kind == "dense":
-            total += spec.in_units * spec.out_units + spec.out_units
-    return total
+    shapes = [arch.layers[i].weight_shape for i in trainable_indices(arch)]
+    return sum(math.prod(shape) + shape[-1] for shape in shapes)
 
 
 def forward_flops(arch: ModelArch) -> int:
     """Per-sample forward FLOPs (2 per multiply-accumulate) for the MAC layers."""
+    # Every output position (oh * ow for conv2d, one for dense) costs one
+    # multiply-accumulate per weight.
     shapes = infer_shapes(arch)
-    macs = 0
-    for i, spec in enumerate(arch.layers):
-        if spec.kind == "conv2d":
-            oh, ow, co = shapes[i]
-            k = spec.kernel
-            macs += oh * ow * k.h * k.w * k.i * co
-        elif spec.kind == "dense":
-            macs += spec.in_units * spec.out_units
-    return 2 * macs
+    return 2 * sum(math.prod(shapes[i][:-1]) * math.prod(arch.layers[i].weight_shape)
+                   for i in trainable_indices(arch))
 
 
 def fwd_bwd_flops(arch: ModelArch) -> int:

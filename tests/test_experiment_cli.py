@@ -45,6 +45,16 @@ def test_config_unknown_key_rejected():
         ExperimentConfig.from_dict({"datset": "mnist"})
 
 
+@pytest.mark.parametrize("fraction", [0.0, -0.25, 1.5])
+def test_fd_keep_fraction_outside_unit_interval_rejected(tmp_path, fraction):
+    cfg = tiny_config(tmp_path, method="fd")
+    cfg.fd_keep_fraction = fraction
+    with pytest.raises(ConfigError, match="fd_keep_fraction"):
+        cfg.validate()
+    cfg.fd_keep_fraction = 1.0
+    cfg.validate()
+
+
 def test_validation_collects_all_problems(tmp_path):
     cfg = ExperimentConfig(dataset="mnist", method="bogus", rounds=-1,
                            output_dir=str(tmp_path), schedule="no-such-file.json")
@@ -205,3 +215,41 @@ def test_cli_error_paths(tmp_path, capsys):
     rc = cli.main(["compare", str(tmp_path / "cli-missing")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_seed_override_keeps_the_configured_partition(tmp_path):
+    cfg = tiny_config(tmp_path, name="seeded")
+    cfg.partition = fedsim.PartitionSpec(scheme="label-shard-non-iid",
+                                         client_count=10, seed=5)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    out = tmp_path / "seeded-out"
+    assert cli.main(["run", "--config", str(cfg_path), "--seed", "7",
+                     "--rounds", "0", "--output", str(out)]) == 0
+    echoed = json.loads((out / "config.json").read_text())
+    assert echoed["master_seed"] == 7
+    assert echoed["partition"] == {"scheme": "label-shard-non-iid", "client_count": 10,
+                                   "shards_per_client": 2, "seed": 7}
+
+
+@pytest.mark.parametrize("override, fragment", [
+    ({"train": {"learning_rate": 0.05, "bogus": 1}}, "unknown train keys"),
+    ({"partition": {"client_count": 12, "bogus": 1}}, "unknown partition keys"),
+    ({"synthetic": {"classes": 3, "bogus": 1}}, "unknown synthetic keys"),
+    ({"rounds": "5"}, "'rounds' must be an integer"),
+    ({"clients_per_round": 2.5}, "'clients_per_round' must be an integer"),
+    ({"partition": {"client_count": "12"}}, "'client_count' must be an integer"),
+    ({"train": {"learning_rate": 0.05, "batch_size": True}},
+     "'batch_size' must be an integer"),
+])
+def test_cli_rejects_malformed_config_before_any_output(tmp_path, capsys, override,
+                                                        fragment):
+    data = tiny_config(tmp_path).to_dict()
+    data.update(override)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "never-written"
+    assert cli.main(["run", "--config", str(cfg_path), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
+    assert not out.exists()

@@ -280,6 +280,78 @@ def test_fd_merge_uncovered_positions_keep_global_values():
         assert np.array_equal(merged[0].w[:, col], params[0].w[:, col])
 
 
+def _kept_position(kept, index):
+    """Position of full-model ``index`` among the ``kept`` indices (None
+    keeps every index), or None when the index was dropped."""
+    if kept is None:
+        return index
+    hits = np.flatnonzero(kept == index)
+    return int(hits[0]) if hits.size else None
+
+
+def test_fd_merge_matches_brute_force_with_independent_masks():
+    # conv(4) -> pool -> flatten -> dense(5) -> dense(3): the dense layer
+    # reads 2x2 positions of the 4 conv channels, so its input row r is
+    # position r // 4 of channel r % 4 (the flatten path of the crop).
+    channels = 4
+    arch = growth.build_arch((4, 4, 1), [("conv", channels, 3), ("pool", 2),
+                                         ("dense", 5), ("dense", 3)])
+    conv, dense, classifier = nn.trainable_indices(arch)
+
+    def sub_input(mask, layer, row):
+        if layer == conv:
+            return row
+        if layer == classifier:
+            return _kept_position(mask.kept[dense], row)
+        position, channel = divmod(row, channels)
+        sub_channel = _kept_position(mask.kept[conv], channel)
+        if sub_channel is None:
+            return None
+        return position * len(mask.kept[conv]) + sub_channel
+
+    covered = uncovered = 0
+    for case in range(6):
+        params = random_params(arch, 60 + case)
+        rng = stream(61, case)
+        updates = []
+        for k in range(int(rng.integers(1, 5))):
+            keep = float(rng.choice([0.25, 0.5, 0.75]))
+            _, sub, mask = fd_extract(arch, params, keep, stream(62, case, k))
+            for p in sub.values():
+                p.w += rng.normal(0.0, 1.0, p.w.shape).astype(np.float32)
+                p.b += rng.normal(0.0, 1.0, p.b.shape).astype(np.float32)
+            updates.append((sub, mask, int(rng.integers(1, 20))))
+        merged = fd_merge(arch, params, updates)
+
+        for i in (conv, dense, classifier):
+            expect_w, expect_b = params[i].w.copy(), params[i].b.copy()
+            for pos in np.ndindex(expect_w.shape):
+                acc = weight = 0.0
+                for sub, mask, n in updates:
+                    row = sub_input(mask, i, pos[-2])
+                    col = _kept_position(mask.kept.get(i), pos[-1])
+                    if row is not None and col is not None:
+                        acc += float(n) * float(sub[i].w[pos[:-2] + (row, col)])
+                        weight += float(n)
+                if weight:
+                    expect_w[pos] = np.float32(acc / weight)
+                    covered += 1
+                else:
+                    uncovered += 1
+            for col in range(expect_b.shape[0]):
+                acc = weight = 0.0
+                for sub, mask, n in updates:
+                    sub_col = _kept_position(mask.kept.get(i), col)
+                    if sub_col is not None:
+                        acc += float(n) * float(sub[i].b[sub_col])
+                        weight += float(n)
+                if weight:
+                    expect_b[col] = np.float32(acc / weight)
+            assert np.array_equal(merged[i].w, expect_w), (case, i)
+            assert np.array_equal(merged[i].b, expect_b), (case, i)
+    assert covered and uncovered
+
+
 def test_fd_merge_mask_shape_inconsistency_rejected():
     arch = tiny_schedule().models[1]
     params = random_params(arch, 15)

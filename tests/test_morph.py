@@ -78,18 +78,9 @@ def test_widen_through_flatten_emnist_m3_m4():
     arch = sched.models[2]
     params = random_params(arch, 4)
     x = stream(4, 9).random((16, 28, 28, 1), dtype=np.float32)
-    new_arch, new_params, _ = morph.widen_through_flatten(
-        arch, params, 4, 64, stream(6, 0))
+    new_arch, new_params, _ = morph.widen(arch, params, 4, 64, stream(6, 0))
     assert new_arch.layers == sched.models[3].layers
     assert eval_delta(arch, params, new_arch, new_params, x) < 1e-5
-
-
-def test_widen_through_flatten_rejects_conv_to_conv():
-    sched = growth.builtin_schedule("emnist")
-    arch = sched.models[2]
-    params = random_params(arch, 5)
-    with pytest.raises(TransformError, match="dense-across-flatten"):
-        morph.widen_through_flatten(arch, params, 0, 64, stream(0, 0))
 
 
 def test_widen_1x1_feature_map_equals_plain_dense_widening():
@@ -272,6 +263,44 @@ def test_emnist_m2_m3_pipeline_preserves_within_1e6():
     a2, p2, _ = morph.apply_diff(arch, params, diff, stream(7, 0))
     assert a2.layers == sched.models[2].layers
     assert eval_delta(arch, params, a2, p2, x) < 1e-6
+
+
+@st.composite
+def reachable_token_pair(draw):
+    """Input channels and two build_arch token rows, the second reachable
+    from the first: wider conv and dense layers, an optional 4x4 pool split
+    into two 2x2 pools, an optional identity conv after the first pool, and
+    a flatten or global-average-pool head. (diff_models cannot reach an
+    extra dense block between build_arch models: it aligns that block with
+    the classifier.)"""
+    conv, hidden = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    split, head = draw(st.booleans()), draw(st.sampled_from([[], [("gap",)]]))
+    kernel = draw(st.sampled_from([1, 3, 5]))
+    pools_a = [("pool", 4)] if split else [("pool", 2)]
+    pools_b = [("pool", 2), ("pool", 2)] if split else [("pool", 2)]
+    if draw(st.booleans()):
+        pools_b.insert(1, ("conv", conv + draw(st.integers(0, 3)),
+                           draw(st.sampled_from([1, 3]))))
+    classes = draw(st.integers(2, 4))
+    a = [("conv", conv, kernel)] + pools_a + head + [("dense", hidden), ("dense", classes)]
+    b = [("conv", conv + draw(st.integers(0, 3)), kernel)] + pools_b + head + \
+        [("dense", hidden + draw(st.integers(0, 4))), ("dense", classes)]
+    return draw(st.integers(1, 3)), a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(pair=reachable_token_pair(), seed=st.integers(0, 2**31))
+def test_random_reachable_pairs_replay_and_preserve_function(pair, seed):
+    channels, tokens_a, tokens_b = pair
+    shape = (8, 8, channels)
+    arch_a = growth.build_arch(shape, tokens_a)
+    arch_b = growth.build_arch(shape, tokens_b)
+    params = random_params(arch_a, seed)
+    x = stream(seed, 9).random((4,) + shape, dtype=np.float32)
+    diff = growth.diff_models(arch_a, arch_b)
+    arch_c, params_c, _ = morph.apply_diff(arch_a, params, diff, stream(seed, 1))
+    assert arch_c.layers == arch_b.layers
+    assert eval_delta(arch_a, params, arch_c, params_c, x) < 1e-5
 
 
 @pytest.mark.parametrize("dataset", ["emnist", "cifar10"])
