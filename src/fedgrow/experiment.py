@@ -13,7 +13,7 @@ import csv
 import hashlib
 import json
 import typing
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import MISSING, dataclass, field, fields, asdict
 from pathlib import Path
 
 from . import __version__
@@ -146,7 +146,7 @@ class ExperimentConfig:
             if "dims" in syn:
                 syn["dims"] = tuple(syn["dims"])
             data["synthetic"] = _from_fields(SyntheticSpec, syn, "synthetic")
-        if "thresholds_override" in data and data["thresholds_override"] is not None:
+        if isinstance(data.get("thresholds_override"), list):
             data["thresholds_override"] = tuple(data["thresholds_override"])
         return _from_fields(cls, data, "config")
 
@@ -160,17 +160,36 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
+# What a value of an integer, float or float-list field must be. JSON
+# booleans count as neither integers nor numbers.
+_FIELD_TYPES = {
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a number", lambda v: type(v) in (int, float)),
+    tuple[float, ...]: ("a list of numbers",
+                        lambda v: type(v) is tuple and all(type(x) in (int, float)
+                                                           for x in v)),
+}
+
+
 def _from_fields(cls, data: dict, where: str):
-    """Build config dataclass ``cls`` from ``data``, rejecting unknown keys
-    and non-integer values of integer fields with a ConfigError."""
+    """Build config dataclass ``cls`` from ``data``, raising ConfigError on
+    unknown keys, missing required fields and values of the wrong type in
+    integer, float and float-list fields."""
     unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    for f in fields(cls):
+        if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where} field {f.name!r} is required")
     hints = typing.get_type_hints(cls)
     for key, value in data.items():
-        integer = hints[key] == int or (hints[key] == int | None and value is not None)
-        if integer and type(value) is not int:
-            raise ConfigError(f"{where} field {key!r} must be an integer, got {value!r}")
+        args = typing.get_args(hints[key])
+        optional = type(None) in args
+        if value is None and optional:
+            continue
+        what, ok = _FIELD_TYPES.get(args[0] if optional else hints[key], ("", None))
+        if ok and not ok(value):
+            raise ConfigError(f"{where} field {key!r} must be {what}, got {value!r}")
     return cls(**data)
 
 

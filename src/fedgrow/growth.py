@@ -4,6 +4,12 @@ A schedule is an ordered list of strictly growing architectures plus one
 switch threshold per consecutive pair. The builtin schedules cover three
 image benchmarks; custom schedules load from a JSON file with the same
 shape (see ``schedule_from_dict`` for the format).
+
+``diff_models`` turns one architecture into the next as a tuple of
+``TransformStep``s of three kinds, split-pool, insert-identity and widen,
+each defined once for conv2d and dense layers; ``apply_step_to_arch``
+replays a step on the layer specs. ``morph`` applies the same steps to
+trained parameters.
 """
 
 from __future__ import annotations
@@ -27,10 +33,6 @@ CLIENTS_PER_ROUND = {"emnist": 35, "cifar10": 10, "mnist": 10}
 
 DEFAULT_DROPOUT = 0.125
 
-# The transform step that widens each trainable layer kind.
-WIDEN_STEP = {"conv2d": "widen-conv", "dense": "widen-dense"}
-
-
 @dataclass(frozen=True)
 class GrowthSchedule:
     """Ordered model sequence with per-switch thresholds."""
@@ -46,32 +48,24 @@ class GrowthSchedule:
 
 @dataclass(frozen=True)
 class TransformStep:
-    """One structural edit; ``layer`` indexes the arch the step applies to.
+    """One function-preserving structural edit of an architecture.
 
-    Steps in a ModelDiff apply sequentially, so each ``layer`` index refers
-    to the architecture produced by the preceding steps.
+    A diff is a tuple of steps applied in order, so each ``layer`` index
+    refers to the architecture produced by the preceding steps. The same
+    three kinds cover conv2d and dense layers alike:
 
-    kinds and arguments:
-      split-pool(layer)                       4x4 pool -> two 2x2 pools
-      insert-conv-identity(layer, channels, kernel)
-      insert-dense-identity(layer, units)
-      widen-conv(layer, new_width)
-      widen-dense(layer, new_width)
+      split-pool(layer)             4x4 maxpool -> two 2x2 maxpools
+      insert-identity(layer, spec)  insert the square conv2d or dense layer
+                                    ``spec`` (plus relu and dropout) at
+                                    ``layer``, initialized as the identity
+      widen(layer, width)           give the conv2d or dense layer at
+                                    ``layer`` ``width`` outputs
     """
 
     kind: str
     layer: int
-    new_width: int = 0
-    channels: int = 0
-    units: int = 0
-    kernel: int = 0
-
-
-@dataclass(frozen=True)
-class ModelDiff:
-    """Transform steps turning one architecture into the next."""
-
-    steps: tuple[TransformStep, ...]
+    width: int = 0
+    spec: nn.LayerSpec | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -192,48 +186,59 @@ def builtin_schedule(dataset: str, dropout_rate: float = DEFAULT_DROPOUT) -> Gro
 # Structural diffing
 
 
+def split_pool_arch(arch: nn.ModelArch, layer: int) -> nn.ModelArch:
+    """Replace the 4x4 maxpool at ``layer`` with two 2x2 maxpools."""
+    spec = arch.layers[layer]
+    if spec.kind != "maxpool" or spec.window != 4:
+        raise ScheduleError(f"split-pool at layer {layer}: expected a 4x4 maxpool")
+    return arch.with_layers(arch.layers[:layer] + (nn.maxpool(2), nn.maxpool(2))
+                            + arch.layers[layer + 1:])
+
+
+def insert_identity_arch(arch: nn.ModelArch, layer: int,
+                         spec: nn.LayerSpec) -> nn.ModelArch:
+    """Insert ``spec`` followed by relu and dropout at ``layer``."""
+    block = (spec, nn.relu(), nn.dropout(_nearest_dropout_rate(arch)))
+    return arch.with_layers(arch.layers[:layer] + block + arch.layers[layer:])
+
+
+def widen_arch(arch: nn.ModelArch, layer: int, width: int) -> nn.ModelArch:
+    """Give the conv2d or dense layer at ``layer`` ``width`` outputs and
+    resize the inputs of the next trainable layer to match."""
+    layers = list(arch.layers)
+    spec = layers[layer]
+    if spec.kind not in nn.TRAINABLE_KINDS:
+        raise ScheduleError(f"widen at layer {layer}: found a {spec.kind} layer")
+    in_width, old_width = spec.weight_shape[-2:]
+    layers[layer] = spec.with_widths(in_width, width)
+    nxt = nn.next_trainable(arch, layer)
+    if nxt is None:
+        raise ScheduleError(f"widen at layer {layer}: no next trainable layer")
+    # The receiving layer sees `ratio` inputs per channel of the widened
+    # layer: 1 when directly adjacent or across gap, H*W across flatten.
+    nspec = layers[nxt]
+    next_in_old, next_out = nspec.weight_shape[-2:]
+    if next_in_old % old_width:
+        raise ScheduleError(
+            f"widen at layer {layer}: next layer input {next_in_old} is not a "
+            f"multiple of width {old_width}")
+    ratio = next_in_old // old_width
+    layers[nxt] = nspec.with_widths(ratio * width, next_out)
+    return arch.with_layers(layers)
+
+
 def apply_step_to_arch(arch: nn.ModelArch, step: TransformStep) -> nn.ModelArch:
     """Apply one step structurally (specs only, no parameters)."""
-    layers = list(arch.layers)
     i = step.layer
-    if not 0 <= i <= len(layers):
+    if not 0 <= i <= len(arch.layers):
         raise ScheduleError(f"step {step.kind}: layer index {i} out of range")
     if step.kind == "split-pool":
-        spec = layers[i]
-        if spec.kind != "maxpool" or spec.window != 4:
-            raise ScheduleError(f"split-pool at layer {i}: expected a 4x4 maxpool")
-        layers[i:i + 1] = [nn.maxpool(2), nn.maxpool(2)]
-    elif step.kind == "insert-conv-identity":
-        rate = _nearest_dropout_rate(arch)
-        block = [nn.conv2d(nn.KernelShape(step.kernel, step.kernel,
-                                          step.channels, step.channels)),
-                 nn.relu(), nn.dropout(rate)]
-        layers[i:i] = block
-    elif step.kind == "insert-dense-identity":
-        rate = _nearest_dropout_rate(arch)
-        layers[i:i] = [nn.dense(step.units, step.units), nn.relu(), nn.dropout(rate)]
-    elif step.kind in WIDEN_STEP.values():
-        spec = layers[i]
-        if WIDEN_STEP.get(spec.kind) != step.kind:
-            raise ScheduleError(f"{step.kind} at layer {i}: found a {spec.kind} layer")
-        in_width, old_width = spec.weight_shape[-2:]
-        layers[i] = spec.with_widths(in_width, step.new_width)
-        nxt = nn.next_trainable(arch, i)
-        if nxt is None:
-            raise ScheduleError(f"widen at layer {i}: no next trainable layer")
-        # The receiving layer sees `ratio` inputs per channel of the widened
-        # layer: 1 when directly adjacent or across gap, H*W across flatten.
-        nspec = layers[nxt]
-        next_in_old, next_out = nspec.weight_shape[-2:]
-        if next_in_old % old_width:
-            raise ScheduleError(
-                f"widen at layer {i}: next layer input {next_in_old} is not a "
-                f"multiple of width {old_width}")
-        ratio = next_in_old // old_width
-        layers[nxt] = nspec.with_widths(ratio * step.new_width, next_out)
-    else:
-        raise ScheduleError(f"unknown transform step kind {step.kind!r}")
-    return arch.with_layers(layers)
+        return split_pool_arch(arch, i)
+    if step.kind == "insert-identity":
+        return insert_identity_arch(arch, i, step.spec)
+    if step.kind == "widen":
+        return widen_arch(arch, i, step.width)
+    raise ScheduleError(f"unknown transform step kind {step.kind!r}")
 
 
 def _nearest_dropout_rate(arch: nn.ModelArch) -> float:
@@ -243,35 +248,33 @@ def _nearest_dropout_rate(arch: nn.ModelArch) -> float:
     return DEFAULT_DROPOUT
 
 
-def _incoming_width(arch: nn.ModelArch, position: int) -> int:
-    """Channel count (spatial shapes) or unit count (flat shapes) entering
-    ``position`` in the layer list."""
-    shape = nn.shape_before(arch, position)
-    return shape[2] if len(shape) == 3 else int(shape[0])
-
-
 def _structurally_same(a: nn.LayerSpec, b: nn.LayerSpec) -> bool:
     """Kind-level match ignoring layer widths (which widening changes)."""
     if a.kind != b.kind:
         return False
-    if a.kind == "conv2d":
-        return (a.kernel.w, a.kernel.h, a.padding, a.stride) == \
-               (b.kernel.w, b.kernel.h, b.padding, b.stride)
-    if a.kind == "maxpool":
-        return a.window == b.window
-    return True
+    if a.kind in nn.TRAINABLE_KINDS:
+        return a.with_widths(1, 1) == b.with_widths(1, 1)
+    return a.window == b.window
+
+
+def _feeds_softmax(arch: nn.ModelArch, i: int) -> bool:
+    return i + 1 < len(arch.layers) and arch.layers[i + 1].kind == "softmax"
 
 
 def _first_structural_mismatch(cur: nn.ModelArch, target: nn.ModelArch):
+    # The classifier (the layer feeding softmax) only matches the target's
+    # classifier, so an extra hidden dense layer in the target is seen as
+    # an insertion ahead of it.
     for i, (a, b) in enumerate(zip(cur.layers, target.layers)):
-        if not _structurally_same(a, b):
+        if not _structurally_same(a, b) or \
+                _feeds_softmax(cur, i) != _feeds_softmax(target, i):
             return i
     if len(cur.layers) != len(target.layers):
         return min(len(cur.layers), len(target.layers))
     return None
 
 
-def diff_models(a: nn.ModelArch, b: nn.ModelArch) -> ModelDiff:
+def diff_models(a: nn.ModelArch, b: nn.ModelArch) -> tuple[TransformStep, ...]:
     """Transform steps that turn architecture ``a`` into ``b``.
 
     Emits pool splits first, then identity insertions, then widenings,
@@ -297,7 +300,8 @@ def diff_models(a: nn.ModelArch, b: nn.ModelArch) -> ModelDiff:
         else:
             break
 
-    # Identity insertions: `b` has an extra conv/dense block at the mismatch.
+    # Identity insertions: `b` has an extra conv/dense block at the mismatch,
+    # as wide as the activations entering it.
     while True:
         i = _first_structural_mismatch(cur, b)
         if i is None:
@@ -305,21 +309,13 @@ def diff_models(a: nn.ModelArch, b: nn.ModelArch) -> ModelDiff:
         if i >= len(b.layers):
             raise ScheduleError(f"layer {i}: target model is shorter than source")
         tb = b.layers[i]
-        matched = i < len(cur.layers) and _structurally_same(cur.layers[i], tb)
-        if matched:
-            break
-        if tb.kind == "conv2d":
-            width = _incoming_width(cur, i)
-            step = TransformStep("insert-conv-identity", i,
-                                 channels=width, kernel=tb.kernel.w)
-        elif tb.kind == "dense":
-            width = _incoming_width(cur, i)
-            step = TransformStep("insert-dense-identity", i, units=width)
-        else:
+        if tb.kind not in nn.TRAINABLE_KINDS:
             have = cur.layers[i].kind if i < len(cur.layers) else "end"
             raise ScheduleError(
                 f"layer {i}: cannot reach target (target wants {tb.kind!r}, "
                 f"source has {have!r})")
+        width = nn.shape_before(cur, i)[-1]
+        step = TransformStep("insert-identity", i, spec=tb.with_widths(width, width))
         cur = apply_step_to_arch(cur, step)
         steps.append(step)
 
@@ -331,14 +327,14 @@ def diff_models(a: nn.ModelArch, b: nn.ModelArch) -> ModelDiff:
     # Widenings, in layer order.
     for i, tb in enumerate(b.layers):
         ca = cur.layers[i]
-        if ca.kind not in WIDEN_STEP:
+        if ca.kind not in nn.TRAINABLE_KINDS:
             continue
         have, want = ca.weight_shape[-1], tb.weight_shape[-1]
         if have > want:
             raise ScheduleError(f"layer {i}: target {ca.kind} is narrower "
                                 f"({have} -> {want})")
         if have < want:
-            step = TransformStep(WIDEN_STEP[ca.kind], i, new_width=want)
+            step = TransformStep("widen", i, width=want)
             cur = apply_step_to_arch(cur, step)
             steps.append(step)
 
@@ -346,7 +342,7 @@ def diff_models(a: nn.ModelArch, b: nn.ModelArch) -> ModelDiff:
         i = next(j for j, (x, y) in enumerate(zip(cur.layers, b.layers)) if x != y)
         raise ScheduleError(f"layer {i}: replayed structure does not match target "
                             f"({cur.layers[i]} vs {b.layers[i]})")
-    return ModelDiff(tuple(steps))
+    return tuple(steps)
 
 
 def validate_schedule(schedule: GrowthSchedule):
@@ -381,7 +377,7 @@ def validate_schedule(schedule: GrowthSchedule):
         raise ScheduleError(problems)
 
 
-def schedule_diffs(schedule: GrowthSchedule) -> list[ModelDiff]:
+def schedule_diffs(schedule: GrowthSchedule) -> list[tuple[TransformStep, ...]]:
     return [diff_models(schedule.models[i], schedule.models[i + 1])
             for i in range(len(schedule.models) - 1)]
 
@@ -393,14 +389,14 @@ def schedule_diffs(schedule: GrowthSchedule) -> list[ModelDiff]:
 def _arch_to_tokens(arch: nn.ModelArch) -> list:
     tokens = []
     for spec in arch.layers:
-        if spec.kind == "conv2d":
-            tokens.append({"conv": spec.kernel.o, "kernel": spec.kernel.w})
-        elif spec.kind == "maxpool":
+        if spec.kind == "maxpool":
             tokens.append({"pool": spec.window})
         elif spec.kind == "gap":
             tokens.append({"gap": True})
-        elif spec.kind == "dense":
-            tokens.append({"dense": spec.out_units})
+        elif spec.kind in nn.TRAINABLE_KINDS:
+            *kernel, _, width = spec.weight_shape
+            tokens.append({"conv": width, "kernel": kernel[1]} if kernel
+                          else {"dense": width})
     return tokens
 
 

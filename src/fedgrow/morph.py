@@ -2,22 +2,26 @@
 
 Each transform converts the trained parameters of a model into
 parameters of a strictly larger model that computes the same function in
-eval mode:
+eval mode. There is one per ``growth.TransformStep`` kind, each written
+once for conv2d and dense layers (weights put inputs on axis -2 and
+outputs on axis -1):
 
-* ``widen`` replaces a conv/dense layer with a wider one. New output
-  channels copy randomly chosen existing ones through a mapping ``g``
-  (identity on the original channels), and the next layer's incoming
-  weights for a channel replicated ``c`` times are divided by ``c`` so
-  every replica group contributes exactly the original amount.
-* ``deepen_conv`` / ``deepen_dense`` insert an identity-initialized
-  layer (center-spike kernel or identity matrix) followed by a relu,
-  which is exact because the insertion point carries nonnegative
-  activations.
-* ``split_pool`` rewrites one 4x4 max pool as two stacked 2x2 pools,
-  which is exact on extents divisible by 4 and opens an insertion slot
-  between the pools.
+* ``widen`` (widen) replaces a conv/dense layer with a wider one. New
+  output channels copy randomly chosen existing ones through a mapping
+  ``g`` (identity on the original channels), and the next layer's
+  incoming weights for a channel replicated ``c`` times are divided by
+  ``c`` so every replica group contributes exactly the original amount.
+* ``deepen`` (insert-identity) inserts an identity-initialized layer
+  (a one at the centre of every kernel axis times the identity on the
+  in/out axes) followed by a relu, which is exact because the insertion
+  point carries nonnegative activations.
+* ``split_pool`` (split-pool) rewrites one 4x4 max pool as two stacked
+  2x2 pools, which is exact on extents divisible by 4 and opens an
+  insertion slot between the pools.
 
-``apply_diff`` composes the steps of a growth.ModelDiff.
+Each transform edits the layer specs through the matching ``growth``
+arch edit. ``apply_diff`` composes the steps of a ``growth.diff_models``
+result.
 """
 
 from __future__ import annotations
@@ -26,13 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import nn
+from . import growth, nn
 from .errors import TransformError
-from .growth import WIDEN_STEP, ModelDiff, TransformStep, apply_step_to_arch
 
 __all__ = [
-    "WidenMapping", "widen", "deepen_conv", "deepen_dense", "split_pool",
-    "apply_diff",
+    "WidenMapping", "widen", "deepen", "split_pool", "apply_diff",
 ]
 
 
@@ -80,20 +82,28 @@ def _find_next_trainable(arch: nn.ModelArch, layer: int) -> int:
     return nxt
 
 
+def _widened_width(arch: nn.ModelArch, layer: int, new_width: int) -> int:
+    """Current output width of the conv/dense layer at ``layer``, checked
+    to be at most ``new_width``."""
+    spec = arch.layers[layer]
+    if spec.kind not in nn.TRAINABLE_KINDS:
+        raise TransformError(f"layer {layer}: only conv/dense layers can be widened")
+    old_width = spec.weight_shape[-1]
+    if new_width < old_width:
+        raise TransformError(f"layer {layer}: cannot shrink {old_width} -> {new_width}")
+    return old_width
+
+
 def widen_with_mapping(arch: nn.ModelArch, params: nn.Params,
                        mapping: WidenMapping):
     """Widen using a caller-provided mapping (the deterministic core of
     ``widen``; tests use it to inject hand-chosen mappings)."""
     layer = mapping.layer
-    spec = arch.layers[layer]
-    if spec.kind not in nn.TRAINABLE_KINDS:
-        raise TransformError(f"layer {layer}: only conv/dense layers can be widened")
-    old_width = spec.weight_shape[-1]
     new_width = len(mapping.mapping)
-    if new_width < old_width:
-        raise TransformError(f"layer {layer}: new width {new_width} is narrower "
-                             f"than current width {old_width}")
+    old_width = _widened_width(arch, layer, new_width)
     nxt = _find_next_trainable(arch, layer)
+    new_arch = growth.widen_arch(arch, layer, new_width)
+    nn.validate_arch(new_arch)
 
     g = mapping.mapping
     div = mapping.counts.astype(nn.DTYPE)[g]
@@ -106,10 +116,6 @@ def widen_with_mapping(arch: nn.ModelArch, params: nn.Params,
     # divided by their replication count so each group sums to the original.
     q = params[nxt]
     *kernel, next_in, next_out = q.w.shape
-    if next_in % old_width:
-        raise TransformError(
-            f"layer {nxt}: input size {next_in} is not a multiple of the "
-            f"widened width {old_width}")
     # Spatial positions per channel: H*W across a flatten, else 1. Row-major
     # flatten puts spatial position p, channel c at input p * channels + c.
     ratio = next_in // old_width
@@ -117,12 +123,6 @@ def widen_with_mapping(arch: nn.ModelArch, params: nn.Params,
     new_w = (per_pos[..., g, :] / div[:, None]).reshape(
         *kernel, ratio * new_width, next_out)
     new_params[nxt] = nn.LayerParams(new_w.astype(nn.DTYPE), q.b.copy())
-
-    # Structural update via the shared step machinery keeps arch and params
-    # edits in one place each.
-    new_arch = apply_step_to_arch(
-        arch, TransformStep(WIDEN_STEP[spec.kind], layer, new_width=new_width))
-    nn.validate_arch(new_arch)
     return new_arch, new_params
 
 
@@ -133,12 +133,7 @@ def widen(arch: nn.ModelArch, params: nn.Params, layer: int, new_width: int,
     Returns (new arch, new params, WidenMapping). Equal widths yield the
     identity mapping and unchanged parameters.
     """
-    spec = arch.layers[layer]
-    if spec.kind not in nn.TRAINABLE_KINDS:
-        raise TransformError(f"layer {layer}: only conv/dense layers can be widened")
-    old_width = spec.weight_shape[-1]
-    if new_width < old_width:
-        raise TransformError(f"layer {layer}: cannot shrink {old_width} -> {new_width}")
+    old_width = _widened_width(arch, layer, new_width)
     mapping = sample_mapping(layer, old_width, new_width, rng)
     new_arch, new_params = widen_with_mapping(arch, params, mapping)
     return new_arch, new_params, mapping
@@ -156,93 +151,66 @@ def _check_nonneg_insertion_point(arch: nn.ModelArch, position: int) -> None:
             "(no preceding relu)")
 
 
-def deepen_conv(arch: nn.ModelArch, params: nn.Params, position: int,
-                channels: int, kernel: int):
-    """Insert an identity-initialized conv block (conv + relu + dropout).
+def deepen(arch: nn.ModelArch, params: nn.Params, position: int,
+           spec: nn.LayerSpec):
+    """Insert an identity-initialized block (``spec`` + relu + dropout).
 
-    The kernel is zero except for a one at the spatial center on each
-    matching in/out channel pair, so the block is exact on the
-    nonnegative activations guaranteed by the insertion point.
+    ``spec`` is a square conv2d or dense layer as wide as the activations
+    entering ``position``. Its weight is zero except for the identity on
+    the in/out axes at the centre of every kernel axis, so the layer
+    copies its input and the block is exact on the nonnegative
+    activations guaranteed by the insertion point.
     """
-    if kernel % 2 == 0:
-        raise TransformError(f"identity conv kernel must be odd, got {kernel}")
-    incoming = nn.shape_before(arch, position)
-    if len(incoming) != 3:
-        raise TransformError(f"position {position}: conv insertion needs a spatial input")
-    if incoming[2] != channels:
+    width = nn.shape_before(arch, position)[-1]
+    *kernel, n_in, n_out = spec.weight_shape
+    if (n_in, n_out) != (width, width):
         raise TransformError(
-            f"position {position}: identity conv needs {incoming[2]} channels, "
-            f"got {channels}")
+            f"position {position}: identity {spec.kind} needs width {width} in "
+            f"and out, got {n_in} -> {n_out}")
+    # A centred kernel copies its input only if it keeps the spatial shape.
+    if any(k % 2 == 0 for k in kernel) or (spec.padding, spec.stride) != ("same", 1):
+        raise TransformError(
+            f"identity {spec.kind} needs an odd kernel, same padding and stride 1, "
+            f"got kernel {kernel}, {spec.padding} padding, stride {spec.stride}")
     _check_nonneg_insertion_point(arch, position)
 
-    new_arch = apply_step_to_arch(
-        arch, TransformStep("insert-conv-identity", position,
-                            channels=channels, kernel=kernel))
+    new_arch = growth.insert_identity_arch(arch, position, spec)
     nn.validate_arch(new_arch)
-    w = np.zeros((kernel, kernel, channels, channels), dtype=nn.DTYPE)
-    center = kernel // 2
-    w[center, center, np.arange(channels), np.arange(channels)] = 1.0
+    w = np.zeros(spec.weight_shape, dtype=nn.DTYPE)
+    w[tuple(k // 2 for k in kernel)] = np.eye(width, dtype=nn.DTYPE)
     new_params = _shift_params(nn.copy_params(params), position, 3)
-    new_params[position] = nn.LayerParams(w, np.zeros(channels, dtype=nn.DTYPE))
-    return new_arch, new_params
-
-
-def deepen_dense(arch: nn.ModelArch, params: nn.Params, position: int, units: int):
-    """Insert an identity-matrix dense block (dense + relu + dropout)."""
-    incoming = nn.shape_before(arch, position)
-    if len(incoming) != 1:
-        raise TransformError(f"position {position}: dense insertion needs a flat input")
-    if incoming[0] != units:
-        raise TransformError(
-            f"position {position}: identity dense needs {incoming[0]} units, got {units}")
-    _check_nonneg_insertion_point(arch, position)
-
-    new_arch = apply_step_to_arch(
-        arch, TransformStep("insert-dense-identity", position, units=units))
-    nn.validate_arch(new_arch)
-    new_params = _shift_params(nn.copy_params(params), position, 3)
-    new_params[position] = nn.LayerParams(np.eye(units, dtype=nn.DTYPE),
-                                          np.zeros(units, dtype=nn.DTYPE))
+    new_params[position] = nn.LayerParams(w, np.zeros(width, dtype=nn.DTYPE))
     return new_arch, new_params
 
 
 def split_pool(arch: nn.ModelArch, params: nn.Params, position: int):
     """Replace a 4x4 max pool with two stacked 2x2 pools (exact), leaving
     an insertion slot between them."""
-    spec = arch.layers[position]
-    if spec.kind != "maxpool" or spec.window != 4:
-        raise TransformError(f"position {position}: split-pool needs a 4x4 maxpool")
+    new_arch = growth.split_pool_arch(arch, position)
     shape = nn.shape_before(arch, position)
     if shape[0] % 4 or shape[1] % 4:
         raise TransformError(
             f"position {position}: spatial extents {shape[:2]} not divisible by 4")
-    new_arch = apply_step_to_arch(arch, TransformStep("split-pool", position))
     nn.validate_arch(new_arch)
     return new_arch, _shift_params(nn.copy_params(params), position + 1, 1)
 
 
-def apply_diff(arch: nn.ModelArch, params: nn.Params, diff: ModelDiff,
-               rng: np.random.Generator):
-    """Apply every step of a validated diff.
+def apply_diff(arch: nn.ModelArch, params: nn.Params,
+               diff: tuple[growth.TransformStep, ...], rng: np.random.Generator):
+    """Apply every step of a validated diff (see ``growth.diff_models``).
 
     Widen mappings are sampled from ``rng`` in step order. Returns
     (new arch, new params, list of WidenMapping).
     """
     mappings: list[WidenMapping] = []
-    cur_arch, cur_params = arch, params
-    for step in diff.steps:
+    for step in diff:
         if step.kind == "split-pool":
-            cur_arch, cur_params = split_pool(cur_arch, cur_params, step.layer)
-        elif step.kind == "insert-conv-identity":
-            cur_arch, cur_params = deepen_conv(cur_arch, cur_params, step.layer,
-                                               step.channels, step.kernel)
-        elif step.kind == "insert-dense-identity":
-            cur_arch, cur_params = deepen_dense(cur_arch, cur_params, step.layer,
-                                                step.units)
-        elif step.kind in ("widen-conv", "widen-dense"):
-            cur_arch, cur_params, mapping = widen(cur_arch, cur_params, step.layer,
-                                                  step.new_width, rng)
+            arch, params = split_pool(arch, params, step.layer)
+        elif step.kind == "insert-identity":
+            arch, params = deepen(arch, params, step.layer, step.spec)
+        elif step.kind == "widen":
+            arch, params, mapping = widen(arch, params, step.layer, step.width, rng)
             mappings.append(mapping)
         else:
             raise TransformError(f"unknown diff step kind {step.kind!r}")
-    return cur_arch, cur_params, mappings
+    return arch, params, mappings

@@ -164,7 +164,6 @@ class TrainConfig:
     batch_size: int = 10
     local_epochs: int = 1
     dropout_rate: float = 0.125
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate < 0:

@@ -201,6 +201,16 @@ def test_cli_validate_schedule(tmp_path, capsys):
     assert cli.main(["validate-schedule", str(bad)]) == 1
     assert "threshold arity" in capsys.readouterr().out
 
+    # A custom schedule that deepens the dense head by one hidden layer.
+    deeper = tmp_path / "deeper-head.json"
+    deeper.write_text(json.dumps({
+        "dataset": "mnist", "input_shape": [8, 8, 1], "thresholds": [0.1],
+        "models": [[{"conv": 2, "kernel": 3}, {"pool": 2}, {"dense": 4}, {"dense": 3}],
+                   [{"conv": 2, "kernel": 3}, {"pool": 2}, {"dense": 4}, {"dense": 4},
+                    {"dense": 3}]]}))
+    assert cli.main(["validate-schedule", str(deeper)]) == 0
+    assert "schedule ok: 2 models" in capsys.readouterr().out
+
 
 def test_cli_compare(tmp_path, capsys):
     out_a = experiment.run(tiny_config(tmp_path, rounds=15, name="cli-cmp-a"))
@@ -241,6 +251,11 @@ def test_cli_seed_override_keeps_the_configured_partition(tmp_path):
     ({"partition": {"client_count": "12"}}, "'client_count' must be an integer"),
     ({"train": {"learning_rate": 0.05, "batch_size": True}},
      "'batch_size' must be an integer"),
+    ({"train": {"learning_rate": "0.1"}}, "'learning_rate' must be a number"),
+    ({"fd_keep_fraction": "0.5"}, "'fd_keep_fraction' must be a number"),
+    ({"thresholds_override": ["x"]}, "'thresholds_override' must be a list of numbers"),
+    ({"train": {"batch_size": 20}}, "'learning_rate' is required"),
+    ({"train": {"learning_rate": True}}, "'learning_rate' must be a number"),
 ])
 def test_cli_rejects_malformed_config_before_any_output(tmp_path, capsys, override,
                                                         fragment):

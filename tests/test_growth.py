@@ -68,32 +68,49 @@ def test_unknown_dataset_tag():
 def test_diff_emnist_m1_m2_is_single_conv_widening():
     sched = growth.builtin_schedule("emnist")
     diff = growth.diff_models(sched.models[0], sched.models[1])
-    assert len(diff.steps) == 1
-    step = diff.steps[0]
-    assert (step.kind, step.layer, step.new_width) == ("widen-conv", 0, 32)
+    assert len(diff) == 1
+    step = diff[0]
+    assert (step.kind, step.layer, step.width) == ("widen", 0, 32)
 
 
 def test_diff_emnist_m2_m3_is_pool_split_plus_identity_insert():
     sched = growth.builtin_schedule("emnist")
     diff = growth.diff_models(sched.models[1], sched.models[2])
-    kinds = [s.kind for s in diff.steps]
-    assert kinds == ["split-pool", "insert-conv-identity"]
-    assert diff.steps[1].channels == 32
-    assert diff.steps[1].kernel == 5
+    kinds = [s.kind for s in diff]
+    assert kinds == ["split-pool", "insert-identity"]
+    assert diff[1].spec == nn.conv2d(nn.KernelShape(5, 5, 32, 32))
 
 
 def test_diff_identical_archs_is_empty():
     m = growth.builtin_schedule("mnist").models[3]
-    assert growth.diff_models(m, m).steps == ()
+    assert growth.diff_models(m, m) == ()
 
 
-@pytest.mark.parametrize("dataset", ["emnist", "cifar10", "mnist"])
+def _dense_head_pair(head):
+    """A model and the same model with one more hidden dense layer ahead
+    of the classifier; the pair diffs to a single identity insertion."""
+    body = [("conv", 2, 3), ("pool", 2)] + head
+    return [growth.build_arch((8, 8, 1), body + [("dense", 4)] * hidden + [("dense", 3)])
+            for hidden in (1, 2)]
+
+
+DENSE_HEAD_PAIRS = {"flatten-head": _dense_head_pair([]),
+                    "gap-head": _dense_head_pair([("gap",)])}
+
+
+@pytest.mark.parametrize("dataset", ["emnist", "cifar10", "mnist", *DENSE_HEAD_PAIRS])
 def test_diff_replay_reproduces_target(dataset):
-    sched = growth.builtin_schedule(dataset)
-    for a, b in zip(sched.models, sched.models[1:]):
+    if dataset in DENSE_HEAD_PAIRS:
+        models = DENSE_HEAD_PAIRS[dataset]
+        diff = growth.diff_models(*models)
+        assert [(s.kind, s.layer, s.spec) for s in diff] == \
+            [("insert-identity", 8, nn.dense(4, 4))]
+    else:
+        models = growth.builtin_schedule(dataset).models
+    for a, b in zip(models, models[1:]):
         diff = growth.diff_models(a, b)
         cur = a
-        for step in diff.steps:
+        for step in diff:
             cur = growth.apply_step_to_arch(cur, step)
         assert cur.layers == b.layers
 
@@ -106,7 +123,7 @@ def test_diff_is_stable_under_its_own_replay():
         again = growth.diff_models(a, b)
         assert diff == again
         cur = a
-        for step in diff.steps:
+        for step in diff:
             cur = growth.apply_step_to_arch(cur, step)
         assert growth.diff_models(a, cur) == diff
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fedgrow import growth, morph, nn
 from fedgrow.errors import TransformError
@@ -161,66 +161,57 @@ def test_identity_conv_kernel_is_exact_on_nonnegative_input():
     assert np.array_equal(out, x)
 
 
-def test_deepen_conv_preserves_function():
+# Insertion points of small_conv_dense_arch that follow a relu, with the
+# identity layer that fits there: after the pool that follows
+# conv/relu/dropout, and after the hidden dense block's relu+dropout.
+DEEPEN_CASES = {"conv": (4, nn.conv2d(nn.KernelShape(3, 3, 4, 4))),
+                "dense": (8, nn.dense(6, 6))}
+
+
+@pytest.mark.parametrize("kind", ["conv", "dense"])
+def test_deepen_preserves_function_and_stacks(kind):
     arch = small_conv_dense_arch()
+    position, spec = DEEPEN_CASES[kind]
     params = random_params(arch, 13)
     x = stream(13, 9).random((8, 8, 8, 1), dtype=np.float32)
-    # insert after the pool (which follows conv/relu/dropout)
-    new_arch, new_params = morph.deepen_conv(arch, params, 4, 4, 3)
-    assert eval_delta(arch, params, new_arch, new_params, x) < 1e-6
-
-
-def test_deepen_conv_channel_mismatch_rejected():
-    arch = small_conv_dense_arch()
-    params = random_params(arch, 14)
-    with pytest.raises(TransformError, match="channels"):
-        morph.deepen_conv(arch, params, 4, 7, 3)
-
-
-def test_deepen_conv_rejects_position_without_relu():
-    arch = small_conv_dense_arch()
-    params = random_params(arch, 15)
-    # position 1 sits right after the conv, before its relu: the incoming
-    # activations may be negative there.
-    with pytest.raises(TransformError, match="negative"):
-        morph.deepen_conv(arch, params, 1, 4, 3)
-    with pytest.raises(TransformError, match="negative"):
-        morph.deepen_conv(arch, params, 0, 1, 3)
-
-
-def test_deepen_conv_even_kernel_rejected():
-    arch = small_conv_dense_arch()
-    params = random_params(arch, 16)
-    with pytest.raises(TransformError, match="odd"):
-        morph.deepen_conv(arch, params, 4, 4, 4)
-
-
-def test_deepen_dense_preserves_loss_and_stacks():
-    arch = small_conv_dense_arch()
-    params = random_params(arch, 17)
-    x = stream(17, 9).random((8, 8, 8, 1), dtype=np.float32)
-    y = stream(17, 8).integers(0, 3, 8)
-
-    def eval_loss(a, p):
-        probs = nn.forward(a, p, x)
-        return float(-np.log(probs[np.arange(8), y]).mean())
-
-    base = eval_loss(arch, params)
-    dense_idx = nn.trainable_indices(arch)[1]
-    insert_at = dense_idx + 3  # after the dense block's relu+dropout
-    a2, p2 = morph.deepen_dense(arch, params, insert_at, 6)
-    assert abs(eval_loss(a2, p2) - base) < 1e-6
+    a2, p2 = morph.deepen(arch, params, position, spec)
+    assert a2.layers[position] == spec
+    assert eval_delta(arch, params, a2, p2, x) < 1e-6
     # double insertion at the same slot still preserves
-    a3, p3 = morph.deepen_dense(a2, p2, insert_at, 6)
-    assert abs(eval_loss(a3, p3) - base) < 1e-6
+    a3, p3 = morph.deepen(a2, p2, position, spec)
+    assert eval_delta(arch, params, a3, p3, x) < 1e-6
 
 
-def test_deepen_dense_width_mismatch_rejected():
+@pytest.mark.parametrize("kind", ["conv", "dense"])
+def test_deepen_wrong_width_rejected(kind):
     arch = small_conv_dense_arch()
-    params = random_params(arch, 18)
-    dense_idx = nn.trainable_indices(arch)[1]
-    with pytest.raises(TransformError, match="units"):
-        morph.deepen_dense(arch, params, dense_idx + 3, 7)
+    position, spec = DEEPEN_CASES[kind]
+    params = random_params(arch, 14)
+    with pytest.raises(TransformError, match="width"):
+        morph.deepen(arch, params, position, spec.with_widths(7, 7))
+
+
+@pytest.mark.parametrize("kind, position", [("conv", 0), ("conv", 1), ("dense", 6)],
+                         ids=["conv-at-input", "conv", "dense"])
+def test_deepen_rejects_position_without_relu(kind, position):
+    # At the input, or right after a conv or dense layer ahead of its relu,
+    # the incoming activations may be negative.
+    arch = small_conv_dense_arch()
+    width = nn.shape_before(arch, position)[-1]
+    spec = DEEPEN_CASES[kind][1]
+    with pytest.raises(TransformError, match="negative"):
+        morph.deepen(arch, random_params(arch, 15), position,
+                     spec.with_widths(width, width))
+
+
+@pytest.mark.parametrize("kernel, padding, stride", [
+    ((4, 4), "same", 1), ((3, 4), "same", 1), ((3, 3), "valid", 1), ((3, 3), "same", 2),
+], ids=["even-kernel", "even-axis", "valid-padding", "stride-2"])
+def test_deepen_rejects_conv_that_cannot_be_identity(kernel, padding, stride):
+    arch = small_conv_dense_arch()
+    spec = nn.conv2d(nn.KernelShape(*kernel, 4, 4), padding, stride)
+    with pytest.raises(TransformError, match="odd kernel"):
+        morph.deepen(arch, random_params(arch, 16), DEEPEN_CASES["conv"][0], spec)
 
 
 def test_split_pool_bitwise_and_divisibility_error():
@@ -247,7 +238,7 @@ def test_apply_empty_diff_keeps_params():
     arch = small_conv_dense_arch()
     params = random_params(arch, 21)
     new_arch, new_params, mappings = morph.apply_diff(
-        arch, params, growth.ModelDiff(()), stream(0, 0))
+        arch, params, (), stream(0, 0))
     assert new_arch.layers == arch.layers
     assert mappings == []
     for i in params:
@@ -269,10 +260,9 @@ def test_emnist_m2_m3_pipeline_preserves_within_1e6():
 def reachable_token_pair(draw):
     """Input channels and two build_arch token rows, the second reachable
     from the first: wider conv and dense layers, an optional 4x4 pool split
-    into two 2x2 pools, an optional identity conv after the first pool, and
-    a flatten or global-average-pool head. (diff_models cannot reach an
-    extra dense block between build_arch models: it aligns that block with
-    the classifier.)"""
+    into two 2x2 pools, an optional identity conv after the first pool, an
+    optional identity dense block ahead of the classifier, and a flatten or
+    global-average-pool head."""
     conv, hidden = draw(st.integers(1, 4)), draw(st.integers(1, 5))
     split, head = draw(st.booleans()), draw(st.sampled_from([[], [("gap",)]]))
     kernel = draw(st.sampled_from([1, 3, 5]))
@@ -281,15 +271,25 @@ def reachable_token_pair(draw):
     if draw(st.booleans()):
         pools_b.insert(1, ("conv", conv + draw(st.integers(0, 3)),
                            draw(st.sampled_from([1, 3]))))
+    dense_b = [("dense", hidden + draw(st.integers(0, 4)))]
+    if draw(st.booleans()):
+        dense_b.append(("dense", hidden + draw(st.integers(0, 4))))
     classes = draw(st.integers(2, 4))
     a = [("conv", conv, kernel)] + pools_a + head + [("dense", hidden), ("dense", classes)]
     b = [("conv", conv + draw(st.integers(0, 3)), kernel)] + pools_b + head + \
-        [("dense", hidden + draw(st.integers(0, 4))), ("dense", classes)]
+        dense_b + [("dense", classes)]
     return draw(st.integers(1, 3)), a, b
+
+
+def _dense_head_example(head):
+    a = [("conv", 2, 3), ("pool", 2)] + head + [("dense", 4), ("dense", 3)]
+    return example(pair=(1, a, a[:-1] + [("dense", 4), ("dense", 3)]), seed=0)
 
 
 @settings(max_examples=60, deadline=None)
 @given(pair=reachable_token_pair(), seed=st.integers(0, 2**31))
+@_dense_head_example([])
+@_dense_head_example([("gap",)])
 def test_random_reachable_pairs_replay_and_preserve_function(pair, seed):
     channels, tokens_a, tokens_b = pair
     shape = (8, 8, channels)

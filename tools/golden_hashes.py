@@ -1,0 +1,68 @@
+"""Print the sha256 of ``metrics.csv`` for each golden run variant.
+
+A pure refactor must leave every hash unchanged. Run this script in both
+checkouts and compare the output:
+
+    python3 tools/golden_hashes.py
+
+Each variant runs ``fedgrow run`` in its own child process against the
+``src/`` of the checkout holding this script, with
+``OPENBLAS_NUM_THREADS=1``. The hashes depend on the numpy/BLAS build, so
+they are compared between checkouts on one machine and are not test
+assertions.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BASE_CONFIG = ROOT / "configs" / "synthetic-fnn.json"
+NEVER_SWITCH_EARLY = [1e9] * 5  # every stage lasts exactly window + lag rounds
+
+# Overrides of configs/synthetic-fnn.json, one per variant.
+VARIANTS = {
+    "synthetic-fnn": {},
+    "fd": {"method": "fd", "rounds": 20},
+    "fnn-fd": {"method": "fnn-fd", "fd_exempt_prefix": 1, "switch_window": 5,
+               "switch_lag": 10, "rounds": 60,
+               "thresholds_override": NEVER_SWITCH_EARLY},
+    "fnn-all-stages": {"switch_window": 3, "switch_lag": 5, "rounds": 48,
+                       "thresholds_override": NEVER_SWITCH_EARLY},
+    # Switches at rounds 1, 3, 5, 7 and 9, so every cifar10 diff runs,
+    # the 1x1 identity-conv insertion included.
+    "cifar10-fnn-all-stages": {
+        "schedule": "cifar10", "switch_window": 1, "switch_lag": 1, "rounds": 12,
+        "thresholds_override": NEVER_SWITCH_EARLY,
+        "synthetic": {"classes": 10, "per_class": 100, "test_per_class": 50,
+                      "dims": [32, 32, 3], "sigma": 0.1, "separation": 20.0}},
+}
+
+
+def metrics_sha256(name: str, overrides: dict, work: Path) -> str:
+    config = {**json.loads(BASE_CONFIG.read_text()), **overrides}
+    config_path = work / f"{name}.json"
+    config_path.write_text(json.dumps(config))
+    out = work / name
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    subprocess.run([sys.executable, "-m", "fedgrow.cli", "run", "--config",
+                    str(config_path), "--output", str(out)],
+                   env=env, check=True, stdout=subprocess.DEVNULL)
+    return hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, overrides in VARIANTS.items():
+            print(f"{metrics_sha256(name, overrides, Path(tmp))}  {name}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
