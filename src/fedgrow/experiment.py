@@ -135,19 +135,6 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
-        if "train" in data and data["train"] is not None:
-            data["train"] = _from_fields(nn.TrainConfig, data["train"], "train")
-        if "partition" in data and data["partition"] is not None:
-            data["partition"] = _from_fields(fedsim.PartitionSpec, data["partition"],
-                                             "partition")
-        if "synthetic" in data and data["synthetic"] is not None:
-            syn = dict(data["synthetic"])
-            if "dims" in syn:
-                syn["dims"] = tuple(syn["dims"])
-            data["synthetic"] = _from_fields(SyntheticSpec, syn, "synthetic")
-        if isinstance(data.get("thresholds_override"), list):
-            data["thresholds_override"] = tuple(data["thresholds_override"])
         return _from_fields(cls, data, "config")
 
     @classmethod
@@ -160,21 +147,32 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
-# What a value of an integer, float or float-list field must be. JSON
-# booleans count as neither integers nor numbers.
+def _is_list_of(v, item_ok, length=None) -> bool:
+    return (type(v) in (list, tuple) and length in (None, len(v))
+            and all(item_ok(x) for x in v))
+
+
+_SECTIONS = (nn.TrainConfig, fedsim.PartitionSpec, SyntheticSpec)
+
+# What the value of a field of each type must be. JSON booleans count as
+# neither integers nor numbers; a config section is a JSON object.
 _FIELD_TYPES = {
+    str: ("a string", lambda v: type(v) is str),
     int: ("an integer", lambda v: type(v) is int),
     float: ("a number", lambda v: type(v) in (int, float)),
     tuple[float, ...]: ("a list of numbers",
-                        lambda v: type(v) is tuple and all(type(x) in (int, float)
-                                                           for x in v)),
+                        lambda v: _is_list_of(v, lambda x: type(x) in (int, float))),
+    tuple[int, int, int]: ("three positive integers",
+                           lambda v: _is_list_of(v, lambda x: type(x) is int and x > 0, 3)),
+    **{section: ("a JSON object", lambda v: type(v) is dict) for section in _SECTIONS},
 }
 
 
 def _from_fields(cls, data: dict, where: str):
     """Build config dataclass ``cls`` from ``data``, raising ConfigError on
     unknown keys, missing required fields and values of the wrong type in
-    integer, float and float-list fields."""
+    string, integer, float, list and section fields. Sections are built
+    the same way, and lists become tuples."""
     unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
@@ -182,15 +180,21 @@ def _from_fields(cls, data: dict, where: str):
         if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{where} field {f.name!r} is required")
     hints = typing.get_type_hints(cls)
+    values = {}
     for key, value in data.items():
         args = typing.get_args(hints[key])
         optional = type(None) in args
-        if value is None and optional:
-            continue
-        what, ok = _FIELD_TYPES.get(args[0] if optional else hints[key], ("", None))
-        if ok and not ok(value):
-            raise ConfigError(f"{where} field {key!r} must be {what}, got {value!r}")
-    return cls(**data)
+        hint = args[0] if optional else hints[key]
+        if value is not None or not optional:
+            what, ok = _FIELD_TYPES.get(hint, ("", None))
+            if ok and not ok(value):
+                raise ConfigError(f"{where} field {key!r} must be {what}, got {value!r}")
+            if hint in _SECTIONS:
+                value = _from_fields(hint, value, key)
+            elif typing.get_origin(hint) is tuple:
+                value = tuple(value)
+        values[key] = value
+    return cls(**values)
 
 
 # ---------------------------------------------------------------------------

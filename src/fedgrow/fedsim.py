@@ -142,9 +142,10 @@ def local_train(arch: nn.ModelArch, params: nn.Params, shard: ClientShard,
                 cfg: nn.TrainConfig, rng: np.random.Generator):
     """Local epochs of minibatch SGD on one client's shard.
 
-    Returns (updated params, mean per-sample loss, shard size).
+    Returns (updated params, mean per-sample loss, shard size). Each SGD
+    step returns new arrays, so ``params`` is never written.
     """
-    cur = nn.copy_params(params)
+    cur = params
     loss_sum, seen = 0.0, 0
     try:
         for _ in range(cfg.local_epochs):
@@ -185,20 +186,45 @@ def aggregate(updates: list[tuple[nn.Params, int]]) -> nn.Params:
     total = float(sum(n for _, n in updates))
     if total <= 0:
         raise ConfigError("aggregate: total sample count must be positive")
+    weights = [float(n) for _, n in updates]
     out: nn.Params = {}
     for i in keys:
-        shape_w = updates[0][0][i].w.shape
-        shape_b = updates[0][0][i].b.shape
-        acc_w = np.zeros(shape_w, dtype=np.float64)
-        acc_b = np.zeros(shape_b, dtype=np.float64)
-        for p, n in updates:
-            if p[i].w.shape != shape_w or p[i].b.shape != shape_b:
-                raise ConfigError(f"aggregate: layer {i} shape mismatch across updates")
-            acc_w += float(n) * p[i].w.astype(np.float64)
-            acc_b += float(n) * p[i].b.astype(np.float64)
-        out[i] = nn.LayerParams((acc_w / total).astype(nn.DTYPE),
-                                (acc_b / total).astype(nn.DTYPE))
+        layers = [p[i] for p, _ in updates]
+        if any(q.w.shape != layers[0].w.shape or q.b.shape != layers[0].b.shape
+               for q in layers):
+            raise ConfigError(f"aggregate: layer {i} shape mismatch across updates")
+        out[i] = nn.LayerParams(_weighted_mean([q.w for q in layers], weights, total),
+                                _weighted_mean([q.b for q in layers], weights, total))
     return out
+
+
+# float64 elements per fold block: the accumulator and the scratch buffer
+# (256 KiB together) stay in L2 while every client is folded in.
+_FOLD_BLOCK = 16384
+
+
+def _weighted_mean(arrays: list[np.ndarray], weights: list[float],
+                   total: float) -> np.ndarray:
+    """``sum(a.astype(float64) * n) / total`` over equal-shape arrays, rounded
+    to float32 once.
+
+    Folds one block of elements at a time, adding the arrays in list
+    order, so every element sees the same operations in the same order
+    as a whole-array fold.
+    """
+    flats = [a.reshape(-1) for a in arrays]
+    size = flats[0].size
+    out = np.empty(size, dtype=nn.DTYPE)
+    acc = np.empty(min(size, _FOLD_BLOCK), dtype=np.float64)
+    scratch = np.empty_like(acc)
+    for start in range(0, size, _FOLD_BLOCK):
+        stop = min(start + _FOLD_BLOCK, size)
+        a, s = acc[:stop - start], scratch[:stop - start]
+        a.fill(0.0)
+        for flat, n in zip(flats, weights):
+            a += np.multiply(flat[start:stop], n, out=s, dtype=np.float64)
+        out[start:stop] = np.divide(a, total, out=a)
+    return out.reshape(arrays[0].shape)
 
 
 # ---------------------------------------------------------------------------

@@ -202,6 +202,14 @@ def insert_identity_arch(arch: nn.ModelArch, layer: int,
     return arch.with_layers(arch.layers[:layer] + block + arch.layers[layer:])
 
 
+def can_be_identity(spec: nn.LayerSpec) -> bool:
+    """Whether ``spec`` can be initialized as the identity: a dense layer,
+    or a conv2d whose centred kernel keeps the spatial shape (odd kernel
+    sides, same padding, stride 1)."""
+    kernel = spec.weight_shape[:-2]
+    return all(k % 2 for k in kernel) and (spec.padding, spec.stride) == ("same", 1)
+
+
 def widen_arch(arch: nn.ModelArch, layer: int, width: int) -> nn.ModelArch:
     """Give the conv2d or dense layer at ``layer`` ``width`` outputs and
     resize the inputs of the next trainable layer to match."""
@@ -315,7 +323,12 @@ def diff_models(a: nn.ModelArch, b: nn.ModelArch) -> tuple[TransformStep, ...]:
                 f"layer {i}: cannot reach target (target wants {tb.kind!r}, "
                 f"source has {have!r})")
         width = nn.shape_before(cur, i)[-1]
-        step = TransformStep("insert-identity", i, spec=tb.with_widths(width, width))
+        spec = tb.with_widths(width, width)
+        if not can_be_identity(spec):
+            raise ScheduleError(
+                f"layer {i}: an inserted {spec.kind} must be able to start as the "
+                "identity (odd kernel, same padding, stride 1)")
+        step = TransformStep("insert-identity", i, spec=spec)
         cur = apply_step_to_arch(cur, step)
         steps.append(step)
 

@@ -167,8 +167,7 @@ def deepen(arch: nn.ModelArch, params: nn.Params, position: int,
         raise TransformError(
             f"position {position}: identity {spec.kind} needs width {width} in "
             f"and out, got {n_in} -> {n_out}")
-    # A centred kernel copies its input only if it keeps the spatial shape.
-    if any(k % 2 == 0 for k in kernel) or (spec.padding, spec.stride) != ("same", 1):
+    if not growth.can_be_identity(spec):
         raise TransformError(
             f"identity {spec.kind} needs an odd kernel, same padding and stride 1, "
             f"got kernel {kernel}, {spec.padding} padding, stride {spec.stride}")

@@ -404,26 +404,35 @@ def _conv_backward(g, w, stride, saved, x_shape, need_dx=True):
     return np.ascontiguousarray(gx, dtype=g.dtype), gw, gb
 
 
-def _maxpool_forward(x, window, want_indices):
+def _maxpool_forward(x, window):
     n, h, w, c = x.shape
     oh, ow = h // window, w // window
     xr = x[:, :oh * window, :ow * window, :].reshape(n, oh, window, ow, window, c)
-    if not want_indices:
-        return np.ascontiguousarray(xr.max(axis=(2, 4))), None
-    xt = xr.transpose(0, 1, 3, 5, 2, 4).reshape(n, oh, ow, c, window * window)
-    idx = xt.argmax(axis=-1)
-    out = np.take_along_axis(xt, idx[..., None], axis=-1)[..., 0]
-    return np.ascontiguousarray(out, dtype=x.dtype), idx
+    return np.ascontiguousarray(xr.max(axis=(2, 4)))
 
 
-def _maxpool_backward(g, idx, window, x_shape):
-    n, h, w, c = x_shape
-    oh, ow = h // window, w // window
-    gt = np.zeros((n, oh, ow, c, window * window), dtype=g.dtype)
-    np.put_along_axis(gt, idx[..., None], g[..., None], axis=-1)
-    gr = gt.reshape(n, oh, ow, c, window, window).transpose(0, 1, 4, 2, 5, 3)
-    gx = np.zeros(x_shape, dtype=g.dtype)
-    gx[:, :oh * window, :ow * window, :] = gr.reshape(n, oh * window, ow * window, c)
+def _maxpool_backward(g, x, out, window):
+    """Route each output gradient to the first maximum of its window in
+    row-major order, the element argmax picks. Later tied maxima and the
+    rows/cols that floor pooling drops get +0.0."""
+    oh, ow = out.shape[1:3]
+    gx = np.empty(x.shape, dtype=g.dtype)
+    gx[:, oh * window:] = 0
+    gx[:, :, ow * window:] = 0
+    # Gradients move as raw bits: bits times 1 are the gradient itself and
+    # bits times 0 are +0.0, so every element of gx is exactly g or +0.0.
+    bits = np.dtype(f"u{g.itemsize}")
+    g_bits = g.view(bits)
+    taken = np.zeros(out.shape, dtype=bool)
+    hit = np.empty(out.shape, dtype=bool)
+    for u in range(window):
+        rows = slice(u, oh * window, window)
+        for v in range(window):
+            cols = slice(v, ow * window, window)
+            np.equal(x[:, rows, cols, :], out, out=hit)
+            np.greater(hit, taken, out=hit)  # a maximum no earlier element took
+            np.multiply(g_bits, hit, out=gx[:, rows, cols, :].view(bits))
+            taken |= hit
     return gx
 
 
@@ -485,9 +494,9 @@ def _run_layers(arch, params, x, mode, rng, upto, tape):
                 if tape is not None:
                     tape.append(None)
         elif kind == "maxpool":
-            out, idx = _maxpool_forward(a, spec.window, tape is not None)
+            out = _maxpool_forward(a, spec.window)
             if tape is not None:
-                tape.append((a.shape, idx))
+                tape.append((a, out))
             a = out
         elif kind == "gap":
             if tape is not None:
@@ -574,8 +583,8 @@ def gradients(arch: ModelArch, params: Params, batch: np.ndarray, labels: np.nda
                 keep, scale = saved
                 g = g * keep * scale
         elif kind == "maxpool":
-            x_shape, idx = saved
-            g = _maxpool_backward(g, idx, spec.window, x_shape)
+            xin, out = saved
+            g = _maxpool_backward(g, xin, out, spec.window)
         elif kind == "gap":
             x_shape = saved
             h, w = x_shape[1], x_shape[2]
@@ -597,12 +606,12 @@ def backward_and_step(arch: ModelArch, params: Params, batch: np.ndarray,
     loss, grads = gradients(arch, params, batch, labels, rng=rng, mode="train")
     if not np.isfinite(loss):
         raise NumericalError(f"non-finite training loss {loss!r}")
+    # Each gradient is fresh, so it is scaled in place; the difference is
+    # a new array and the caller's params are never written.
     lr = DTYPE(cfg.learning_rate)
     new_params: Params = {}
     for i, p in params.items():
-        if i in grads:
-            gw, gb = grads[i]
-            new_params[i] = LayerParams(p.w - lr * gw, p.b - lr * gb)
-        else:
-            new_params[i] = LayerParams(p.w.copy(), p.b.copy())
+        gw, gb = grads[i]
+        new_params[i] = LayerParams(np.subtract(p.w, np.multiply(gw, lr, out=gw)),
+                                    np.subtract(p.b, np.multiply(gb, lr, out=gb)))
     return new_params, loss

@@ -211,6 +211,16 @@ def test_cli_validate_schedule(tmp_path, capsys):
     assert cli.main(["validate-schedule", str(deeper)]) == 0
     assert "schedule ok: 2 models" in capsys.readouterr().out
 
+    # An inserted conv with an even kernel cannot start as the identity.
+    even = tmp_path / "even-kernel.json"
+    even.write_text(json.dumps({
+        "dataset": "mnist", "input_shape": [8, 8, 1], "thresholds": [0.1],
+        "models": [[{"conv": 2, "kernel": 3}, {"pool": 2}, {"dense": 4}, {"dense": 3}],
+                   [{"conv": 2, "kernel": 3}, {"pool": 2}, {"conv": 2, "kernel": 2},
+                    {"dense": 4}, {"dense": 3}]]}))
+    assert cli.main(["validate-schedule", str(even)]) == 1
+    assert "start as the identity" in capsys.readouterr().out
+
 
 def test_cli_compare(tmp_path, capsys):
     out_a = experiment.run(tiny_config(tmp_path, rounds=15, name="cli-cmp-a"))
@@ -256,6 +266,10 @@ def test_cli_seed_override_keeps_the_configured_partition(tmp_path):
     ({"thresholds_override": ["x"]}, "'thresholds_override' must be a list of numbers"),
     ({"train": {"batch_size": 20}}, "'learning_rate' is required"),
     ({"train": {"learning_rate": True}}, "'learning_rate' must be a number"),
+    ({"train": 5}, "'train' must be a JSON object"),
+    ({"synthetic": {"dims": 5}}, "'dims' must be three positive integers"),
+    ({"synthetic": {"dims": ["a", "b", "c"]}}, "'dims' must be three positive integers"),
+    ({"schedule": 5}, "'schedule' must be a string"),
 ])
 def test_cli_rejects_malformed_config_before_any_output(tmp_path, capsys, override,
                                                         fragment):

@@ -158,16 +158,40 @@ def test_aggregate_shape_mismatch_rejected():
 
 
 def test_aggregate_matches_brute_force_per_scalar():
+    # The second model's dense weight spans three fold blocks plus a
+    # ragged tail.
+    block = fedsim._FOLD_BLOCK
+    multi_block = growth.build_arch((100,), [("dense", 3 * block // 100 + 7), ("dense", 3)])
+    size = np.prod(multi_block.layers[0].weight_shape)
+    assert size > 3 * block and size % block
     rng = stream(5, 0)
-    updates = []
-    arch = tiny_schedule().models[0]
-    for k in range(6):
-        updates.append((random_params(arch, 50 + k), int(rng.integers(1, 40))))
-    out = aggregate(updates)
-    total = sum(n for _, n in updates)
-    for i in updates[0][0]:
-        expect = sum(p[i].w.astype(np.float64) * n for p, n in updates) / total
-        assert np.abs(out[i].w - expect).max() < 1e-6
+    for arch in (tiny_schedule().models[0], multi_block):
+        updates = []
+        for k in range(6):
+            updates.append((random_params(arch, 50 + k), int(rng.integers(1, 40))))
+        out = aggregate(updates)
+        total = sum(n for _, n in updates)
+        for i in updates[0][0]:
+            # The sequential float64 fold in list order, rounded once.
+            expect_w = sum(p[i].w.astype(np.float64) * n for p, n in updates) / total
+            expect_b = sum(p[i].b.astype(np.float64) * n for p, n in updates) / total
+            assert out[i].w.tobytes() == expect_w.astype(nn.DTYPE).tobytes()
+            assert out[i].b.tobytes() == expect_b.astype(nn.DTYPE).tobytes()
+
+
+def test_sgd_step_and_local_train_leave_callers_params_unchanged():
+    arch = tiny_schedule().models[1]
+    params = random_params(arch, 4)
+    before = {i: (p.w.tobytes(), p.b.tobytes()) for i, p in params.items()}
+    x, y = toy_dataset(20, classes=3, seed=4)
+    cfg = nn.TrainConfig(learning_rate=0.5, dropout_rate=0.125)
+
+    stepped, _ = nn.backward_and_step(arch, params, x[:10], y[:10], cfg, stream(0, 5))
+    trained, _, _ = local_train(arch, params, ClientShard(0, x, y), cfg, stream(0, 6))
+    for i, p in params.items():
+        assert (p.w.tobytes(), p.b.tobytes()) == before[i]
+        assert not np.array_equal(stepped[i].w, p.w)
+        assert not np.array_equal(trained[i].w, p.w)
 
 
 # ---------------------------------------------------------------------------

@@ -75,10 +75,36 @@ def test_batch_shape_mismatch_rejected():
 
 def test_maxpool_4_equals_two_2s():
     x = stream(2, 0).random((5, 28, 28, 3), dtype=np.float32)
-    out4, _ = nn._maxpool_forward(x, 4, False)
-    out2, _ = nn._maxpool_forward(x, 2, False)
-    out22, _ = nn._maxpool_forward(out2, 2, False)
+    out4 = nn._maxpool_forward(x, 4)
+    out2 = nn._maxpool_forward(x, 2)
+    out22 = nn._maxpool_forward(out2, 2)
     assert np.array_equal(out4, out22)
+
+
+@pytest.mark.parametrize("window, height, width",
+                         [(2, 8, 8), (2, 9, 11), (3, 9, 11), (4, 9, 11), (4, 12, 7)])
+def test_maxpool_backward_routes_to_first_max_in_row_major_order(window, height, width):
+    # Integer-valued inputs make tied maxima common; odd extents leave
+    # remainder rows/cols that floor pooling drops.
+    r = stream(9, window)
+    x = r.integers(-1, 3, size=(3, height, width, 4)).astype(np.float32)
+    out = nn._maxpool_forward(x, window)
+    g = r.standard_normal(out.shape).astype(np.float32)
+
+    expect = np.zeros_like(x)
+    for b, i, j, c in np.ndindex(*out.shape):
+        best = None
+        for u in range(window):
+            for v in range(window):
+                val = x[b, i * window + u, j * window + v, c]
+                if best is None or val > best[0]:
+                    best = (val, u, v)
+        _, u, v = best
+        expect[b, i * window + u, j * window + v, c] = g[b, i, j, c]
+
+    got = nn._maxpool_backward(g, x, out, window)
+    assert got.dtype == expect.dtype
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_maxpool_floor_semantics():
