@@ -314,51 +314,40 @@ def _crop_model(arch: nn.ModelArch, params: nn.Params, mask: DropoutMask):
 
 def fd_merge(arch: nn.ModelArch, global_params: nn.Params,
              updates: list[tuple[nn.Params, DropoutMask, int]]) -> nn.Params:
-    """Fold sub-network updates back into the global model.
+    """Fold sub-network updates that share one mask back into the global model.
 
-    Every position covered by at least one client becomes the
-    sample-count-weighted mean of its covering clients; uncovered
-    positions keep the global value. Accumulation matches ``aggregate``
-    (float64, list order, rounded once), so with a shared mask the two
-    agree exactly on the masked region.
+    The kept block of every layer becomes ``aggregate`` of the clients'
+    sub-arrays (float64, list order, rounded once); positions the mask
+    drops keep the global value. Raises ConfigError when the updates
+    carry different masks.
     """
     if not updates:
         raise ConfigError("fd_merge needs at least one update")
+    mask = updates[0][1]
+    for _, other, _ in updates[1:]:
+        same = other is mask or (other.kept.keys() == mask.kept.keys() and all(
+            np.array_equal(other.kept[i], kept) for i, kept in mask.kept.items()))
+        if not same:
+            raise ConfigError("fd_merge: updates carry different masks; "
+                              "a round shares one mask")
+    mean = aggregate([(sub, n) for sub, _, n in updates])
     prev_map = _prev_trainable_map(arch)
     merged: nn.Params = {}
     for i in nn.trainable_indices(arch):
         spec = arch.layers[i]
         *kernel, full_in, full_out = spec.weight_shape
-        g = global_params[i]
-        acc_w = np.zeros(g.w.shape, dtype=np.float64)
-        cov_w = np.zeros(g.w.shape, dtype=np.float64)
-        acc_b = np.zeros(g.b.shape, dtype=np.float64)
-        cov_b = np.zeros(g.b.shape, dtype=np.float64)
-        for sub, mask, n in updates:
-            in_idx = _in_index(arch, i, mask.kept, prev_map)
-            out_idx = mask.kept.get(i)
-            sw = sub[i].w
-            expect_in = len(in_idx) if in_idx is not None else full_in
-            expect_out = len(out_idx) if out_idx is not None else full_out
-            if sw.shape != (*kernel, expect_in, expect_out) or \
-                    sub[i].b.shape != (expect_out,):
-                raise ConfigError(
-                    f"fd_merge: layer {i} update shape {sw.shape} inconsistent "
-                    f"with its mask")
-            wsel = _index_expr(spec, in_idx, out_idx)
-            wt = float(n)
-            acc_w[wsel] += wt * sw.astype(np.float64)
-            cov_w[wsel] += wt
-            bsel = out_idx if out_idx is not None else slice(None)
-            acc_b[bsel] += wt * sub[i].b.astype(np.float64)
-            cov_b[bsel] += wt
-        covered_w = cov_w > 0
-        covered_b = cov_b > 0
-        new_w = g.w.copy()
-        new_b = g.b.copy()
-        new_w[covered_w] = (acc_w[covered_w] / cov_w[covered_w]).astype(nn.DTYPE)
-        new_b[covered_b] = (acc_b[covered_b] / cov_b[covered_b]).astype(nn.DTYPE)
-        merged[i] = nn.LayerParams(new_w, new_b)
+        in_idx = _in_index(arch, i, mask.kept, prev_map)
+        out_idx = mask.kept.get(i)
+        expect_in = len(in_idx) if in_idx is not None else full_in
+        expect_out = len(out_idx) if out_idx is not None else full_out
+        if mean[i].w.shape != (*kernel, expect_in, expect_out) or \
+                mean[i].b.shape != (expect_out,):
+            raise ConfigError(f"fd_merge: layer {i} update shape {mean[i].w.shape} "
+                              f"inconsistent with its mask")
+        w, b = global_params[i].w.copy(), global_params[i].b.copy()
+        w[_index_expr(spec, in_idx, out_idx)] = mean[i].w
+        b[out_idx if out_idx is not None else slice(None)] = mean[i].b
+        merged[i] = nn.LayerParams(w, b)
     return merged
 
 

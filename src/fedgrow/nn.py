@@ -350,19 +350,43 @@ def _pad_spec(size: int, k: int, stride: int, padding: str):
     return lo, total - lo, out
 
 
-def _conv_forward(x, w, b, stride, padding):
+# Train-mode conv scratch buffers keyed by (layer index, role). A buffer
+# is read only by the backward of the same ``gradients`` call, so the next
+# call may overwrite it; it is replaced when its shape or dtype changes.
+_workspace: dict[tuple[int, str], np.ndarray] = {}
+
+
+def _scratch(key, role, shape, dtype):
+    """Reused uninitialized buffer for ``(key, role)``; a fresh one when
+    ``key`` is None."""
+    if key is None:
+        return np.empty(shape, dtype=dtype)
+    buf = _workspace.get((key, role))
+    if buf is None or buf.shape != shape or buf.dtype != dtype:
+        buf = _workspace[(key, role)] = np.empty(shape, dtype=dtype)
+    return buf
+
+
+def _conv_forward(x, w, b, stride, padding, *, key=None):
     """Patch-matrix convolution.
 
     Returns (output, saved) where saved carries the materialized patch
     matrix so the backward pass reuses it for the weight gradient
-    instead of re-extracting windows.
+    instead of re-extracting windows. With a ``key`` (the layer index in
+    train mode) the padded input and the patch matrix live in that
+    layer's scratch buffers.
     """
     kh, kw, ci, co = w.shape
     n, h, wd, _ = x.shape
     ph_lo, ph_hi, oh = _pad_spec(h, kh, stride, padding)
     pw_lo, pw_hi, ow = _pad_spec(wd, kw, stride, padding)
     if ph_lo or ph_hi or pw_lo or pw_hi:
-        xp = np.pad(x, ((0, 0), (ph_lo, ph_hi), (pw_lo, pw_hi), (0, 0)))
+        xp = _scratch(key, "xp", (n, h + ph_lo + ph_hi, wd + pw_lo + pw_hi, ci), x.dtype)
+        # Borders are zeroed on every call: a reused buffer may hold
+        # another geometry's interior there.
+        xp[:, :ph_lo] = xp[:, ph_lo + h:] = 0
+        xp[:, :, :pw_lo] = xp[:, :, pw_lo + wd:] = 0
+        xp[:, ph_lo:ph_lo + h, pw_lo:pw_lo + wd] = x
     else:
         xp = x
     if kh == 1 and kw == 1 and stride == 1:
@@ -371,15 +395,16 @@ def _conv_forward(x, w, b, stride, padding):
         win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
         # (n, oh, ow, ci, kh, kw) -> rows ordered (kh, kw, ci) to match
         # w.reshape(kh*kw*ci, co).
-        cols = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3))
-        cols = cols.reshape(n * oh * ow, kh * kw * ci)
-    out = cols @ w.reshape(-1, co) + b
-    saved = (xp.shape, cols, (ph_lo, pw_lo), (oh, ow))
+        cols = _scratch(key, "cols", (n * oh * ow, kh * kw * ci), x.dtype)
+        np.copyto(cols.reshape(n, oh, ow, kh, kw, ci), win.transpose(0, 1, 2, 4, 5, 3))
+    out = cols @ w.reshape(-1, co)
+    out += b
+    saved = (xp.shape, cols, (ph_lo, pw_lo), (oh, ow), key)
     return out.reshape(n, oh, ow, co), saved
 
 
 def _conv_backward(g, w, stride, saved, x_shape, need_dx=True):
-    xp_shape, cols, (ph_lo, pw_lo), (oh, ow) = saved
+    xp_shape, cols, (ph_lo, pw_lo), (oh, ow), key = saved
     kh, kw, ci, co = w.shape
     n, h, wd, _ = x_shape
     g2 = g.reshape(-1, co)
@@ -388,18 +413,27 @@ def _conv_backward(g, w, stride, saved, x_shape, need_dx=True):
     if not need_dx:
         return None, gw, gb
 
-    dcols = g2 @ w.reshape(-1, co).T  # (n*oh*ow, kh*kw*ci)
+    dxp = _scratch(key, "dxp", xp_shape, g.dtype)
     if kh == 1 and kw == 1 and stride == 1:
-        dxp = dcols.reshape(xp_shape)
+        # Pointwise conv: the one kernel offset covers dxp exactly.
+        np.matmul(g2, w[0, 0].T, out=dxp.reshape(-1, ci))
     else:
-        # col2im: every patch row adds back into its source window.
-        dcols = dcols.reshape(n, oh, ow, kh, kw, ci)
-        dxp = np.zeros(xp_shape, dtype=g.dtype)
+        # col2im one kernel offset at a time: each offset's GEMM adds back
+        # into its source windows. Per offset the GEMM keeps the inner
+        # dimension co, so its bits equal those of the whole
+        # (n*oh*ow, kh*kw*ci) input-gradient GEMM for ci >= 2; at ci == 1
+        # BLAS takes another kernel and the bits may differ. Only an input
+        # conv has ci == 1 in the builtin schedules, and the lowest
+        # trainable layer never computes dx.
+        tmp = _scratch(key, "dx_offset", (n * oh * ow, ci), g.dtype)
+        tmp4 = tmp.reshape(n, oh, ow, ci)
+        dxp.fill(0)
         for u in range(kh):
             hi = u + (oh - 1) * stride + 1
             for v in range(kw):
                 wi = v + (ow - 1) * stride + 1
-                dxp[:, u:hi:stride, v:wi:stride, :] += dcols[:, :, :, u, v, :]
+                np.matmul(g2, w[u, v].T, out=tmp)
+                dxp[:, u:hi:stride, v:wi:stride, :] += tmp4
     gx = dxp[:, ph_lo:ph_lo + h, pw_lo:pw_lo + wd, :]
     return np.ascontiguousarray(gx, dtype=g.dtype), gw, gb
 
@@ -465,7 +499,8 @@ def _run_layers(arch, params, x, mode, rng, upto, tape):
             if a.shape[3] != p.w.shape[2]:
                 raise ConfigError(f"layer {i}: conv2d expects {p.w.shape[2]} channels, "
                                   f"got {a.shape[3]}")
-            out, saved = _conv_forward(a, p.w, p.b, spec.stride, spec.padding)
+            out, saved = _conv_forward(a, p.w, p.b, spec.stride, spec.padding,
+                                       key=None if tape is None else i)
             if tape is not None:
                 tape.append((a.shape, saved))
             a = out
@@ -476,7 +511,8 @@ def _run_layers(arch, params, x, mode, rng, upto, tape):
                                   f"got {a.shape[1]}")
             if tape is not None:
                 tape.append(a)
-            a = a @ p.w + p.b
+            a = a @ p.w
+            a += p.b
         elif kind == "relu":
             if tape is not None:
                 tape.append(a > 0)
@@ -489,7 +525,8 @@ def _run_layers(arch, params, x, mode, rng, upto, tape):
                 scale = a.dtype.type(1.0 / (1.0 - spec.rate))
                 if tape is not None:
                     tape.append((keep, scale))
-                a = a * keep * scale
+                a = a * keep
+                a *= scale
             else:
                 if tape is not None:
                     tape.append(None)
@@ -577,19 +614,20 @@ def gradients(arch: ModelArch, params: Params, batch: np.ndarray, labels: np.nda
                 g = g @ params[i].w.T
             grads[i] = (np.ascontiguousarray(gw), gb)
         elif kind == "relu":
-            g = g * saved
+            g *= saved
         elif kind == "dropout":
             if saved is not None:
                 keep, scale = saved
-                g = g * keep * scale
+                g *= keep
+                g *= scale
         elif kind == "maxpool":
             xin, out = saved
             g = _maxpool_backward(g, xin, out, spec.window)
         elif kind == "gap":
             x_shape = saved
             h, w = x_shape[1], x_shape[2]
-            g = np.broadcast_to(g[:, None, None, :] / g.dtype.type(h * w),
-                                x_shape).astype(g.dtype)
+            g = np.ascontiguousarray(np.broadcast_to(
+                g[:, None, None, :] / g.dtype.type(h * w), x_shape))
         elif kind == "flatten":
             g = g.reshape(saved)
     return loss, grads

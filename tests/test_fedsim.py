@@ -253,23 +253,20 @@ def test_fd_sub_model_forward_runs():
     assert np.abs(probs.sum(axis=1) - 1).max() < 1e-5
 
 
-def test_fd_merge_disjoint_masks_take_sole_contributor():
+def test_fd_merge_differing_masks_rejected():
     arch = nn.ModelArch((4,), (nn.dense(4, 4), nn.relu(), nn.dropout(0.1),
                                nn.dense(4, 2), nn.softmax()))
     params = random_params(arch, 12)
     mask_a = fedsim.DropoutMask({0: np.array([0, 1])}, 0.5)
     mask_b = fedsim.DropoutMask({0: np.array([2, 3])}, 0.5)
-
-    def crop(mask):
-        _, sub = fedsim._crop_model(arch, params, mask)
-        return sub
-
-    sub_a, sub_b = crop(mask_a), crop(mask_b)
-    sub_a[0].w += 1.0
-    sub_b[0].w += 2.0
-    merged = fd_merge(arch, params, [(sub_a, mask_a, 1), (sub_b, mask_b, 1)])
-    assert np.allclose(merged[0].w[:, :2], params[0].w[:, :2] + 1.0)
-    assert np.allclose(merged[0].w[:, 2:], params[0].w[:, 2:] + 2.0)
+    _, sub_a = fedsim._crop_model(arch, params, mask_a)
+    _, sub_b = fedsim._crop_model(arch, params, mask_b)
+    with pytest.raises(ConfigError, match="different masks"):
+        fd_merge(arch, params, [(sub_a, mask_a, 1), (sub_b, mask_b, 1)])
+    # An equal mask held in another object is the same mask.
+    same_a = fedsim.DropoutMask({0: np.array([0, 1])}, 0.5)
+    merged = fd_merge(arch, params, [(sub_a, mask_a, 1), (sub_a, same_a, 2)])
+    assert np.array_equal(merged[0].w, params[0].w)
 
 
 def test_fd_merge_shared_mask_equals_aggregate_on_submatrix():
@@ -313,7 +310,7 @@ def _kept_position(kept, index):
     return int(hits[0]) if hits.size else None
 
 
-def test_fd_merge_matches_brute_force_with_independent_masks():
+def test_fd_merge_matches_brute_force_with_shared_mask():
     # conv(4) -> pool -> flatten -> dense(5) -> dense(3): the dense layer
     # reads 2x2 positions of the 4 conv channels, so its input row r is
     # position r // 4 of channel r % 4 (the flatten path of the crop).
@@ -337,10 +334,11 @@ def test_fd_merge_matches_brute_force_with_independent_masks():
     for case in range(6):
         params = random_params(arch, 60 + case)
         rng = stream(61, case)
+        keep = float(rng.choice([0.25, 0.5, 0.75]))
+        _, _, mask = fd_extract(arch, params, keep, stream(62, case))
         updates = []
-        for k in range(int(rng.integers(1, 5))):
-            keep = float(rng.choice([0.25, 0.5, 0.75]))
-            _, sub, mask = fd_extract(arch, params, keep, stream(62, case, k))
+        for _ in range(int(rng.integers(1, 5))):
+            _, sub = fedsim._crop_model(arch, params, mask)
             for p in sub.values():
                 p.w += rng.normal(0.0, 1.0, p.w.shape).astype(np.float32)
                 p.b += rng.normal(0.0, 1.0, p.b.shape).astype(np.float32)

@@ -204,6 +204,88 @@ def test_gradients_with_fixed_dropout_mask_match_finite_differences():
     assert worst < 1e-2
 
 
+def _reference_conv_backward(g, w, x_shape, stride, padding):
+    """The input-gradient GEMM over the whole (n*oh*ow, kh*kw*ci) patch
+    matrix, then col2im over its rows, as one full matrix."""
+    kh, kw, ci, co = w.shape
+    n, h, wd, _ = x_shape
+    ph_lo, ph_hi, oh = nn._pad_spec(h, kh, stride, padding)
+    pw_lo, pw_hi, ow = nn._pad_spec(wd, kw, stride, padding)
+    xp_shape = (n, h + ph_lo + ph_hi, wd + pw_lo + pw_hi, ci)
+    dcols = g.reshape(-1, co) @ w.reshape(-1, co).T
+    if kh == 1 and kw == 1 and stride == 1:
+        dxp = dcols.reshape(xp_shape)
+    else:
+        dcols = dcols.reshape(n, oh, ow, kh, kw, ci)
+        dxp = np.zeros(xp_shape, dtype=g.dtype)
+        for u in range(kh):
+            for v in range(kw):
+                dxp[:, u:u + (oh - 1) * stride + 1:stride,
+                    v:v + (ow - 1) * stride + 1:stride, :] += dcols[:, :, :, u, v, :]
+    return dxp[:, ph_lo:ph_lo + h, pw_lo:pw_lo + wd, :]
+
+
+@pytest.mark.parametrize("ci", [2, 28, 84])
+@pytest.mark.parametrize("padding", ["same", "valid"])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_conv_backward_input_gradient_equals_full_matrix_col2im(k, stride, padding, ci):
+    r = stream(31, k, stride, ci)
+    x = r.random((4, 11, 10, ci), dtype=np.float32)
+    w = r.normal(0.0, 0.1, (k, k, ci, 8)).astype(np.float32)
+    b = r.normal(0.0, 0.1, 8).astype(np.float32)
+    out, saved = nn._conv_forward(x, w, b, stride, padding, key=0)
+    g = r.normal(0.0, 1.0, out.shape).astype(np.float32)
+    gx, gw, gb = nn._conv_backward(g, w, stride, saved, x.shape)
+    expect = _reference_conv_backward(g, w, x.shape, stride, padding)
+    assert gx.shape == x.shape and gx.flags.c_contiguous
+    assert np.array_equal(gx, expect)
+
+
+def test_conv_workspace_never_aliases_tape_or_returned_gradients(monkeypatch):
+    # Two archs share the conv indices 0 and 2 with other shapes. A's
+    # second conv has valid padding, so its input gradient is the whole
+    # padded-gradient buffer rather than a copy of its interior. B's first
+    # two convs have equal buffer shapes, so one buffer shared between
+    # layers would overwrite a live patch matrix.
+    arch_a = nn.ModelArch((8, 8, 2), (
+        nn.conv2d(nn.KernelShape(3, 3, 2, 3)), nn.relu(),
+        nn.conv2d(nn.KernelShape(3, 3, 3, 4), padding="valid"), nn.relu(),
+        nn.flatten(), nn.dense(6 * 6 * 4, 3), nn.softmax()))
+    arch_b = nn.ModelArch((6, 6, 3), (
+        nn.conv2d(nn.KernelShape(5, 5, 3, 3)), nn.relu(),
+        nn.conv2d(nn.KernelShape(5, 5, 3, 3)), nn.relu(),
+        nn.conv2d(nn.KernelShape(3, 3, 3, 5), stride=2), nn.relu(), nn.dropout(0.25),
+        nn.global_avg_pool(), nn.dense(5, 3), nn.softmax()))
+    worlds = {"a": (arch_a, random_params(arch_a, 41)),
+              "b": (arch_b, random_params(arch_b, 42))}
+    # Back-to-back calls on one arch and dtype reuse every buffer; the
+    # others switch arch or dtype in between.
+    calls = [("a", np.float32, 1), ("a", np.float32, 2), ("b", np.float32, 1),
+             ("b", np.float32, 2), ("a", np.float64, 1), ("a", np.float32, 3),
+             ("b", np.float32, 3)]
+
+    def run(name, dtype, batch):
+        arch, params = worlds[name]
+        if dtype == np.float64:
+            params = params_to_f64(params)
+        r = stream(43, batch)
+        x = r.random((3,) + arch.input_shape).astype(dtype)
+        y = r.integers(0, 3, 3)
+        return nn.gradients(arch, params, x, y, rng=stream(44, batch))
+
+    results = [run(*call) for call in calls]
+    # The oracle allocates every buffer afresh.
+    monkeypatch.setattr(nn, "_scratch",
+                        lambda key, role, shape, dtype: np.empty(shape, dtype=dtype))
+    for call, (loss, grads) in zip(calls, results):
+        expect_loss, expect = run(*call)
+        assert loss == expect_loss, call
+        for i, (gw, gb) in expect.items():
+            assert np.array_equal(grads[i][0], gw), (call, i)
+            assert np.array_equal(grads[i][1], gb), (call, i)
+
+
 def test_non_finite_loss_raises():
     arch = dense_arch()
     params = random_params(arch, 9)
