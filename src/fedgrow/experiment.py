@@ -13,13 +13,14 @@ import csv
 import hashlib
 import json
 import typing
-from dataclasses import MISSING, dataclass, field, fields, asdict
+from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
 from . import datasets, fedsim, growth, nn, rng as rngmod
 from .errors import ConfigError, FedgrowError
 
+# The header of metrics.csv: one column per RoundMetrics field, in field order.
 METRICS_COLUMNS = ["round", "model_index", "weighted_loss", "test_accuracy",
                    "S_t", "switch_flag", "download_bytes", "upload_bytes",
                    "cumulative_bytes", "flops_per_client"]
@@ -46,26 +47,17 @@ class SyntheticSpec:
 
 
 @dataclass
-class ExperimentConfig:
-    """Everything one run needs; defaults follow the benchmark settings."""
+class ExperimentConfig(fedsim.RunSettings):
+    """Everything one run needs: the run settings plus dataset, method,
+    schedule and output; defaults follow the benchmark settings."""
 
     dataset: str = "synthetic"
     method: str = "fnn"
-    rounds: int = 200
-    clients_per_round: int | None = None
-    master_seed: int = 0
     output_dir: str = "runs/out"
     schedule: str = ""                # builtin tag or path to a schedule JSON
     data_dir: str = ""                # IDX directory for file-backed datasets
-    train: nn.TrainConfig | None = None
     partition: fedsim.PartitionSpec | None = None
-    switch_window: int = 100
-    switch_lag: int = 300
     thresholds_override: tuple[float, ...] | None = None
-    eval_every: int = 50
-    fd_keep_fraction: float | None = None
-    fd_exempt_prefix: int = 2
-    init_scheme: str = "truncnorm"
     max_train_samples: int = 0        # 0 = use the full training set
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
 
@@ -127,11 +119,7 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         self.resolve()
-        d = asdict(self)
-        d["train"] = asdict(self.train)
-        d["partition"] = asdict(self.partition)
-        d["synthetic"] = asdict(self.synthetic)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -139,8 +127,12 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        try:
+            with open(path) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as e:
+            raise ConfigError(f"cannot read config {path}: {e}") from e
+        return cls.from_dict(data)
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True)
@@ -173,6 +165,8 @@ def _from_fields(cls, data: dict, where: str):
     unknown keys, missing required fields and values of the wrong type in
     string, integer, float, list and section fields. Sections are built
     the same way, and lists become tuples."""
+    if type(data) is not dict:
+        raise ConfigError(f"{where} must be a JSON object, got {data!r}")
     unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
@@ -253,17 +247,19 @@ def _fmt(value) -> str:
 def run(config: ExperimentConfig) -> Path:
     """Execute one configured run; returns the output directory.
 
-    Metrics stream to disk as rounds complete, so a failed run keeps its
-    partial metrics; the manifest then carries the error.
+    A config that does not fit its schedule or dataset fails before any
+    output is written. Metrics stream to disk as rounds complete, so a
+    failed run keeps its partial metrics; the manifest then carries the
+    error.
     """
     config.validate()
-    out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(json.dumps(config.to_dict(), indent=2) + "\n")
-
     schedule = build_schedule(config)
-    train_x, train_y, test_x, test_y = build_dataset(config)
     first = schedule.models[0]
+    dims = tuple(config.synthetic.dims)
+    if config.dataset == "synthetic" and dims != tuple(first.input_shape):
+        raise ConfigError(f"synthetic dims {dims} do not match schedule input "
+                          f"{first.input_shape}")
+    train_x, train_y, test_x, test_y = build_dataset(config)
     if tuple(train_x.shape[1:]) != tuple(first.input_shape):
         raise ConfigError(f"dataset samples {train_x.shape[1:]} do not match "
                           f"schedule input {first.input_shape}")
@@ -271,20 +267,11 @@ def run(config: ExperimentConfig) -> Path:
     if n_classes > first.num_classes:
         raise ConfigError(f"dataset has {n_classes} classes but the schedule "
                           f"classifier has {first.num_classes}")
+    out = Path(config.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.json").write_text(json.dumps(config.to_dict(), indent=2) + "\n")
 
     shards = fedsim.partition(train_x, train_y, config.partition)
-    settings = fedsim.RunSettings(
-        rounds=config.rounds,
-        clients_per_round=config.clients_per_round,
-        train=config.train,
-        master_seed=config.master_seed,
-        eval_every=config.eval_every,
-        switch_window=config.switch_window,
-        switch_lag=config.switch_lag,
-        fd_keep_fraction=config.fd_keep_fraction,
-        fd_exempt_prefix=config.fd_exempt_prefix,
-        init_scheme=config.init_scheme,
-    )
 
     manifest = {
         "config_hash": config.config_hash(),
@@ -309,31 +296,22 @@ def run(config: ExperimentConfig) -> Path:
         writer.writerow(METRICS_COLUMNS)
 
         def on_round(row: fedsim.RoundMetrics):
-            writer.writerow([
-                row.round, row.model_index, _fmt(row.weighted_loss),
-                _fmt(row.test_accuracy), _fmt(row.signal), int(row.switched),
-                row.download_bytes, row.upload_bytes, row.cumulative_bytes,
-                row.flops_per_client,
-            ])
+            writer.writerow([_fmt(v) for v in astuple(row)])
             fh.flush()
 
         try:
             result = fedsim.run_experiment(config.method, schedule, shards,
-                                           test_x, test_y, settings, on_round)
+                                           test_x, test_y, config, on_round)
         except FedgrowError as e:
             error = f"{type(e).__name__}: {e}"
 
     if result is not None:
-        manifest["switch_events"] = [
-            {"round": ev.round, "from_model": ev.from_index, "to_model": ev.to_index,
-             "signal": ev.signal, "accuracy_before": ev.accuracy_before,
-             "accuracy_after": ev.accuracy_after}
-            for ev in result.events]
+        manifest["switch_events"] = [asdict(ev) for ev in result.events]
         final_acc = next((m.test_accuracy for m in reversed(result.metrics)
                           if m.test_accuracy is not None), None)
         manifest.update({
             "rounds_completed": len(result.metrics),
-            "final_model_index": result.final_model_index,
+            "final_model_index": result.model_index,
             "final_accuracy": final_acc,
             "total_bytes": result.ledger.total_bytes,
         })
@@ -356,7 +334,7 @@ def _write_ledger_summary(path, config, result, final_acc):
         writer.writerow(LEDGER_COLUMNS)
         writer.writerow([
             config.method, config.dataset, len(rows), config.clients_per_round,
-            result.final_model_index, total_down, total_up,
+            result.model_index, total_down, total_up,
             total_down + total_up, _fmt(mean_round), _fmt(final_acc),
         ])
 

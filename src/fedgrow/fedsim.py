@@ -1,11 +1,15 @@
 """Synchronous federated training loop.
 
-One round: select clients, broadcast the current model (full, or a
-random sub-network under federated dropout), run one epoch of local SGD
-per client, aggregate by sample-count-weighted averaging, account every
-transmitted scalar at 4 bytes. The staged methods additionally consult
-the switching policy each round and grow the model in place with
-function-preserving transforms.
+``run_experiment`` steps a ``RunState`` (arch, params, switching policy,
+metrics rows, switch events) with ``run_round``, one call per round. A
+round's phases, in order: select (``select_clients``), broadcast
+(``broadcast``: the full model, or a random sub-network cut by
+``fd_extract`` under federated dropout), train (``train_clients``: local
+SGD per client), merge (``aggregate``, or ``fd_merge`` under federated
+dropout), switch (staged methods: ``switch`` grows the model in place
+with ``apply_diff`` once the policy fires) and evaluate (``evaluate``
+every ``eval_every`` rounds). Every transmitted scalar is accounted at
+4 bytes.
 
 Methods:
   fedavg  - final model broadcast in full every round
@@ -18,7 +22,7 @@ Methods:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,7 +30,7 @@ from . import nn, rng as rngmod
 from .errors import ConfigError, NumericalError, TransformError
 from .growth import GrowthSchedule, schedule_diffs
 from .morph import apply_diff
-from .switching import SwitchPolicy
+from .switching import DEFAULT_LAG, DEFAULT_WINDOW, SwitchPolicy
 
 BYTES_PER_SCALAR = 4  # float32 on the wire
 
@@ -414,45 +418,123 @@ class CommLedger:
 @dataclass
 class SwitchEvent:
     round: int
-    from_index: int
-    to_index: int
+    from_model: int
+    to_model: int
     signal: float
     accuracy_before: float | None
     accuracy_after: float | None
 
 
-@dataclass(frozen=True)
+@dataclass
 class RunSettings:
-    """Knobs of one simulated run (independent of dataset and schedule)."""
+    """Knobs of one simulated run (independent of dataset and schedule).
+    ``ExperimentConfig.resolve`` fills the dataset-dependent None fields."""
 
-    rounds: int
-    clients_per_round: int
-    train: nn.TrainConfig
+    rounds: int = 200
+    clients_per_round: int | None = None
+    train: nn.TrainConfig | None = None
     master_seed: int = 0
     eval_every: int = 50
-    switch_window: int = 100
-    switch_lag: int = 300
+    switch_window: int = DEFAULT_WINDOW
+    switch_lag: int = DEFAULT_LAG
     fd_keep_fraction: float | None = None  # None -> 1 - dropout rate
     fd_exempt_prefix: int = 2
     init_scheme: str = "truncnorm"
 
-    def keep_fraction(self) -> float:
-        if self.fd_keep_fraction is not None:
-            return self.fd_keep_fraction
-        return 1.0 - self.train.dropout_rate
-
 
 @dataclass
-class RunResult:
-    metrics: list[RoundMetrics]
-    events: list[SwitchEvent]
-    final_arch: nn.ModelArch
-    final_params: nn.Params
-    final_model_index: int
+class RunState:
+    """Everything a run carries from one round to the next."""
+
+    arch: nn.ModelArch
+    params: nn.Params
+    policy: SwitchPolicy
+    metrics: list[RoundMetrics] = field(default_factory=list)
+    events: list[SwitchEvent] = field(default_factory=list)
+
+    @property
+    def model_index(self) -> int:
+        return self.policy.model_index
 
     @property
     def ledger(self) -> CommLedger:
         return CommLedger(self.metrics)
+
+
+def broadcast(state: RunState, r: int, use_fd: bool, settings: RunSettings):
+    """(arch, params, mask) sent to round ``r``'s clients; mask None is the full model."""
+    keep = settings.fd_keep_fraction
+    if keep is None:
+        keep = 1.0 - settings.train.dropout_rate
+    if use_fd and keep < 1.0:
+        return fd_extract(state.arch, state.params, keep,
+                          rngmod.stream(settings.master_seed, rngmod.FD_MASK, r))
+    return state.arch, state.params, None
+
+
+def train_clients(arch: nn.ModelArch, params: nn.Params, sel: list[int],
+                  shards: list[ClientShard], r: int, settings: RunSettings):
+    """``local_train`` of every selected client, each on its own stream."""
+    return [local_train(arch, params, shards[cid], settings.train,
+                        rngmod.stream(settings.master_seed, rngmod.CLIENT, r, cid))
+            for cid in sel]
+
+
+def switch(state: RunState, r: int, signal: float, diffs, seed: int,
+           test_samples, test_labels) -> None:
+    """Grow ``state`` to the next model and record the switch event."""
+    index = state.model_index
+    acc_before = acc_after = None
+    if test_samples is not None:
+        acc_before = evaluate(state.arch, state.params, test_samples, test_labels)
+    state.arch, state.params, _ = apply_diff(
+        state.arch, state.params, diffs[index], rngmod.stream(seed, rngmod.SWITCH, index))
+    if test_samples is not None:
+        acc_after = evaluate(state.arch, state.params, test_samples, test_labels)
+    state.events.append(SwitchEvent(r, index, index + 1, signal, acc_before, acc_after))
+    state.policy.advance()
+
+
+def run_round(state: RunState, r: int, method: str, schedule: GrowthSchedule,
+              diffs, shards: list[ClientShard], test_samples, test_labels,
+              settings: RunSettings) -> RoundMetrics:
+    """Run round ``r`` on ``state`` in place and return its metrics row.
+    ``diffs`` is ``schedule_diffs(schedule)``, or None for unstaged methods."""
+    seed, policy = settings.master_seed, state.policy
+    if test_samples is not None and test_samples.shape[0] == 0:
+        test_samples = test_labels = None  # nothing to evaluate on
+    index = state.model_index  # the model trained this round, reported pre-switch
+    try:
+        sel = select_clients(rngmod.stream(seed, rngmod.SELECT, r),
+                             len(shards), settings.clients_per_round)
+        use_fd = method == "fd" or (method == "fnn-fd" and index >= settings.fd_exempt_prefix)
+        bc_arch, bc_params, mask = broadcast(state, r, use_fd, settings)
+        updates = train_clients(bc_arch, bc_params, sel, shards, r, settings)
+        if mask is None:
+            state.params = aggregate([(p, n) for p, _, n in updates])
+        else:
+            state.params = fd_merge(state.arch, state.params,
+                                    [(p, mask, n) for p, _, n in updates])
+        wloss = weighted_round_loss((loss, n) for _, loss, n in updates)
+        policy.record_round_loss(wloss)
+        signal = policy.progress_signal()
+        switched = diffs is not None and policy.should_switch(schedule)
+        if switched:
+            switch(state, r, signal, diffs, seed, test_samples, test_labels)
+        accuracy = None
+        if test_samples is not None and settings.eval_every > 0 and \
+                (r + 1) % settings.eval_every == 0:
+            accuracy = evaluate(state.arch, state.params, test_samples, test_labels)
+
+        mean_n = sum(n for _, _, n in updates) / len(sel)
+        flops = int(nn.fwd_bwd_flops(bc_arch) * mean_n)
+        down = up = nn.count_params(bc_arch) * len(sel) * BYTES_PER_SCALAR
+        row = RoundMetrics(r, index, wloss, accuracy, signal, switched,
+                           down, up, state.ledger.total_bytes + down + up, flops)
+    except (NumericalError, ConfigError, TransformError) as e:
+        raise type(e)(f"round {r}: {e}") from e
+    state.metrics.append(row)
+    return row
 
 
 def run_experiment(method: str, schedule: GrowthSchedule,
@@ -460,7 +542,7 @@ def run_experiment(method: str, schedule: GrowthSchedule,
                    test_samples: np.ndarray | None,
                    test_labels: np.ndarray | None,
                    settings: RunSettings,
-                   on_round=None) -> RunResult:
+                   on_round=None) -> RunState:
     """Execute a full multi-round run of one method.
 
     ``on_round`` (optional) receives each RoundMetrics as it completes,
@@ -468,88 +550,22 @@ def run_experiment(method: str, schedule: GrowthSchedule,
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
+    if settings.clients_per_round is None or settings.train is None:
+        raise ConfigError("run settings need clients_per_round and train")
     if settings.clients_per_round > len(shards):
         raise ConfigError(f"clients per round {settings.clients_per_round} exceeds "
                           f"population {len(shards)}")
-    seed = settings.master_seed
     staged = method in ("fnn", "fnn-fd")
-    if staged:
-        model_index = 0
-        diffs = schedule_diffs(schedule)
-    else:
-        model_index = schedule.num_models - 1
-    arch = schedule.models[model_index]
-    params = nn.init_params(arch, rngmod.stream(seed, rngmod.INIT), settings.init_scheme)
-    policy = SwitchPolicy(settings.switch_window, settings.switch_lag,
-                          model_index=model_index)
-    can_eval = test_samples is not None and test_samples.shape[0] > 0
-
-    metrics: list[RoundMetrics] = []
-    events: list[SwitchEvent] = []
-    cumulative_bytes = 0
-
+    diffs = schedule_diffs(schedule) if staged else None
+    index = 0 if staged else schedule.num_models - 1
+    arch = schedule.models[index]
+    init_rng = rngmod.stream(settings.master_seed, rngmod.INIT)
+    policy = SwitchPolicy(settings.switch_window, settings.switch_lag, model_index=index)
+    # No local holds the initial params, so the first merge frees them.
+    state = RunState(arch, nn.init_params(arch, init_rng, settings.init_scheme), policy)
     for r in range(settings.rounds):
-        try:
-            sel = select_clients(rngmod.stream(seed, rngmod.SELECT, r),
-                                 len(shards), settings.clients_per_round)
-            use_fd = method == "fd" or (
-                method == "fnn-fd" and model_index >= settings.fd_exempt_prefix)
-            keep = settings.keep_fraction() if use_fd else 1.0
-            if use_fd and keep < 1.0:
-                bc_arch, bc_params, mask = fd_extract(
-                    arch, params, keep, rngmod.stream(seed, rngmod.FD_MASK, r))
-            else:
-                bc_arch, bc_params, mask = arch, params, None
-            scalars = nn.count_params(bc_arch)
-
-            updates = []
-            for cid in sel:
-                crng = rngmod.stream(seed, rngmod.CLIENT, r, cid)
-                updates.append(local_train(bc_arch, bc_params, shards[cid],
-                                           settings.train, crng))
-            if mask is None:
-                params = aggregate([(p, n) for p, _, n in updates])
-            else:
-                params = fd_merge(arch, params,
-                                  [(p, mask, n) for p, _, n in updates])
-
-            total_n = sum(n for _, _, n in updates)
-            wloss = weighted_round_loss((loss, n) for _, loss, n in updates)
-            policy.record_round_loss(wloss)
-            signal = policy.progress_signal()
-
-            trained_index = model_index
-            switched = False
-            acc_before = acc_after = None
-            if staged and policy.should_switch(schedule):
-                if can_eval:
-                    acc_before = evaluate(arch, params, test_samples, test_labels)
-                arch, params, _ = apply_diff(
-                    arch, params, diffs[model_index],
-                    rngmod.stream(seed, rngmod.SWITCH, model_index))
-                if can_eval:
-                    acc_after = evaluate(arch, params, test_samples, test_labels)
-                events.append(SwitchEvent(r, model_index, model_index + 1,
-                                          signal, acc_before, acc_after))
-                model_index += 1
-                policy.advance()
-                switched = True
-
-            accuracy = None
-            if can_eval and settings.eval_every > 0 and \
-                    (r + 1) % settings.eval_every == 0:
-                accuracy = evaluate(arch, params, test_samples, test_labels)
-
-            # Accounting reports the model trained this round (pre-switch).
-            mean_n = total_n / len(sel)
-            flops = int(nn.fwd_bwd_flops(bc_arch) * mean_n)
-            down = up = scalars * len(sel) * BYTES_PER_SCALAR
-            cumulative_bytes += down + up
-            row = RoundMetrics(r, trained_index, wloss, accuracy, signal, switched,
-                               down, up, cumulative_bytes, flops)
-            metrics.append(row)
-            if on_round is not None:
-                on_round(row)
-        except (NumericalError, ConfigError, TransformError) as e:
-            raise type(e)(f"round {r}: {e}") from e
-    return RunResult(metrics, events, arch, params, model_index)
+        row = run_round(state, r, method, schedule, diffs, shards,
+                        test_samples, test_labels, settings)
+        if on_round is not None:
+            on_round(row)
+    return state

@@ -424,6 +424,21 @@ def schedule_to_dict(schedule: GrowthSchedule) -> dict:
     }
 
 
+def _token(tok: dict) -> tuple:
+    """One JSON schedule token as a ``build_arch`` token."""
+    if type(tok) is not dict:
+        raise TypeError(f"token {tok!r} is not an object")
+    if "conv" in tok:
+        return ("conv", int(tok["conv"]), int(tok.get("kernel", 3)))
+    if "pool" in tok:
+        return ("pool", int(tok["pool"]))
+    if "gap" in tok:
+        return ("gap",)
+    if "dense" in tok:
+        return ("dense", int(tok["dense"]))
+    raise ValueError(f"unknown token {tok!r}")
+
+
 def schedule_from_dict(data: dict) -> GrowthSchedule:
     """Build and validate a schedule from its JSON form.
 
@@ -438,34 +453,24 @@ def schedule_from_dict(data: dict) -> GrowthSchedule:
         dataset = data["dataset"]
         input_shape = tuple(int(v) for v in data["input_shape"])
         thresholds = tuple(float(t) for t in data["thresholds"])
-        rows = data["models"]
+        rate = float(data.get("dropout_rate", DEFAULT_DROPOUT))
+        rows = [[_token(tok) for tok in row] for row in data["models"]]
     except (KeyError, TypeError, ValueError) as e:
         raise ScheduleError([f"malformed schedule data: {e!r}"])
-    rate = float(data.get("dropout_rate", DEFAULT_DROPOUT))
-    models = []
-    for mi, row in enumerate(rows):
-        tokens = []
-        for tok in row:
-            if "conv" in tok:
-                tokens.append(("conv", int(tok["conv"]), int(tok.get("kernel", 3))))
-            elif "pool" in tok:
-                tokens.append(("pool", int(tok["pool"])))
-            elif "gap" in tok:
-                tokens.append(("gap",))
-            elif "dense" in tok:
-                tokens.append(("dense", int(tok["dense"])))
-            else:
-                raise ScheduleError([f"model {mi + 1}: unknown token {tok!r}"])
-        models.append(build_arch(input_shape, tokens, rate,
-                                 name=f"{dataset}-model-{mi + 1}"))
+    models = [build_arch(input_shape, tokens, rate, name=f"{dataset}-model-{mi + 1}")
+              for mi, tokens in enumerate(rows)]
     schedule = GrowthSchedule(dataset, tuple(models), thresholds)
     validate_schedule(schedule)
     return schedule
 
 
 def load_schedule(path) -> GrowthSchedule:
-    with open(path) as fh:
-        return schedule_from_dict(json.load(fh))
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as e:
+        raise ScheduleError([f"cannot read schedule {path}: {e}"]) from e
+    return schedule_from_dict(data)
 
 
 def save_schedule(schedule: GrowthSchedule, path) -> None:

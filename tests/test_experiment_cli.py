@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -76,6 +77,8 @@ def test_run_writes_all_artifacts(tmp_path):
         rows = list(reader)
     assert header == METRICS_COLUMNS
     assert len(rows) == 30
+    assert all(len(row) == len(header) for row in rows)
+    assert [int(row[0]) for row in rows] == list(range(30))
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config_hash"] == cfg.config_hash()
     assert manifest["rounds_completed"] == 30
@@ -93,6 +96,7 @@ def test_manifest_switch_events_match_metrics_flags(tmp_path):
     assert flagged == event_rounds
     assert len(event_rounds) >= 1
     for ev in manifest["switch_events"]:
+        assert ev["to_model"] == ev["from_model"] + 1
         assert abs(ev["accuracy_before"] - ev["accuracy_after"]) < 1e-5
 
 
@@ -270,6 +274,11 @@ def test_cli_seed_override_keeps_the_configured_partition(tmp_path):
     ({"synthetic": {"dims": 5}}, "'dims' must be three positive integers"),
     ({"synthetic": {"dims": ["a", "b", "c"]}}, "'dims' must be three positive integers"),
     ({"schedule": 5}, "'schedule' must be a string"),
+    ({"thresholds_override": [0.5, 0.5]}, "threshold arity"),
+    ({"synthetic": {"classes": 3, "dims": [32, 32, 3]}},
+     "synthetic dims (32, 32, 3) do not match schedule input (8, 8, 1)"),
+    ({"synthetic": {"classes": 5, "per_class": 8, "dims": [8, 8, 1]}},
+     "dataset has 5 classes but the schedule classifier has 3"),
 ])
 def test_cli_rejects_malformed_config_before_any_output(tmp_path, capsys, override,
                                                         fragment):
@@ -282,3 +291,41 @@ def test_cli_rejects_malformed_config_before_any_output(tmp_path, capsys, overri
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err
     assert not out.exists()
+
+
+_SCHEDULE_HEAD = '{"dataset": "mnist", "input_shape": [8, 8, 1], "thresholds": [], '
+
+
+@pytest.mark.parametrize("config_text, schedule_text, fragment", [
+    ("{not json", None, "cannot read config"),
+    ("[]", None, "config must be a JSON object, got []"),
+    (None, "{not json", "cannot read schedule"),
+    (None, _SCHEDULE_HEAD + '"models": [[5]]}', "TypeError('token 5 is not an object')"),
+    (None, _SCHEDULE_HEAD + '"models": [[{"dense": "a"}]]}',
+     "invalid literal for int() with base 10: 'a'"),
+], ids=["config-not-json", "config-not-object", "schedule-not-json",
+        "token-not-object", "token-not-integer"])
+def test_cli_rejects_unreadable_files_before_any_output(tmp_path, capsys, config_text,
+                                                         schedule_text, fragment):
+    cfg = tiny_config(tmp_path)
+    if schedule_text is not None:
+        Path(cfg.schedule).write_text(schedule_text)
+        assert cli.main(["validate-schedule", cfg.schedule]) == 1
+        assert fragment in capsys.readouterr().out
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()) if config_text is None else config_text)
+    out = tmp_path / "never-written"
+    assert cli.main(["run", "--config", str(cfg_path), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("mnist-fedavg", "3d66d06a278a62e0"),
+    ("mnist-fnn", "ebab3be290cbe36e"),
+    ("synthetic-fnn", "691c167bb8c4adad"),
+])
+def test_shipped_config_hashes_are_pinned(name, digest):
+    path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    assert ExperimentConfig.load(path).config_hash() == digest

@@ -5,10 +5,11 @@ import pytest
 
 from fedgrow import fedsim, growth, nn
 from fedgrow.errors import ConfigError, NumericalError
-from fedgrow.fedsim import (ClientShard, PartitionSpec, RunSettings, aggregate,
+from fedgrow.fedsim import (ClientShard, PartitionSpec, RunSettings, RunState, aggregate,
                             fd_extract, fd_merge, local_train, partition,
-                            run_experiment, select_clients)
-from fedgrow.rng import stream
+                            run_experiment, run_round, select_clients)
+from fedgrow.rng import INIT, stream
+from fedgrow.switching import DEFAULT_LAG, DEFAULT_WINDOW, SwitchPolicy
 
 from conftest import random_params
 
@@ -509,6 +510,41 @@ def test_fnn_fd_exemption_prefix(toy_world):
     if 1 in by_model:
         full1 = nn.count_params(tiny_schedule().models[1]) * 4 * 4
         assert all(b < full1 for b in by_model[1])
+
+
+def test_run_round_steps_a_run_state_like_run_experiment(toy_world):
+    shards, tx, ty = toy_world
+    sched = tiny_schedule()
+    settings = _settings(40, fd_keep_fraction=0.5, fd_exempt_prefix=1)
+    whole = run_experiment("fnn-fd", sched, shards, tx, ty, settings)
+    assert whole.events, "expected at least one switch in 40 rounds"
+
+    arch = sched.models[0]
+    state = RunState(arch, nn.init_params(arch, stream(settings.master_seed, INIT)),
+                     SwitchPolicy(settings.switch_window, settings.switch_lag))
+    diffs = growth.schedule_diffs(sched)
+    rows = [run_round(state, r, "fnn-fd", sched, diffs, shards, tx, ty, settings)
+            for r in range(settings.rounds)]
+    assert rows == state.metrics == whole.metrics
+    assert state.events == whole.events
+    assert state.model_index == whole.model_index == len(whole.events)
+    assert state.arch == whole.arch
+    assert state.params.keys() == whole.params.keys()
+    for i, p in state.params.items():
+        assert p.w.tobytes() == whole.params[i].w.tobytes()
+        assert p.b.tobytes() == whole.params[i].b.tobytes()
+
+
+def test_run_settings_defaults():
+    settings = RunSettings()
+    assert (settings.switch_window, settings.switch_lag) == (DEFAULT_WINDOW, DEFAULT_LAG)
+    assert settings.clients_per_round is None and settings.train is None
+
+
+def test_run_without_resolved_settings_is_rejected(toy_world):
+    shards, tx, ty = toy_world
+    with pytest.raises(ConfigError, match="clients_per_round and train"):
+        run_experiment("fedavg", tiny_schedule(), shards, tx, ty, RunSettings(rounds=1))
 
 
 def test_numerical_failure_carries_round_context(toy_world):

@@ -30,6 +30,7 @@ NEVER_SWITCH_EARLY = [1e9] * 5  # every stage lasts exactly window + lag rounds
 VARIANTS = {
     "synthetic-fnn": {},
     "fd": {"method": "fd", "rounds": 20},
+    "fedavg": {"method": "fedavg", "rounds": 20},
     "fnn-fd": {"method": "fnn-fd", "fd_exempt_prefix": 1, "switch_window": 5,
                "switch_lag": 10, "rounds": 60,
                "thresholds_override": NEVER_SWITCH_EARLY},
