@@ -98,6 +98,8 @@ class ExperimentConfig(fedsim.RunSettings):
             problems.append("switch window and lag must be >= 1")
         if self.eval_every < 0:
             problems.append("eval_every must be >= 0")
+        if self.max_train_samples < 0:
+            problems.append("max_train_samples must be >= 0")
         keep = self.fd_keep_fraction
         if keep is not None and not 0.0 < keep <= 1.0:
             problems.append(f"fd_keep_fraction must be in (0, 1], got {keep}")

@@ -7,9 +7,12 @@ shape (see ``schedule_from_dict`` for the format).
 
 ``diff_models`` turns one architecture into the next as a tuple of
 ``TransformStep``s of three kinds, split-pool, insert-identity and widen,
-each defined once for conv2d and dense layers; ``apply_step_to_arch``
-replays a step on the layer specs. ``morph`` applies the same steps to
-trained parameters.
+each defined once for conv2d and dense layers. This module owns structure:
+each kind has one arch edit (``split_pool_arch``, ``insert_identity_arch``,
+``widen_arch``) that checks every structural precondition of its step, and
+``apply_step_to_arch`` replays a step through it. ``morph`` calls the same
+edits and then only moves trained parameters, so a diff that
+``diff_models`` accepts applies at every switch.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import nn
-from .errors import ConfigError, ScheduleError
+from .errors import ConfigError, ScheduleError, TransformError
 
 # Switch thresholds, learning rates and clients per round for the builtin
 # benchmark setups.
@@ -86,7 +89,7 @@ def build_arch(input_shape, tokens, dropout_rate: float = DEFAULT_DROPOUT,
     """
     layers: list[nn.LayerSpec] = []
     cur = tuple(input_shape)
-    last_dense = max(i for i, t in enumerate(tokens) if t[0] == "dense")
+    last_dense = max((i for i, t in enumerate(tokens) if t[0] == "dense"), default=-1)
     for ti, tok in enumerate(tokens):
         kind = tok[0]
         if kind == "conv":
@@ -183,70 +186,114 @@ def builtin_schedule(dataset: str, dropout_rate: float = DEFAULT_DROPOUT) -> Gro
 
 
 # ---------------------------------------------------------------------------
-# Structural diffing
+# Architecture edits
+#
+# One edit per transform-step kind. Each is the single place that checks its
+# step's structural preconditions: it raises TransformError when one fails
+# and returns an architecture that passed ``nn.validate_arch``.
 
 
 def split_pool_arch(arch: nn.ModelArch, layer: int) -> nn.ModelArch:
-    """Replace the 4x4 maxpool at ``layer`` with two 2x2 maxpools."""
+    """Replace the 4x4 maxpool at ``layer`` with two 2x2 maxpools, which
+    is exact on spatial extents divisible by 4."""
     spec = arch.layers[layer]
     if spec.kind != "maxpool" or spec.window != 4:
-        raise ScheduleError(f"split-pool at layer {layer}: expected a 4x4 maxpool")
-    return arch.with_layers(arch.layers[:layer] + (nn.maxpool(2), nn.maxpool(2))
-                            + arch.layers[layer + 1:])
+        raise TransformError(f"split-pool at layer {layer}: expected a 4x4 maxpool")
+    extents = nn.shape_before(arch, layer)[:2]
+    if extents[0] % 4 or extents[1] % 4:
+        raise TransformError(f"split-pool at layer {layer}: spatial extents "
+                             f"{extents} not divisible by 4")
+    new_arch = arch.with_layers(arch.layers[:layer] + (nn.maxpool(2), nn.maxpool(2))
+                                + arch.layers[layer + 1:])
+    nn.validate_arch(new_arch)
+    return new_arch
 
 
 def insert_identity_arch(arch: nn.ModelArch, layer: int,
                          spec: nn.LayerSpec) -> nn.ModelArch:
-    """Insert ``spec`` followed by relu and dropout at ``layer``."""
+    """Insert ``spec`` followed by relu and dropout at ``layer``.
+
+    ``spec`` must be a square conv2d or dense layer as wide as the
+    activations entering ``layer`` that can start as the identity (odd
+    kernel sides, same padding, stride 1), and ``layer`` must carry
+    nonnegative activations, which makes the identity plus relu exact.
+    """
+    width = nn.shape_before(arch, layer)[-1]
+    *kernel, n_in, n_out = spec.weight_shape
+    if (n_in, n_out) != (width, width):
+        raise TransformError(
+            f"insert-identity at layer {layer}: identity {spec.kind} needs width "
+            f"{width} in and out, got {n_in} -> {n_out}")
+    if any(k % 2 == 0 for k in kernel) or (spec.padding, spec.stride) != ("same", 1):
+        raise TransformError(
+            f"insert-identity at layer {layer}: an inserted {spec.kind} cannot start "
+            f"as the identity without an odd kernel, same padding and stride 1 "
+            f"(got kernel {kernel}, {spec.padding} padding, stride {spec.stride})")
+    # Walk back through dropout and pooling, which keep signs, to a relu.
+    j = layer - 1
+    while j >= 0 and arch.layers[j].kind in ("dropout", "maxpool"):
+        j -= 1
+    if j < 0 or arch.layers[j].kind != "relu":
+        raise TransformError(
+            f"insert-identity at layer {layer}: insertion point may carry negative "
+            "activations (no preceding relu)")
     block = (spec, nn.relu(), nn.dropout(_nearest_dropout_rate(arch)))
-    return arch.with_layers(arch.layers[:layer] + block + arch.layers[layer:])
-
-
-def can_be_identity(spec: nn.LayerSpec) -> bool:
-    """Whether ``spec`` can be initialized as the identity: a dense layer,
-    or a conv2d whose centred kernel keeps the spatial shape (odd kernel
-    sides, same padding, stride 1)."""
-    kernel = spec.weight_shape[:-2]
-    return all(k % 2 for k in kernel) and (spec.padding, spec.stride) == ("same", 1)
+    new_arch = arch.with_layers(arch.layers[:layer] + block + arch.layers[layer:])
+    nn.validate_arch(new_arch)
+    return new_arch
 
 
 def widen_arch(arch: nn.ModelArch, layer: int, width: int) -> nn.ModelArch:
-    """Give the conv2d or dense layer at ``layer`` ``width`` outputs and
-    resize the inputs of the next trainable layer to match."""
+    """Give the conv2d or dense layer at ``layer`` ``width`` outputs (no
+    fewer than it has) and resize the inputs of the next trainable layer,
+    which must exist, to match."""
     layers = list(arch.layers)
     spec = layers[layer]
     if spec.kind not in nn.TRAINABLE_KINDS:
-        raise ScheduleError(f"widen at layer {layer}: found a {spec.kind} layer")
+        raise TransformError(f"widen at layer {layer}: found a {spec.kind} layer")
     in_width, old_width = spec.weight_shape[-2:]
-    layers[layer] = spec.with_widths(in_width, width)
+    if width < old_width:
+        raise TransformError(f"widen at layer {layer}: cannot shrink "
+                             f"{old_width} -> {width}")
     nxt = nn.next_trainable(arch, layer)
     if nxt is None:
-        raise ScheduleError(f"widen at layer {layer}: no next trainable layer")
+        raise TransformError(
+            f"widen at layer {layer}: no trainable layer follows; widening the "
+            "final classification layer is unsupported")
+    layers[layer] = spec.with_widths(in_width, width)
     # The receiving layer sees `ratio` inputs per channel of the widened
     # layer: 1 when directly adjacent or across gap, H*W across flatten.
     nspec = layers[nxt]
     next_in_old, next_out = nspec.weight_shape[-2:]
-    if next_in_old % old_width:
-        raise ScheduleError(
-            f"widen at layer {layer}: next layer input {next_in_old} is not a "
-            f"multiple of width {old_width}")
     ratio = next_in_old // old_width
     layers[nxt] = nspec.with_widths(ratio * width, next_out)
-    return arch.with_layers(layers)
+    new_arch = arch.with_layers(layers)
+    nn.validate_arch(new_arch)
+    return new_arch
 
 
 def apply_step_to_arch(arch: nn.ModelArch, step: TransformStep) -> nn.ModelArch:
-    """Apply one step structurally (specs only, no parameters)."""
+    """Apply one step structurally (specs only, no parameters). A step that
+    cannot apply raises ScheduleError naming its layer."""
     i = step.layer
-    if not 0 <= i <= len(arch.layers):
+    if not 0 <= i < len(arch.layers):
         raise ScheduleError(f"step {step.kind}: layer index {i} out of range")
-    if step.kind == "split-pool":
-        return split_pool_arch(arch, i)
-    if step.kind == "insert-identity":
-        return insert_identity_arch(arch, i, step.spec)
-    if step.kind == "widen":
-        return widen_arch(arch, i, step.width)
+    try:
+        if step.kind == "split-pool":
+            return split_pool_arch(arch, i)
+        if step.kind == "insert-identity":
+            return insert_identity_arch(arch, i, step.spec)
+        if step.kind == "widen":
+            return widen_arch(arch, i, step.width)
+    except TransformError as e:
+        raise ScheduleError(str(e)) from e
+    except ConfigError as e:
+        raise ScheduleError(f"{step.kind} at layer {i}: {e}") from e
     raise ScheduleError(f"unknown transform step kind {step.kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# Structural diffing
 
 
 def _nearest_dropout_rate(arch: nn.ModelArch) -> float:
@@ -285,9 +332,10 @@ def _first_structural_mismatch(cur: nn.ModelArch, target: nn.ModelArch):
 def diff_models(a: nn.ModelArch, b: nn.ModelArch) -> tuple[TransformStep, ...]:
     """Transform steps that turn architecture ``a`` into ``b``.
 
-    Emits pool splits first, then identity insertions, then widenings,
-    and validates the result by structural replay. Raises ScheduleError
-    when ``b`` is not reachable.
+    Emits pool splits first, then identity insertions, then widenings.
+    Every step is replayed through its arch edit, which checks the step's
+    preconditions, so a diff returned here applies to trained parameters.
+    Raises ScheduleError when ``b`` is not reachable.
     """
     if tuple(a.input_shape) != tuple(b.input_shape):
         raise ScheduleError("models have different input shapes")
@@ -295,25 +343,18 @@ def diff_models(a: nn.ModelArch, b: nn.ModelArch) -> tuple[TransformStep, ...]:
     cur = a
 
     # Pool splits: a 4x4 pool in `cur` facing a 2x2 pool in `b`.
-    while True:
-        i = _first_structural_mismatch(cur, b)
-        if i is None or i >= len(cur.layers) or i >= len(b.layers):
-            break
+    while (i := _first_structural_mismatch(cur, b)) is not None and \
+            i < min(len(cur.layers), len(b.layers)):
         ca, cb = cur.layers[i], b.layers[i]
-        if ca.kind == "maxpool" and cb.kind == "maxpool" and \
-                ca.window == 4 and cb.window == 2:
-            step = TransformStep("split-pool", i)
-            cur = apply_step_to_arch(cur, step)
-            steps.append(step)
-        else:
+        if (ca.kind, cb.kind, ca.window, cb.window) != ("maxpool", "maxpool", 4, 2):
             break
+        step = TransformStep("split-pool", i)
+        cur = apply_step_to_arch(cur, step)
+        steps.append(step)
 
     # Identity insertions: `b` has an extra conv/dense block at the mismatch,
     # as wide as the activations entering it.
-    while True:
-        i = _first_structural_mismatch(cur, b)
-        if i is None:
-            break
+    while (i := _first_structural_mismatch(cur, b)) is not None:
         if i >= len(b.layers):
             raise ScheduleError(f"layer {i}: target model is shorter than source")
         tb = b.layers[i]
@@ -323,31 +364,15 @@ def diff_models(a: nn.ModelArch, b: nn.ModelArch) -> tuple[TransformStep, ...]:
                 f"layer {i}: cannot reach target (target wants {tb.kind!r}, "
                 f"source has {have!r})")
         width = nn.shape_before(cur, i)[-1]
-        spec = tb.with_widths(width, width)
-        if not can_be_identity(spec):
-            raise ScheduleError(
-                f"layer {i}: an inserted {spec.kind} must be able to start as the "
-                "identity (odd kernel, same padding, stride 1)")
-        step = TransformStep("insert-identity", i, spec=spec)
+        step = TransformStep("insert-identity", i, spec=tb.with_widths(width, width))
         cur = apply_step_to_arch(cur, step)
         steps.append(step)
 
-    if len(cur.layers) != len(b.layers):
-        raise ScheduleError(
-            f"layer {min(len(cur.layers), len(b.layers))}: models have "
-            "incompatible structure")
-
     # Widenings, in layer order.
     for i, tb in enumerate(b.layers):
-        ca = cur.layers[i]
-        if ca.kind not in nn.TRAINABLE_KINDS:
-            continue
-        have, want = ca.weight_shape[-1], tb.weight_shape[-1]
-        if have > want:
-            raise ScheduleError(f"layer {i}: target {ca.kind} is narrower "
-                                f"({have} -> {want})")
-        if have < want:
-            step = TransformStep("widen", i, width=want)
+        if tb.kind in nn.TRAINABLE_KINDS and \
+                cur.layers[i].weight_shape[-1] != tb.weight_shape[-1]:
+            step = TransformStep("widen", i, width=tb.weight_shape[-1])
             cur = apply_step_to_arch(cur, step)
             steps.append(step)
 
@@ -424,34 +449,50 @@ def schedule_to_dict(schedule: GrowthSchedule) -> dict:
     }
 
 
+_TOKEN_KINDS = ("conv", "pool", "gap", "dense")
+
+
+def _positive_int(value, what: str) -> int:
+    # JSON booleans are not integers here, and nothing is coerced.
+    if type(value) is not int or value < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def _token(tok: dict) -> tuple:
     """One JSON schedule token as a ``build_arch`` token."""
     if type(tok) is not dict:
         raise TypeError(f"token {tok!r} is not an object")
-    if "conv" in tok:
-        return ("conv", int(tok["conv"]), int(tok.get("kernel", 3)))
-    if "pool" in tok:
-        return ("pool", int(tok["pool"]))
-    if "gap" in tok:
+    kinds = [k for k in _TOKEN_KINDS if k in tok]
+    allowed = {*kinds, "kernel"} if kinds == ["conv"] else set(kinds)
+    if len(kinds) != 1 or set(tok) - allowed:
+        raise ValueError(f"token {tok!r} needs exactly one of the keys "
+                         f"{list(_TOKEN_KINDS)}, and 'kernel' only beside 'conv'")
+    kind = kinds[0]
+    if kind == "gap":
+        if tok["gap"] is not True:
+            raise ValueError(f"token {tok!r}: 'gap' must be true")
         return ("gap",)
-    if "dense" in tok:
-        return ("dense", int(tok["dense"]))
-    raise ValueError(f"unknown token {tok!r}")
+    values = [tok[kind], tok.get("kernel", 3)] if kind == "conv" else [tok[kind]]
+    return (kind, *(_positive_int(v, f"token {tok!r}: value") for v in values))
 
 
 def schedule_from_dict(data: dict) -> GrowthSchedule:
     """Build and validate a schedule from its JSON form.
 
-    Expected keys: dataset (str), input_shape ([H, W, C]),
+    Expected keys: dataset (str), input_shape ([H, W, C] or [features]),
     thresholds ([float] of length len(models) - 1), models (list of
     token rows), optional dropout_rate. Token forms:
     {"conv": out_channels, "kernel": side}, {"pool": window},
-    {"gap": true}, {"dense": units}. The final dense token of each row
-    is the classifier.
+    {"gap": true}, {"dense": units}, with integer values >= 1 and kernel
+    3 when omitted. The final dense token of each row is the classifier.
     """
     try:
         dataset = data["dataset"]
-        input_shape = tuple(int(v) for v in data["input_shape"])
+        shape = data["input_shape"]
+        if type(shape) is not list or len(shape) not in (1, 3):
+            raise ValueError(f"input_shape must be [H, W, C] or [features], got {shape!r}")
+        input_shape = tuple(_positive_int(v, "input_shape entry") for v in shape)
         thresholds = tuple(float(t) for t in data["thresholds"])
         rate = float(data.get("dropout_rate", DEFAULT_DROPOUT))
         rows = [[_token(tok) for tok in row] for row in data["models"]]

@@ -19,8 +19,10 @@ outputs on axis -1):
   2x2 pools, which is exact on extents divisible by 4 and opens an
   insertion slot between the pools.
 
-Each transform edits the layer specs through the matching ``growth``
-arch edit. ``apply_diff`` composes the steps of a ``growth.diff_models``
+``growth`` owns structure: each transform first calls the matching
+``growth`` arch edit, which checks every structural precondition of its
+step and raises TransformError when one fails. This module only moves
+parameters. ``apply_diff`` composes the steps of a ``growth.diff_models``
 result.
 """
 
@@ -73,39 +75,13 @@ def _shift_params(params: nn.Params, at: int, by: int) -> nn.Params:
     return {(i + by if i >= at else i): p for i, p in params.items()}
 
 
-def _find_next_trainable(arch: nn.ModelArch, layer: int) -> int:
+def _widened_params(arch: nn.ModelArch, params: nn.Params,
+                    mapping: WidenMapping) -> nn.Params:
+    """``params`` with the outputs of ``mapping.layer`` and the inputs of
+    the next trainable layer replicated through ``mapping``."""
+    layer, g = mapping.layer, mapping.mapping
+    old_width, new_width = arch.layers[layer].weight_shape[-1], len(g)
     nxt = nn.next_trainable(arch, layer)
-    if nxt is None:
-        raise TransformError(
-            f"layer {layer}: no trainable layer follows; widening the final "
-            "classification layer is unsupported")
-    return nxt
-
-
-def _widened_width(arch: nn.ModelArch, layer: int, new_width: int) -> int:
-    """Current output width of the conv/dense layer at ``layer``, checked
-    to be at most ``new_width``."""
-    spec = arch.layers[layer]
-    if spec.kind not in nn.TRAINABLE_KINDS:
-        raise TransformError(f"layer {layer}: only conv/dense layers can be widened")
-    old_width = spec.weight_shape[-1]
-    if new_width < old_width:
-        raise TransformError(f"layer {layer}: cannot shrink {old_width} -> {new_width}")
-    return old_width
-
-
-def widen_with_mapping(arch: nn.ModelArch, params: nn.Params,
-                       mapping: WidenMapping):
-    """Widen using a caller-provided mapping (the deterministic core of
-    ``widen``; tests use it to inject hand-chosen mappings)."""
-    layer = mapping.layer
-    new_width = len(mapping.mapping)
-    old_width = _widened_width(arch, layer, new_width)
-    nxt = _find_next_trainable(arch, layer)
-    new_arch = growth.widen_arch(arch, layer, new_width)
-    nn.validate_arch(new_arch)
-
-    g = mapping.mapping
     div = mapping.counts.astype(nn.DTYPE)[g]
 
     new_params = nn.copy_params(params)
@@ -123,7 +99,15 @@ def widen_with_mapping(arch: nn.ModelArch, params: nn.Params,
     new_w = (per_pos[..., g, :] / div[:, None]).reshape(
         *kernel, ratio * new_width, next_out)
     new_params[nxt] = nn.LayerParams(new_w.astype(nn.DTYPE), q.b.copy())
-    return new_arch, new_params
+    return new_params
+
+
+def widen_with_mapping(arch: nn.ModelArch, params: nn.Params,
+                       mapping: WidenMapping):
+    """Widen using a caller-provided mapping (the deterministic core of
+    ``widen``; tests use it to inject hand-chosen mappings)."""
+    new_arch = growth.widen_arch(arch, mapping.layer, len(mapping.mapping))
+    return new_arch, _widened_params(arch, params, mapping)
 
 
 def widen(arch: nn.ModelArch, params: nn.Params, layer: int, new_width: int,
@@ -133,48 +117,21 @@ def widen(arch: nn.ModelArch, params: nn.Params, layer: int, new_width: int,
     Returns (new arch, new params, WidenMapping). Equal widths yield the
     identity mapping and unchanged parameters.
     """
-    old_width = _widened_width(arch, layer, new_width)
-    mapping = sample_mapping(layer, old_width, new_width, rng)
-    new_arch, new_params = widen_with_mapping(arch, params, mapping)
-    return new_arch, new_params, mapping
-
-
-def _check_nonneg_insertion_point(arch: nn.ModelArch, position: int) -> None:
-    """Identity-plus-relu insertion preserves the function only on
-    nonnegative inputs: walk back through dropout/pool and require a relu."""
-    j = position - 1
-    while j >= 0 and arch.layers[j].kind in ("dropout", "maxpool"):
-        j -= 1
-    if j < 0 or arch.layers[j].kind != "relu":
-        raise TransformError(
-            f"position {position}: insertion point may carry negative activations "
-            "(no preceding relu)")
+    new_arch = growth.widen_arch(arch, layer, new_width)
+    mapping = sample_mapping(layer, arch.layers[layer].weight_shape[-1], new_width, rng)
+    return new_arch, _widened_params(arch, params, mapping), mapping
 
 
 def deepen(arch: nn.ModelArch, params: nn.Params, position: int,
            spec: nn.LayerSpec):
     """Insert an identity-initialized block (``spec`` + relu + dropout).
 
-    ``spec`` is a square conv2d or dense layer as wide as the activations
-    entering ``position``. Its weight is zero except for the identity on
-    the in/out axes at the centre of every kernel axis, so the layer
-    copies its input and the block is exact on the nonnegative
-    activations guaranteed by the insertion point.
+    Its weight is zero except for the identity on the in/out axes at the
+    centre of every kernel axis, so the layer copies its input and the
+    block is exact on the nonnegative activations entering ``position``.
     """
-    width = nn.shape_before(arch, position)[-1]
-    *kernel, n_in, n_out = spec.weight_shape
-    if (n_in, n_out) != (width, width):
-        raise TransformError(
-            f"position {position}: identity {spec.kind} needs width {width} in "
-            f"and out, got {n_in} -> {n_out}")
-    if not growth.can_be_identity(spec):
-        raise TransformError(
-            f"identity {spec.kind} needs an odd kernel, same padding and stride 1, "
-            f"got kernel {kernel}, {spec.padding} padding, stride {spec.stride}")
-    _check_nonneg_insertion_point(arch, position)
-
     new_arch = growth.insert_identity_arch(arch, position, spec)
-    nn.validate_arch(new_arch)
+    *kernel, _, width = spec.weight_shape
     w = np.zeros(spec.weight_shape, dtype=nn.DTYPE)
     w[tuple(k // 2 for k in kernel)] = np.eye(width, dtype=nn.DTYPE)
     new_params = _shift_params(nn.copy_params(params), position, 3)
@@ -186,11 +143,6 @@ def split_pool(arch: nn.ModelArch, params: nn.Params, position: int):
     """Replace a 4x4 max pool with two stacked 2x2 pools (exact), leaving
     an insertion slot between them."""
     new_arch = growth.split_pool_arch(arch, position)
-    shape = nn.shape_before(arch, position)
-    if shape[0] % 4 or shape[1] % 4:
-        raise TransformError(
-            f"position {position}: spatial extents {shape[:2]} not divisible by 4")
-    nn.validate_arch(new_arch)
     return new_arch, _shift_params(nn.copy_params(params), position + 1, 1)
 
 

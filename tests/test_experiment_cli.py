@@ -192,6 +192,20 @@ def test_cli_run_and_overrides(tmp_path, capsys):
     assert manifest["master_seed"] == 9
 
 
+# A 4x4 pool split on extents not divisible by 4, and an identity conv
+# inserted at the input, where activations may be negative.
+UNAPPLICABLE_SCHEDULES = [
+    (30, [[{"conv": 2, "kernel": 3}, {"pool": 4}, {"dense": 4}, {"dense": 3}],
+          [{"conv": 3, "kernel": 3}, {"pool": 2}, {"pool": 2}, {"dense": 4},
+           {"dense": 3}]],
+     "split-pool at layer 3: spatial extents (30, 30) not divisible by 4"),
+    (8, [[{"conv": 2, "kernel": 5}, {"pool": 2}, {"dense": 4}, {"dense": 3}],
+         [{"conv": 1, "kernel": 3}, {"conv": 2, "kernel": 5}, {"pool": 2},
+          {"dense": 4}, {"dense": 3}]],
+     "insert-identity at layer 0: insertion point may carry negative activations"),
+]
+
+
 def test_cli_validate_schedule(tmp_path, capsys):
     sched_path = tmp_path / "sched.json"
     growth.save_schedule(growth.builtin_schedule("mnist"), sched_path)
@@ -224,6 +238,23 @@ def test_cli_validate_schedule(tmp_path, capsys):
                     {"dense": 4}, {"dense": 3}]]}))
     assert cli.main(["validate-schedule", str(even)]) == 1
     assert "start as the identity" in capsys.readouterr().out
+
+    # Schedules whose structure lines up but whose transform cannot be
+    # exact fail validation, and so fail a run before any output.
+    for extent, rows, message in UNAPPLICABLE_SCHEDULES:
+        cfg = tiny_config(tmp_path)
+        Path(cfg.schedule).write_text(json.dumps({
+            "dataset": "mnist", "input_shape": [extent, extent, 1],
+            "thresholds": [0.1], "models": rows}))
+        assert cli.main(["validate-schedule", cfg.schedule]) == 1
+        assert message in capsys.readouterr().out
+        cfg.synthetic.dims = (extent, extent, 1)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        out = tmp_path / "never-written"
+        assert cli.main(["run", "--config", str(cfg_path), "--output", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_compare(tmp_path, capsys):
@@ -279,6 +310,7 @@ def test_cli_seed_override_keeps_the_configured_partition(tmp_path):
      "synthetic dims (32, 32, 3) do not match schedule input (8, 8, 1)"),
     ({"synthetic": {"classes": 5, "per_class": 8, "dims": [8, 8, 1]}},
      "dataset has 5 classes but the schedule classifier has 3"),
+    ({"max_train_samples": -5}, "max_train_samples must be >= 0"),
 ])
 def test_cli_rejects_malformed_config_before_any_output(tmp_path, capsys, override,
                                                         fragment):
@@ -302,9 +334,27 @@ _SCHEDULE_HEAD = '{"dataset": "mnist", "input_shape": [8, 8, 1], "thresholds": [
     (None, "{not json", "cannot read schedule"),
     (None, _SCHEDULE_HEAD + '"models": [[5]]}', "TypeError('token 5 is not an object')"),
     (None, _SCHEDULE_HEAD + '"models": [[{"dense": "a"}]]}',
-     "invalid literal for int() with base 10: 'a'"),
+     "value must be an integer >= 1, got 'a'"),
+    (None, _SCHEDULE_HEAD + '"models": [[{"dense": 6.9}]]}',
+     "value must be an integer >= 1, got 6.9"),
+    (None, _SCHEDULE_HEAD + '"models": [[{"dense": "6"}]]}',
+     "value must be an integer >= 1, got '6'"),
+    (None, _SCHEDULE_HEAD + '"models": [[{"dense": true}]]}',
+     "value must be an integer >= 1, got True"),
+    (None, _SCHEDULE_HEAD + '"models": [[{"conv": 4, "kernle": 5}, {"dense": 3}]]}',
+     "'kernel' only beside 'conv'"),
+    (None, _SCHEDULE_HEAD + '"models": [[{"conv": 4, "pool": 2}, {"dense": 3}]]}',
+     "needs exactly one of the keys"),
+    (None, '{"dataset": "mnist", "input_shape": ["8", 8.9, 1], "thresholds": [], '
+           '"models": [[{"dense": 3}]]}',
+     "input_shape entry must be an integer >= 1, got '8'"),
+    (None, '{"dataset": "mnist", "input_shape": [8, 8.9, 1], "thresholds": [], '
+           '"models": [[{"dense": 3}]]}',
+     "input_shape entry must be an integer >= 1, got 8.9"),
 ], ids=["config-not-json", "config-not-object", "schedule-not-json",
-        "token-not-object", "token-not-integer"])
+        "token-not-object", "token-not-integer", "token-float", "token-string-digits",
+        "token-bool", "token-misspelled-kernel", "token-two-kinds",
+        "input-shape-string", "input-shape-float"])
 def test_cli_rejects_unreadable_files_before_any_output(tmp_path, capsys, config_text,
                                                          schedule_text, fragment):
     cfg = tiny_config(tmp_path)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fedgrow import growth, morph, nn
-from fedgrow.errors import TransformError
+from fedgrow.errors import ScheduleError, TransformError
 from fedgrow.rng import stream
 
 from conftest import random_params
@@ -298,6 +298,50 @@ def test_random_reachable_pairs_replay_and_preserve_function(pair, seed):
     params = random_params(arch_a, seed)
     x = stream(seed, 9).random((4,) + shape, dtype=np.float32)
     diff = growth.diff_models(arch_a, arch_b)
+    arch_c, params_c, _ = morph.apply_diff(arch_a, params, diff, stream(seed, 1))
+    assert arch_c.layers == arch_b.layers
+    assert eval_delta(arch_a, params, arch_c, params_c, x) < 1e-5
+
+
+@st.composite
+def arbitrary_token_pair(draw):
+    """An input extent and a reachable pair perturbed so that it may no
+    longer be: the extent need not be divisible by 4, both first convs may
+    share an even kernel, any target conv may change its kernel, and the
+    target may gain a leading conv."""
+    channels, a, b = draw(reachable_token_pair())
+    extent = draw(st.sampled_from([6, 8, 10, 12]))
+    kernel = st.integers(1, 5)
+    if draw(st.booleans()):
+        k = draw(kernel)
+        a[0], b[0] = ("conv", a[0][1], k), ("conv", b[0][1], k)
+    b = [("conv", t[1], draw(kernel)) if t[0] == "conv" and draw(st.booleans()) else t
+         for t in b]
+    if draw(st.booleans()):
+        b = [("conv", draw(st.integers(1, 4)), draw(kernel))] + b
+    return extent, channels, a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=arbitrary_token_pair(), seed=st.integers(0, 2**31))
+@example(pair=(10, 1, [("conv", 2, 3), ("pool", 4), ("dense", 4), ("dense", 3)],
+               [("conv", 3, 3), ("pool", 2), ("pool", 2), ("dense", 4), ("dense", 3)]),
+         seed=0)
+@example(pair=(8, 1, [("conv", 2, 5), ("pool", 2), ("dense", 4), ("dense", 3)],
+               [("conv", 1, 3), ("conv", 2, 5), ("pool", 2), ("dense", 4), ("dense", 3)]),
+         seed=0)
+def test_accepted_diffs_apply_and_preserve_function(pair, seed):
+    # Whatever diff_models accepts, apply_diff applies exactly.
+    extent, channels, tokens_a, tokens_b = pair
+    shape = (extent, extent, channels)
+    arch_a = growth.build_arch(shape, tokens_a)
+    arch_b = growth.build_arch(shape, tokens_b)
+    try:
+        diff = growth.diff_models(arch_a, arch_b)
+    except ScheduleError:
+        return
+    params = random_params(arch_a, seed)
+    x = stream(seed, 9).random((4,) + shape, dtype=np.float32)
     arch_c, params_c, _ = morph.apply_diff(arch_a, params, diff, stream(seed, 1))
     assert arch_c.layers == arch_b.layers
     assert eval_delta(arch_a, params, arch_c, params_c, x) < 1e-5

@@ -43,11 +43,26 @@ VARIANTS = {
         "thresholds_override": NEVER_SWITCH_EARLY,
         "synthetic": {"classes": 10, "per_class": 100, "test_per_class": 50,
                       "dims": [32, 32, 3], "sigma": 0.1, "separation": 20.0}},
+    # A schedule file: the mnist model 1 rows, then the same rows plus one
+    # hidden dense block. Covers the JSON token parser and the dense
+    # insert-identity step, which no builtin schedule has.
+    "custom-schedule": {
+        "switch_window": 3, "switch_lag": 5, "rounds": 20,
+        "schedule": {"dataset": "synthetic", "input_shape": [28, 28, 1],
+                     "thresholds": [1e9], "models": [
+                         [{"conv": 16, "kernel": 5}, {"pool": 4}, {"dense": 128},
+                          {"dense": 10}],
+                         [{"conv": 16, "kernel": 5}, {"pool": 4}, {"dense": 128},
+                          {"dense": 128}, {"dense": 10}]]}},
 }
 
 
 def metrics_sha256(name: str, overrides: dict, work: Path) -> str:
     config = {**json.loads(BASE_CONFIG.read_text()), **overrides}
+    if isinstance(config["schedule"], dict):
+        schedule_path = work / f"{name}-schedule.json"
+        schedule_path.write_text(json.dumps(config["schedule"]))
+        config["schedule"] = str(schedule_path)
     config_path = work / f"{name}.json"
     config_path.write_text(json.dumps(config))
     out = work / name
