@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import resource
 import typing
 from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
 from pathlib import Path
@@ -274,6 +275,7 @@ def run(config: ExperimentConfig) -> Path:
     (out / "config.json").write_text(json.dumps(config.to_dict(), indent=2) + "\n")
 
     shards = fedsim.partition(train_x, train_y, config.partition)
+    workers = fedsim.worker_count(config)
 
     manifest = {
         "config_hash": config.config_hash(),
@@ -289,6 +291,7 @@ def run(config: ExperimentConfig) -> Path:
         },
         "switch_window": config.switch_window,
         "switch_lag": config.switch_lag,
+        "workers": workers,
     }
 
     error = None
@@ -318,6 +321,11 @@ def run(config: ExperimentConfig) -> Path:
             "total_bytes": result.ledger.total_bytes,
         })
         _write_ledger_summary(out / "ledger.csv", config, result, final_acc)
+    if workers > 1:
+        # The largest child this process has waited for: the largest
+        # worker when this is the process's only run.
+        maxrss_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
+        manifest["worker_peak_rss_mb"] = round(maxrss_kb / 1024, 1)
     if error is not None:
         manifest["error"] = error
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")

@@ -5,7 +5,8 @@ metrics rows, switch events) with ``run_round``, one call per round. A
 round's phases, in order: select (``select_clients``), broadcast
 (``broadcast``: the full model, or a random sub-network cut by
 ``fd_extract`` under federated dropout), train (``train_clients``: local
-SGD per client), merge (``aggregate``, or ``fd_merge`` under federated
+SGD per client, in this process or across a ``ClientPool`` of forked
+workers), merge (``aggregate``, or ``fd_merge`` under federated
 dropout), switch (staged methods: ``switch`` grows the model in place
 with ``apply_diff`` once the policy fires) and evaluate (``evaluate``
 every ``eval_every`` rounds). Every transmitted scalar is accounted at
@@ -22,12 +23,17 @@ Methods:
 from __future__ import annotations
 
 import math
+import mmap
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import nn, rng as rngmod
-from .errors import ConfigError, NumericalError, TransformError
+from .errors import ConfigError, FedgrowError, NumericalError
 from .growth import GrowthSchedule, schedule_diffs
 from .morph import apply_diff
 from .switching import DEFAULT_LAG, DEFAULT_WINDOW, SwitchPolicy
@@ -461,6 +467,151 @@ class RunState:
         return CommLedger(self.metrics)
 
 
+# ---------------------------------------------------------------------------
+# Client worker processes
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blas_threads(cpus: int) -> int:
+    """Threads one BLAS call uses, resolved the way OpenBLAS resolves them:
+    the first positive OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+    OMP_NUM_THREADS, otherwise every CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return min(threads, cpus)
+    return cpus
+
+
+def worker_count(settings: RunSettings) -> int:
+    """Processes that train a round's clients: as many as the CPUs hold
+    at the BLAS thread count, at most ``clients_per_round``. Unpinned BLAS
+    therefore trains in this process; restricting the CPU affinity caps
+    the count. The count never changes the output.
+    """
+    cpus = _cpus()
+    return max(1, min(settings.clients_per_round, cpus // _blas_threads(cpus)))
+
+
+# float32 elements: every slot, and every array in a slot, starts on a
+# 64-byte boundary.
+_SLOT_ALIGN = 16
+
+
+def _aligned(size: int) -> int:
+    return -(-size // _SLOT_ALIGN) * _SLOT_ALIGN
+
+
+def _array_shapes(arch: nn.ModelArch):
+    """(layer, weight shape, bias shape) of every trainable layer."""
+    for i in nn.trainable_indices(arch):
+        shape = arch.layers[i].weight_shape
+        yield i, shape, shape[-1:]
+
+
+def _slot_size(arch: nn.ModelArch) -> int:
+    """Elements a slot needs for ``arch``."""
+    return sum(_aligned(math.prod(w)) + _aligned(math.prod(b))
+               for _, w, b in _array_shapes(arch))
+
+
+def _slot_params(arch: nn.ModelArch, slot: np.ndarray) -> nn.Params:
+    """``arch``'s parameters as views into the flat float32 ``slot``."""
+    params: nn.Params = {}
+    at = 0
+    for i, *shapes in _array_shapes(arch):
+        arrays = []
+        for shape in shapes:
+            arrays.append(slot[at:at + math.prod(shape)].reshape(shape))
+            at += _aligned(math.prod(shape))
+        params[i] = nn.LayerParams(*arrays)
+    return params
+
+
+def _write_slot(arch: nn.ModelArch, slot: np.ndarray, params: nn.Params) -> None:
+    for i, view in _slot_params(arch, slot).items():
+        view.w[...] = params[i].w
+        view.b[...] = params[i].b
+
+
+_worker: dict = {}  # in a forked worker: the pool's slots and the shards
+
+
+def _start_worker(slots: np.ndarray, shards: list[ClientShard]) -> None:
+    _worker.update(slots=slots, shards=shards)
+
+
+def _train_slice(arch: nn.ModelArch, cids: list[int], first_slot: int, r: int,
+                 settings: RunSettings) -> list[tuple[float, int]]:
+    """In a worker: ``local_train`` of clients ``cids`` from the model in
+    slot 0, each update written to the next slot from ``first_slot`` on.
+    Returns the clients' (loss, n)."""
+    slots, shards = _worker["slots"], _worker["shards"]
+    params = _slot_params(arch, slots[0])
+    out = []
+    for k, cid in enumerate(cids):
+        update, loss, n = local_train(
+            arch, params, shards[cid], settings.train,
+            rngmod.stream(settings.master_seed, rngmod.CLIENT, r, cid))
+        _write_slot(arch, slots[first_slot + k], update)
+        out.append((loss, n))
+    return out
+
+
+class ClientPool:
+    """Fork-started processes that train a round's clients.
+
+    The workers inherit the shards copy-on-write, so no data is sent to
+    them. Parameters travel through one shared anonymous mapping of
+    ``clients + 1`` float32 slots: slot 0 holds the broadcast model and
+    slot k + 1 the update of the k-th selected client. Each worker trains
+    a contiguous slice of the selection and sends back only (loss, n).
+    Every client does the same arithmetic as in this process, so the
+    updates are the same bits.
+    """
+
+    def __init__(self, workers: int, clients: int, slot_size: int,
+                 shards: list[ClientShard]):
+        self.workers = workers
+        self._mapping = mmap.mmap(-1, (clients + 1) * slot_size * np.dtype(nn.DTYPE).itemsize)
+        self.slots = np.frombuffer(self._mapping, dtype=nn.DTYPE).reshape(clients + 1, -1)
+        self._executor = ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_start_worker, initargs=(self.slots, shards))
+
+    def train(self, arch: nn.ModelArch, params: nn.Params, sel: list[int], r: int,
+              settings: RunSettings) -> list[tuple[nn.Params, float, int]]:
+        """``train_clients`` across the workers; the returned updates are
+        views of the slots, valid until the next call."""
+        _write_slot(arch, self.slots[0], params)
+        bounds = [len(sel) * w // self.workers for w in range(self.workers + 1)]
+        futures = [self._executor.submit(_train_slice, arch, sel[lo:hi], lo + 1, r, settings)
+                   for lo, hi in zip(bounds, bounds[1:])]
+        try:
+            results = [pair for future in futures for pair in future.result()]
+        except BrokenProcessPool as e:
+            raise FedgrowError(f"a client training worker exited unexpectedly: {e}") from e
+        return [(_slot_params(arch, self.slots[k + 1]), loss, n)
+                for k, (loss, n) in enumerate(results)]
+
+    def close(self) -> None:
+        self._executor.shutdown(cancel_futures=True)
+        self._executor = self.slots = None  # both hold the mapping
+        try:
+            self._mapping.close()
+        except BufferError:  # a slot view is still alive; it keeps the mapping
+            pass
+
+
 def broadcast(state: RunState, r: int, use_fd: bool, settings: RunSettings):
     """(arch, params, mask) sent to round ``r``'s clients; mask None is the full model."""
     keep = settings.fd_keep_fraction
@@ -473,8 +624,13 @@ def broadcast(state: RunState, r: int, use_fd: bool, settings: RunSettings):
 
 
 def train_clients(arch: nn.ModelArch, params: nn.Params, sel: list[int],
-                  shards: list[ClientShard], r: int, settings: RunSettings):
-    """``local_train`` of every selected client, each on its own stream."""
+                  shards: list[ClientShard], r: int, settings: RunSettings,
+                  pool: ClientPool | None = None):
+    """``local_train`` of every selected client, each on its own stream, in
+    ``sel`` order: in this process, or across ``pool``'s workers, whose
+    updates come back as views of the pool's slots."""
+    if pool is not None:
+        return pool.train(arch, params, sel, r, settings)
     return [local_train(arch, params, shards[cid], settings.train,
                         rngmod.stream(settings.master_seed, rngmod.CLIENT, r, cid))
             for cid in sel]
@@ -497,9 +653,10 @@ def switch(state: RunState, r: int, signal: float, diffs, seed: int,
 
 def run_round(state: RunState, r: int, method: str, schedule: GrowthSchedule,
               diffs, shards: list[ClientShard], test_samples, test_labels,
-              settings: RunSettings) -> RoundMetrics:
+              settings: RunSettings, pool: ClientPool | None = None) -> RoundMetrics:
     """Run round ``r`` on ``state`` in place and return its metrics row.
-    ``diffs`` is ``schedule_diffs(schedule)``, or None for unstaged methods."""
+    ``diffs`` is ``schedule_diffs(schedule)``, or None for unstaged methods;
+    ``pool``, when given, trains the clients."""
     seed, policy = settings.master_seed, state.policy
     if test_samples is not None and test_samples.shape[0] == 0:
         test_samples = test_labels = None  # nothing to evaluate on
@@ -509,7 +666,7 @@ def run_round(state: RunState, r: int, method: str, schedule: GrowthSchedule,
                              len(shards), settings.clients_per_round)
         use_fd = method == "fd" or (method == "fnn-fd" and index >= settings.fd_exempt_prefix)
         bc_arch, bc_params, mask = broadcast(state, r, use_fd, settings)
-        updates = train_clients(bc_arch, bc_params, sel, shards, r, settings)
+        updates = train_clients(bc_arch, bc_params, sel, shards, r, settings, pool)
         if mask is None:
             state.params = aggregate([(p, n) for p, _, n in updates])
         else:
@@ -531,7 +688,7 @@ def run_round(state: RunState, r: int, method: str, schedule: GrowthSchedule,
         down = up = nn.count_params(bc_arch) * len(sel) * BYTES_PER_SCALAR
         row = RoundMetrics(r, index, wloss, accuracy, signal, switched,
                            down, up, state.ledger.total_bytes + down + up, flops)
-    except (NumericalError, ConfigError, TransformError) as e:
+    except FedgrowError as e:
         raise type(e)(f"round {r}: {e}") from e
     state.metrics.append(row)
     return row
@@ -546,7 +703,9 @@ def run_experiment(method: str, schedule: GrowthSchedule,
     """Execute a full multi-round run of one method.
 
     ``on_round`` (optional) receives each RoundMetrics as it completes,
-    so callers can stream partial results before a failure.
+    so callers can stream partial results before a failure. With more
+    than one ``worker_count``, a ``ClientPool`` with a slot for the
+    largest model of the schedule trains the clients.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -563,9 +722,18 @@ def run_experiment(method: str, schedule: GrowthSchedule,
     policy = SwitchPolicy(settings.switch_window, settings.switch_lag, model_index=index)
     # No local holds the initial params, so the first merge frees them.
     state = RunState(arch, nn.init_params(arch, init_rng, settings.init_scheme), policy)
-    for r in range(settings.rounds):
-        row = run_round(state, r, method, schedule, diffs, shards,
-                        test_samples, test_labels, settings)
-        if on_round is not None:
-            on_round(row)
+    workers = worker_count(settings)
+    pool = None
+    if workers > 1:
+        pool = ClientPool(workers, settings.clients_per_round,
+                          max(_slot_size(m) for m in schedule.models), shards)
+    try:
+        for r in range(settings.rounds):
+            row = run_round(state, r, method, schedule, diffs, shards,
+                            test_samples, test_labels, settings, pool)
+            if on_round is not None:
+                on_round(row)
+    finally:
+        if pool is not None:
+            pool.close()
     return state

@@ -229,9 +229,10 @@ def insert_identity_arch(arch: nn.ModelArch, layer: int,
             f"insert-identity at layer {layer}: an inserted {spec.kind} cannot start "
             f"as the identity without an odd kernel, same padding and stride 1 "
             f"(got kernel {kernel}, {spec.padding} padding, stride {spec.stride})")
-    # Walk back through dropout and pooling, which keep signs, to a relu.
+    # Walk back through dropout, pooling and flattening, which keep signs,
+    # to a relu.
     j = layer - 1
-    while j >= 0 and arch.layers[j].kind in ("dropout", "maxpool"):
+    while j >= 0 and arch.layers[j].kind in ("dropout", "maxpool", "flatten", "gap"):
         j -= 1
     if j < 0 or arch.layers[j].kind != "relu":
         raise TransformError(
@@ -459,6 +460,13 @@ def _positive_int(value, what: str) -> int:
     return value
 
 
+def _number(value, what: str) -> float:
+    # JSON booleans and strings are not numbers here.
+    if type(value) not in (int, float):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _token(tok: dict) -> tuple:
     """One JSON schedule token as a ``build_arch`` token."""
     if type(tok) is not dict:
@@ -481,8 +489,8 @@ def schedule_from_dict(data: dict) -> GrowthSchedule:
     """Build and validate a schedule from its JSON form.
 
     Expected keys: dataset (str), input_shape ([H, W, C] or [features]),
-    thresholds ([float] of length len(models) - 1), models (list of
-    token rows), optional dropout_rate. Token forms:
+    thresholds (a list of len(models) - 1 numbers), models (list of
+    token rows), optional dropout_rate (a number). Token forms:
     {"conv": out_channels, "kernel": side}, {"pool": window},
     {"gap": true}, {"dense": units}, with integer values >= 1 and kernel
     3 when omitted. The final dense token of each row is the classifier.
@@ -493,13 +501,22 @@ def schedule_from_dict(data: dict) -> GrowthSchedule:
         if type(shape) is not list or len(shape) not in (1, 3):
             raise ValueError(f"input_shape must be [H, W, C] or [features], got {shape!r}")
         input_shape = tuple(_positive_int(v, "input_shape entry") for v in shape)
-        thresholds = tuple(float(t) for t in data["thresholds"])
-        rate = float(data.get("dropout_rate", DEFAULT_DROPOUT))
+        if type(data["thresholds"]) is not list:
+            raise ValueError(f"thresholds must be a list, got {data['thresholds']!r}")
+        thresholds = tuple(_number(t, "threshold") for t in data["thresholds"])
+        rate = _number(data.get("dropout_rate", DEFAULT_DROPOUT), "dropout_rate")
         rows = [[_token(tok) for tok in row] for row in data["models"]]
     except (KeyError, TypeError, ValueError) as e:
         raise ScheduleError([f"malformed schedule data: {e!r}"])
-    models = [build_arch(input_shape, tokens, rate, name=f"{dataset}-model-{mi + 1}")
-              for mi, tokens in enumerate(rows)]
+    models, problems = [], []
+    for mi, tokens in enumerate(rows):
+        try:
+            models.append(build_arch(input_shape, tokens, rate,
+                                     name=f"{dataset}-model-{mi + 1}"))
+        except ConfigError as e:
+            problems.append(f"model {mi + 1}: {e}")
+    if problems:
+        raise ScheduleError(problems)
     schedule = GrowthSchedule(dataset, tuple(models), thresholds)
     validate_schedule(schedule)
     return schedule

@@ -2,12 +2,13 @@
 
 import csv
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from fedgrow import cli, experiment, fedsim, growth
-from fedgrow.errors import ConfigError
+from fedgrow.errors import ConfigError, FedgrowError
 from fedgrow.experiment import ExperimentConfig, METRICS_COLUMNS
 
 
@@ -351,10 +352,19 @@ _SCHEDULE_HEAD = '{"dataset": "mnist", "input_shape": [8, 8, 1], "thresholds": [
     (None, '{"dataset": "mnist", "input_shape": [8, 8.9, 1], "thresholds": [], '
            '"models": [[{"dense": 3}]]}',
      "input_shape entry must be an integer >= 1, got 8.9"),
+    (None, _SCHEDULE_HEAD.replace("[]", '["0.1"]') + '"models": [[{"dense": 3}]]}',
+     "threshold must be a number, got '0.1'"),
+    (None, _SCHEDULE_HEAD.replace("[]", "[true]") + '"models": [[{"dense": 3}]]}',
+     "threshold must be a number, got True"),
+    (None, _SCHEDULE_HEAD + '"dropout_rate": "0.5", "models": [[{"dense": 3}]]}',
+     "dropout_rate must be a number, got '0.5'"),
+    (None, _SCHEDULE_HEAD + '"models": [[{"conv": 2}], [{"conv": 3}]]}',
+     "model 1: final layer must be softmax"),
 ], ids=["config-not-json", "config-not-object", "schedule-not-json",
         "token-not-object", "token-not-integer", "token-float", "token-string-digits",
         "token-bool", "token-misspelled-kernel", "token-two-kinds",
-        "input-shape-string", "input-shape-float"])
+        "input-shape-string", "input-shape-float", "threshold-string", "threshold-bool",
+        "dropout-rate-string", "row-without-classifier"])
 def test_cli_rejects_unreadable_files_before_any_output(tmp_path, capsys, config_text,
                                                          schedule_text, fragment):
     cfg = tiny_config(tmp_path)
@@ -379,3 +389,50 @@ def test_cli_rejects_unreadable_files_before_any_output(tmp_path, capsys, config
 def test_shipped_config_hashes_are_pinned(name, digest):
     path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
     assert ExperimentConfig.load(path).config_hash() == digest
+
+
+# ---------------------------------------------------------------------------
+# Client worker processes
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPUs a run sees, at one BLAS thread, so the automatic worker
+    count is that CPU count whatever the machine."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    return lambda n: monkeypatch.setattr(fedsim, "_cpus", lambda: n)
+
+
+@pytest.mark.parametrize("method, extra", [
+    ("fnn", {}),
+    ("fd", {"fd_keep_fraction": 0.5}),
+    ("fnn-fd", {"fd_keep_fraction": 0.5, "fd_exempt_prefix": 1}),
+])
+def test_worker_count_never_changes_metrics(tmp_path, cpus, method, extra):
+    outputs = []
+    for workers in (1, 2):
+        cpus(workers)
+        cfg = tiny_config(tmp_path, method=method, rounds=20, name=f"{method}-w{workers}")
+        for key, value in extra.items():
+            setattr(cfg, key, value)
+        out = experiment.run(cfg)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["workers"] == workers
+        assert ("worker_peak_rss_mb" in manifest) == (workers > 1)
+        outputs.append((out / "metrics.csv").read_bytes())
+    assert manifest["worker_peak_rss_mb"] > 0
+    assert outputs[0] == outputs[1]
+    # The staged runs grow, so both models train across the workers.
+    assert len(manifest.get("switch_events", [])) == (method != "fd")
+
+
+def test_dead_worker_is_a_round_error_in_the_manifest(tmp_path, cpus, monkeypatch):
+    cpus(2)
+    monkeypatch.setattr(fedsim, "local_train", lambda *args: os._exit(3))
+    cfg = tiny_config(tmp_path, rounds=3, name="dead-worker")
+    with pytest.raises(FedgrowError, match="round 0: a client training worker exited"):
+        experiment.run(cfg)
+    manifest = json.loads((Path(cfg.output_dir) / "manifest.json").read_text())
+    assert manifest["workers"] == 2
+    assert manifest["error"].startswith("FedgrowError: round 0: a client training worker")
+    assert "rounds_completed" not in manifest

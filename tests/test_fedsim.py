@@ -8,7 +8,7 @@ from fedgrow.errors import ConfigError, NumericalError
 from fedgrow.fedsim import (ClientShard, PartitionSpec, RunSettings, RunState, aggregate,
                             fd_extract, fd_merge, local_train, partition,
                             run_experiment, run_round, select_clients)
-from fedgrow.rng import INIT, stream
+from fedgrow.rng import INIT, SELECT, stream
 from fedgrow.switching import DEFAULT_LAG, DEFAULT_WINDOW, SwitchPolicy
 
 from conftest import random_params
@@ -553,3 +553,127 @@ def test_numerical_failure_carries_round_context(toy_world):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match=r"round \d+: client"):
             run_experiment("fedavg", tiny_schedule(), shards, tx, ty, bad)
+
+
+# ---------------------------------------------------------------------------
+# Client worker processes
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPUs a run sees, at one BLAS thread, so the automatic worker
+    count is that CPU count (at most clients_per_round)."""
+    for var in _BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    return lambda n: monkeypatch.setattr(fedsim, "_cpus", lambda: n)
+
+
+@pytest.mark.parametrize("env, expected", [
+    ({}, 1),                                         # unpinned BLAS uses every CPU
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "3"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "2"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "1"}, 4),
+    ({"GOTO_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 4),
+    ({"OMP_NUM_THREADS": "16"}, 1),
+])
+def test_worker_count_resolution(monkeypatch, env, expected):
+    monkeypatch.setattr(fedsim, "_cpus", lambda: 4)
+    for var in _BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert fedsim.worker_count(_settings(1, clients_per_round=8)) == expected
+    # never more workers than clients
+    assert fedsim.worker_count(_settings(1, clients_per_round=2)) == min(expected, 2)
+
+
+def test_huge_cpu_count_is_clamped_before_any_process_starts(toy_world, cpus, monkeypatch):
+    class Started(Exception):
+        pass
+
+    def executor(max_workers, **kwargs):
+        raise Started(max_workers)
+
+    cpus(10**6)
+    monkeypatch.setattr(fedsim, "ProcessPoolExecutor", executor)
+    shards, tx, ty = toy_world
+    with pytest.raises(Started) as exc:
+        run_experiment("fedavg", tiny_schedule(), shards, tx, ty, _settings(2))
+    assert exc.value.args == (4,)  # clients_per_round
+
+
+def test_worker_pool_matches_in_process_training(toy_world, cpus):
+    # Updates come back through the slots with the bits of in-process
+    # training, so the final params match too.
+    shards, tx, ty = toy_world
+    runs = []
+    for workers in (1, 2):
+        cpus(workers)
+        runs.append(run_experiment("fnn-fd", tiny_schedule(), shards, tx, ty,
+                                   _settings(30, fd_keep_fraction=0.5, fd_exempt_prefix=1)))
+    assert runs[0].events and runs[0].metrics == runs[1].metrics
+    for i, p in runs[0].params.items():
+        assert p.w.tobytes() == runs[1].params[i].w.tobytes()
+        assert p.b.tobytes() == runs[1].params[i].b.tobytes()
+
+
+def test_numerical_failure_in_a_worker_reads_as_in_process(toy_world, cpus):
+    shards, tx, ty = toy_world
+    messages = []
+    for workers in (1, 2):
+        cpus(workers)
+        bad = _settings(3, train=nn.TrainConfig(learning_rate=1e12))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=r"round \d+: client") as exc:
+                run_experiment("fedavg", tiny_schedule(), shards, tx, ty, bad)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+def test_first_failing_client_in_selection_order_is_reported(toy_world, cpus, monkeypatch):
+    # Clients 2 and 4 of round 0's selection fail; with two workers they
+    # sit in different slices, and the error still names the earlier one.
+    shards, tx, ty = toy_world
+    settings = _settings(2)
+    sel = select_clients(stream(settings.master_seed, SELECT, 0), len(shards), 4)
+    train = fedsim.local_train
+
+    def failing(arch, params, shard, cfg, rng):
+        if shard.client_id in (sel[1], sel[3]):
+            raise NumericalError(f"client {shard.client_id}: injected")
+        return train(arch, params, shard, cfg, rng)
+
+    monkeypatch.setattr(fedsim, "local_train", failing)
+    for workers in (1, 2):
+        cpus(workers)
+        with pytest.raises(NumericalError) as exc:
+            run_experiment("fedavg", tiny_schedule(), shards, tx, ty, _settings(2))
+        assert str(exc.value) == f"round 0: client {sel[1]}: injected"
+
+
+def test_client_pool_returns_slot_views_and_releases_its_mapping(toy_world):
+    shards, _, _ = toy_world
+    arch = tiny_schedule().models[-1]
+    params = random_params(arch, 16)
+    settings = _settings(1)
+    sel = [0, 3, 5, 9]
+    pool = fedsim.ClientPool(2, len(sel), fedsim._slot_size(arch), shards)
+    try:
+        updates = pool.train(arch, params, sel, 0, settings)
+        expected = fedsim.train_clients(arch, params, sel, shards, 0, settings)
+        for (got, loss, n), (want, want_loss, want_n) in zip(updates, expected):
+            assert (loss, n) == (want_loss, want_n)
+            for i, p in want.items():
+                assert np.shares_memory(got[i].w, pool.slots)
+                assert got[i].w.tobytes() == p.w.tobytes()
+                assert got[i].b.tobytes() == p.b.tobytes()
+        del updates, got
+    finally:
+        mapping = pool._mapping
+        pool.close()
+    assert mapping.closed

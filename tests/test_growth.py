@@ -2,10 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from fedgrow import growth, nn
+from fedgrow import growth, morph, nn
 from fedgrow.errors import ConfigError, ScheduleError
+from fedgrow.rng import stream
 
 # Published per-model totals the builtin sequences must reproduce, at the
 # same print granularity (nearest K, or nearest 0.1M).
@@ -203,3 +205,23 @@ def test_custom_schedule_supports_ablation_variants(tmp_path):
     assert sched.num_models == 3
     counts = [nn.count_params(m) for m in sched.models]
     assert counts[0] < counts[1] < counts[2]
+
+
+@pytest.mark.parametrize("reducer", [{"pool": 2}, {"gap": True}])
+def test_identity_dense_right_after_flatten_or_gap_preserves_function(reducer):
+    # flatten and gap keep the signs of the relu output they follow, so a
+    # dense identity inserted right after them is exact.
+    sched = growth.schedule_from_dict({
+        "dataset": "mnist", "input_shape": [2, 2, 1], "thresholds": [0.1],
+        "models": [[{"conv": 2}, reducer, {"dense": 3}],
+                   [{"conv": 2}, reducer, {"dense": 4}, {"dense": 3}]]})
+    small, big = sched.models
+    params = nn.init_params(small, stream(4, 0))
+    for p in params.values():
+        p.b += stream(4, 1).normal(0, 0.1, p.b.shape).astype(np.float32)
+    arch, grown, _ = morph.apply_diff(small, params, growth.schedule_diffs(sched)[0],
+                                      stream(4, 2))
+    assert arch.layers == big.layers
+    x = stream(4, 3).normal(size=(6, 2, 2, 1)).astype(np.float32)
+    np.testing.assert_allclose(nn.forward(arch, grown, x), nn.forward(small, params, x),
+                               rtol=0, atol=1e-6)

@@ -5,11 +5,14 @@ checkouts and compare the output:
 
     python3 tools/golden_hashes.py
 
-Each variant runs ``fedgrow run`` in its own child process against the
-``src/`` of the checkout holding this script, with
-``OPENBLAS_NUM_THREADS=1``. The hashes depend on the numpy/BLAS build, so
-they are compared between checkouts on one machine and are not test
-assertions.
+Each variant runs ``fedgrow run`` twice, each time in its own child
+process against the ``src/`` of the checkout holding this script, with
+``OPENBLAS_NUM_THREADS=1``: once restricted to one CPU, so one worker
+(clients train in the run's own process), and once on every CPU it may
+use, so the automatic worker count. It prints one hash per variant and
+exits 1 when the two runs of a variant differ. The hashes depend on the
+numpy/BLAS build, so they are compared between checkouts on one machine
+and are not test assertions.
 """
 
 from __future__ import annotations
@@ -57,27 +60,40 @@ VARIANTS = {
 }
 
 
-def metrics_sha256(name: str, overrides: dict, work: Path) -> str:
+def _one_cpu() -> None:
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def metrics_sha256(name: str, overrides: dict, work: Path, one_cpu: bool) -> str:
     config = {**json.loads(BASE_CONFIG.read_text()), **overrides}
     if isinstance(config["schedule"], dict):
         schedule_path = work / f"{name}-schedule.json"
         schedule_path.write_text(json.dumps(config["schedule"]))
         config["schedule"] = str(schedule_path)
+    name = f"{name}-{'one-cpu' if one_cpu else 'all-cpus'}"
     config_path = work / f"{name}.json"
     config_path.write_text(json.dumps(config))
     out = work / name
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
     subprocess.run([sys.executable, "-m", "fedgrow.cli", "run", "--config",
                     str(config_path), "--output", str(out)],
-                   env=env, check=True, stdout=subprocess.DEVNULL)
+                   env=env, check=True, stdout=subprocess.DEVNULL,
+                   preexec_fn=_one_cpu if one_cpu else None)
     return hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest()
 
 
 def main() -> int:
+    status = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name, overrides in VARIANTS.items():
-            print(f"{metrics_sha256(name, overrides, Path(tmp))}  {name}", flush=True)
-    return 0
+            serial, auto = (metrics_sha256(name, overrides, Path(tmp), one_cpu)
+                            for one_cpu in (True, False))
+            if serial != auto:
+                print(f"{name}: one CPU gives {serial}, every CPU gives {auto}",
+                      file=sys.stderr)
+                status = 1
+            print(f"{serial}  {name}", flush=True)
+    return status
 
 
 if __name__ == "__main__":
