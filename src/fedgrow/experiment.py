@@ -101,6 +101,11 @@ class ExperimentConfig(fedsim.RunSettings):
             problems.append("eval_every must be >= 0")
         if self.max_train_samples < 0:
             problems.append("max_train_samples must be >= 0")
+        if self.synthetic.sigma < 0:
+            problems.append(f"synthetic sigma must be >= 0, got {self.synthetic.sigma}")
+        if self.init_scheme not in nn.INIT_SCHEMES:
+            problems.append(f"unknown init scheme {self.init_scheme!r}; expected one "
+                            f"of {nn.INIT_SCHEMES}")
         keep = self.fd_keep_fraction
         if keep is not None and not 0.0 < keep <= 1.0:
             problems.append(f"fd_keep_fraction must be in (0, 1], got {keep}")
@@ -270,11 +275,11 @@ def run(config: ExperimentConfig) -> Path:
     if n_classes > first.num_classes:
         raise ConfigError(f"dataset has {n_classes} classes but the schedule "
                           f"classifier has {first.num_classes}")
+    shards = fedsim.partition(train_x, train_y, config.partition)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(config.to_dict(), indent=2) + "\n")
 
-    shards = fedsim.partition(train_x, train_y, config.partition)
     workers = fedsim.worker_count(config)
 
     manifest = {

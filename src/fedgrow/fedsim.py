@@ -684,7 +684,7 @@ def run_round(state: RunState, r: int, method: str, schedule: GrowthSchedule,
             accuracy = evaluate(state.arch, state.params, test_samples, test_labels)
 
         mean_n = sum(n for _, _, n in updates) / len(sel)
-        flops = int(nn.fwd_bwd_flops(bc_arch) * mean_n)
+        flops = settings.train.local_epochs * int(nn.fwd_bwd_flops(bc_arch) * mean_n)
         down = up = nn.count_params(bc_arch) * len(sel) * BYTES_PER_SCALAR
         row = RoundMetrics(r, index, wloss, accuracy, signal, switched,
                            down, up, state.ledger.total_bytes + down + up, flops)

@@ -219,6 +219,8 @@ def insert_identity_arch(arch: nn.ModelArch, layer: int,
     nonnegative activations, which makes the identity plus relu exact.
     """
     width = nn.shape_before(arch, layer)[-1]
+    if spec.kind not in nn.TRAINABLE_KINDS:
+        raise TransformError(f"insert-identity at layer {layer}: found a {spec.kind} layer")
     *kernel, n_in, n_out = spec.weight_shape
     if (n_in, n_out) != (width, width):
         raise TransformError(

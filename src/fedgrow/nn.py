@@ -30,7 +30,9 @@ PASS_THROUGH_KINDS = ("relu", "dropout", "maxpool", "flatten", "gap")
 
 @dataclass(frozen=True)
 class KernelShape:
-    """Convolution kernel extents: width, height, input and output channels."""
+    """Convolution kernel extents as ``conv2d`` takes them: width, height,
+    input and output channels. ``conv2d`` stores them as the weight shape
+    (h, w, i, o)."""
 
     w: int
     h: int
@@ -46,41 +48,25 @@ class KernelShape:
 class LayerSpec:
     """One layer in a model; ``kind`` selects which fields are meaningful.
 
-    conv2d:  kernel, padding ("same"|"valid"), stride
-    dense:   in_units, out_units
+    conv2d:  weight_shape (kh, kw, in, out), padding ("same"|"valid"), stride
+    dense:   weight_shape (in, out)
     maxpool: window (square side), stride equals window (non-overlapping)
     dropout: rate in [0, 1)
     relu / softmax / flatten / gap: no parameters
     """
 
     kind: str
-    kernel: KernelShape | None = None
+    weight_shape: tuple[int, ...] = ()
     padding: str = "same"
     stride: int = 1
-    in_units: int = 0
-    out_units: int = 0
     window: int = 0
     rate: float = 0.0
 
-    @property
-    def weight_shape(self) -> tuple[int, ...]:
-        """Weight array shape: (kh, kw, in, out) for conv2d, (in, out) for dense."""
-        if self.kind == "conv2d":
-            k = self.kernel
-            return (k.h, k.w, k.i, k.o)
-        if self.kind == "dense":
-            return (self.in_units, self.out_units)
-        raise ConfigError(f"{self.kind} layer has no weights")
-
     def with_widths(self, in_width: int, out_width: int) -> "LayerSpec":
         """The same conv2d/dense layer with other input and output widths."""
-        if self.kind == "conv2d":
-            k = self.kernel
-            return conv2d(KernelShape(k.w, k.h, in_width, out_width),
-                          self.padding, self.stride)
-        if self.kind == "dense":
-            return dense(in_width, out_width)
-        raise ConfigError(f"{self.kind} layer has no weights")
+        if self.kind not in TRAINABLE_KINDS:
+            raise ConfigError(f"{self.kind} layer has no weights")
+        return replace(self, weight_shape=(*self.weight_shape[:-2], in_width, out_width))
 
 
 def conv2d(kernel: KernelShape, padding: str = "same", stride: int = 1) -> LayerSpec:
@@ -88,13 +74,13 @@ def conv2d(kernel: KernelShape, padding: str = "same", stride: int = 1) -> Layer
         raise ConfigError(f"unknown padding mode {padding!r}")
     if stride < 1:
         raise ConfigError("conv stride must be >= 1")
-    return LayerSpec("conv2d", kernel=kernel, padding=padding, stride=stride)
+    return LayerSpec("conv2d", (kernel.h, kernel.w, kernel.i, kernel.o), padding, stride)
 
 
-def dense(in_units: int, out_units: int) -> LayerSpec:
-    if in_units < 1 or out_units < 1:
+def dense(n_in: int, n_out: int) -> LayerSpec:
+    if n_in < 1 or n_out < 1:
         raise ConfigError("dense units must be >= 1")
-    return LayerSpec("dense", in_units=in_units, out_units=out_units)
+    return LayerSpec("dense", (n_in, n_out))
 
 
 def maxpool(window: int) -> LayerSpec:
@@ -137,7 +123,7 @@ class ModelArch:
     def num_classes(self) -> int:
         for spec in reversed(self.layers):
             if spec.kind == "dense":
-                return spec.out_units
+                return spec.weight_shape[-1]
         raise ConfigError("model has no dense layer")
 
     def with_layers(self, layers: Iterable[LayerSpec]) -> "ModelArch":
@@ -199,25 +185,18 @@ def infer_shapes(arch: ModelArch) -> list[tuple[int, ...]]:
     cur = tuple(arch.input_shape)
     for i, spec in enumerate(arch.layers):
         kind = spec.kind
-        if kind == "conv2d":
-            if len(cur) != 3:
-                raise ConfigError(f"layer {i}: conv2d needs a (H, W, C) input, got {cur}")
-            k = spec.kernel
-            if cur[2] != k.i:
-                raise ConfigError(
-                    f"layer {i}: conv2d expects {k.i} input channels, got {cur[2]}")
-            oh = _conv_out(cur[0], k.h, spec.stride, spec.padding)
-            ow = _conv_out(cur[1], k.w, spec.stride, spec.padding)
-            if oh < 1 or ow < 1:
-                raise ConfigError(f"layer {i}: conv2d output collapses to {oh}x{ow}")
-            cur = (oh, ow, k.o)
-        elif kind == "dense":
-            if len(cur) != 1:
-                raise ConfigError(f"layer {i}: dense needs a flat input, got {cur}")
-            if cur[0] != spec.in_units:
-                raise ConfigError(
-                    f"layer {i}: dense expects {spec.in_units} inputs, got {cur[0]}")
-            cur = (spec.out_units,)
+        if kind in TRAINABLE_KINDS:
+            # A kernel extent per spatial axis of the input: two for conv2d,
+            # none for dense.
+            *kernel, n_in, n_out = spec.weight_shape
+            if len(cur) != len(kernel) + 1 or cur[-1] != n_in:
+                want = f"(H, W, {n_in})" if kernel else f"({n_in},)"
+                raise ConfigError(f"layer {i}: {kind} needs a {want} input, got {cur}")
+            out = tuple(_conv_out(size, k, spec.stride, spec.padding)
+                        for size, k in zip(cur, kernel))
+            if any(size < 1 for size in out):
+                raise ConfigError(f"layer {i}: {kind} output collapses to {out}")
+            cur = (*out, n_out)
         elif kind == "maxpool":
             if len(cur) != 3:
                 raise ConfigError(f"layer {i}: maxpool needs a (H, W, C) input, got {cur}")
@@ -489,33 +468,30 @@ def _check_batch(arch, x):
 
 
 def _run_layers(arch, params, x, mode, rng, upto, tape):
-    """Forward through layers [0, upto); appends per-layer saves to tape if given."""
+    """Forward through layers [0, upto); with a tape, appends one entry per
+    layer: what its backward reads."""
     a = x
     for i in range(upto):
         spec = arch.layers[i]
         kind = spec.kind
-        if kind == "conv2d":
+        saved = None
+        if kind in TRAINABLE_KINDS:
             p = params[i]
-            if a.shape[3] != p.w.shape[2]:
-                raise ConfigError(f"layer {i}: conv2d expects {p.w.shape[2]} channels, "
-                                  f"got {a.shape[3]}")
-            out, saved = _conv_forward(a, p.w, p.b, spec.stride, spec.padding,
-                                       key=None if tape is None else i)
-            if tape is not None:
-                tape.append((a.shape, saved))
+            if a.ndim != p.w.ndim or a.shape[-1] != p.w.shape[-2]:
+                raise ConfigError(f"layer {i}: {kind} expects {p.w.shape[-2]} input "
+                                  f"channels, got shape {a.shape[1:]}")
+        if kind == "conv2d":
+            out, conv_saved = _conv_forward(a, p.w, p.b, spec.stride, spec.padding,
+                                            key=None if tape is None else i)
+            saved = (a.shape, conv_saved)
             a = out
         elif kind == "dense":
-            p = params[i]
-            if a.shape[1] != p.w.shape[0]:
-                raise ConfigError(f"layer {i}: dense expects {p.w.shape[0]} inputs, "
-                                  f"got {a.shape[1]}")
-            if tape is not None:
-                tape.append(a)
+            saved = a
             a = a @ p.w
             a += p.b
         elif kind == "relu":
-            if tape is not None:
-                tape.append(a > 0)
+            if tape is not None:  # eval computes no mask
+                saved = a > 0
             a = np.maximum(a, 0)
         elif kind == "dropout":
             if mode == "train" and spec.rate > 0.0:
@@ -523,30 +499,25 @@ def _run_layers(arch, params, x, mode, rng, upto, tape):
                     raise ConfigError("train-mode forward with dropout requires an rng")
                 keep = rng.random(a.shape, dtype=np.float32) >= spec.rate
                 scale = a.dtype.type(1.0 / (1.0 - spec.rate))
-                if tape is not None:
-                    tape.append((keep, scale))
+                saved = (keep, scale)
                 a = a * keep
                 a *= scale
-            else:
-                if tape is not None:
-                    tape.append(None)
         elif kind == "maxpool":
             out = _maxpool_forward(a, spec.window)
-            if tape is not None:
-                tape.append((a, out))
+            saved = (a, out)
             a = out
         elif kind == "gap":
-            if tape is not None:
-                tape.append(a.shape)
+            saved = a.shape
             a = a.mean(axis=(1, 2), dtype=a.dtype)
         elif kind == "flatten":
-            if tape is not None:
-                tape.append(a.shape)
+            saved = a.shape
             a = a.reshape(a.shape[0], -1)
         elif kind == "softmax":
             a = _softmax(a)
         else:
             raise ConfigError(f"layer {i}: unknown layer kind {kind!r}")
+        if tape is not None:
+            tape.append(saved)
     return a
 
 

@@ -312,6 +312,13 @@ def test_cli_seed_override_keeps_the_configured_partition(tmp_path):
     ({"synthetic": {"classes": 5, "per_class": 8, "dims": [8, 8, 1]}},
      "dataset has 5 classes but the schedule classifier has 3"),
     ({"max_train_samples": -5}, "max_train_samples must be >= 0"),
+    ({"synthetic": {"classes": 3, "dims": [8, 8, 1], "sigma": -0.1}},
+     "synthetic sigma must be >= 0, got -0.1"),
+    ({"init_scheme": "bogus"}, "unknown init scheme 'bogus'"),
+    ({"max_train_samples": 5}, "more clients (12) than samples (5)"),
+    ({"clients_per_round": 1, "partition": {"scheme": "label-shard-non-iid",
+                                            "client_count": 1, "shards_per_client": 2}},
+     "3 labels need at least 3 shards, got 2"),
 ])
 def test_cli_rejects_malformed_config_before_any_output(tmp_path, capsys, override,
                                                         fragment):

@@ -430,6 +430,17 @@ def test_fedavg_constant_bytes_and_ledger_consistency(toy_world):
         result.ledger.recompute_cumulative()
 
 
+def test_flops_per_client_counts_every_local_epoch(toy_world):
+    shards, tx, ty = toy_world
+    arch = tiny_schedule().models[-1]
+    result = run_experiment("fedavg", tiny_schedule(), shards, tx, ty, _settings(
+        3, train=nn.TrainConfig(learning_rate=0.05, local_epochs=2)))
+    for row in result.metrics:
+        sel = select_clients(stream(3, SELECT, row.round), len(shards), 4)
+        mean_n = sum(shards[c].n for c in sel) / len(sel)
+        assert row.flops_per_client == 2 * nn.fwd_bwd_flops(arch) * mean_n
+
+
 def test_same_seed_runs_are_bitwise_identical(toy_world):
     shards, tx, ty = toy_world
     a = run_experiment("fnn", tiny_schedule(), shards, tx, ty, _settings(25))

@@ -32,7 +32,7 @@ def test_cifar10_thresholds_and_final_1x1_convs():
     sched = growth.builtin_schedule("cifar10")
     assert sched.thresholds == (0.12, 0.11, 0.10, 0.09, 0.08)
     convs = [s for s in sched.models[5].layers if s.kind == "conv2d"]
-    assert [c.kernel.w for c in convs[-2:]] == [1, 1]
+    assert [c.weight_shape[:2] for c in convs[-2:]] == [(1, 1), (1, 1)]
     assert len(sched.models) == 6
 
 
@@ -40,7 +40,7 @@ def test_mnist_fc_progression():
     sched = growth.builtin_schedule("mnist")
     hidden_units = []
     for m in sched.models:
-        denses = [s.out_units for s in m.layers if s.kind == "dense"]
+        denses = [s.weight_shape[-1] for s in m.layers if s.kind == "dense"]
         assert denses[-1] == 10  # classifier
         hidden_units.append(denses[-2])
     assert hidden_units == [128, 128, 128, 128, 256, 512]

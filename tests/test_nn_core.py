@@ -174,6 +174,27 @@ def test_gradients_match_finite_differences(arch_fn, shape):
     assert worst < 1e-2, f"finite-difference mismatch: {worst}"
 
 
+@pytest.mark.parametrize("padding, conv_out", [("valid", (4, 5, 4)), ("same", (6, 5, 4))])
+def test_non_square_kernel_keeps_its_axes(padding, conv_out):
+    # KernelShape takes (w, h); the weight is laid out (kh, kw, in, out).
+    spec = nn.conv2d(nn.KernelShape(w=1, h=3, i=3, o=4), padding)
+    assert spec.weight_shape == (3, 1, 3, 4)
+    wide = spec.with_widths(5, 6)
+    assert (wide.weight_shape, wide.padding) == ((3, 1, 5, 6), padding)
+    arch = nn.ModelArch((6, 5, 2), (
+        nn.conv2d(nn.KernelShape(3, 3, 2, 3)), nn.relu(), spec, nn.relu(),
+        nn.flatten(), nn.dense(int(np.prod(conv_out)), 3), nn.softmax()))
+    assert nn.infer_shapes(arch)[2] == conv_out
+    params = random_params(arch, 23)
+    x = stream(23, 1).random((3, 6, 5, 2), dtype=np.float32)
+    assert nn._run_layers(arch, params, x, "eval", None, 3, None).shape == (3, *conv_out)
+    # The second conv computes an input gradient, so both backward paths
+    # run on the non-square kernel.
+    y = stream(23, 2).integers(0, 3, 3)
+    worst = finite_difference_check(arch, params, x, y)
+    assert worst < 1e-2, f"finite-difference mismatch: {worst}"
+
+
 def test_gradients_with_fixed_dropout_mask_match_finite_differences():
     # A fixed rng seed fixes the dropout mask, so the perturbed losses see
     # the same network and the check remains valid at nonzero rate.

@@ -57,6 +57,12 @@ VARIANTS = {
                           {"dense": 10}],
                          [{"conv": 16, "kernel": 5}, {"pool": 4}, {"dense": 128},
                           {"dense": 128}, {"dense": 10}]]}},
+    # Two local epochs on label-sharded clients: no other variant trains
+    # more than one epoch or uses the non-IID partition.
+    "multi-epoch-non-iid": {
+        "rounds": 20, "train": {"learning_rate": 0.015, "local_epochs": 2},
+        "partition": {"scheme": "label-shard-non-iid", "client_count": 100,
+                      "shards_per_client": 2, "seed": 0}},
 }
 
 
