@@ -1,16 +1,20 @@
 """Synchronous federated training loop.
 
 ``run_experiment`` steps a ``RunState`` (arch, params, switching policy,
-metrics rows, switch events) with ``run_round``, one call per round. A
-round's phases, in order: select (``select_clients``), broadcast
-(``broadcast``: the full model, or a random sub-network cut by
-``fd_extract`` under federated dropout), train (``train_clients``: local
-SGD per client, in this process or across a ``ClientPool`` of forked
-workers), merge (``aggregate``, or ``fd_merge`` under federated
-dropout), switch (staged methods: ``switch`` grows the model in place
-with ``apply_diff`` once the policy fires) and evaluate (``evaluate``
-every ``eval_every`` rounds). Every transmitted scalar is accounted at
-4 bytes.
+metrics rows, switch events) round by round. A round has three phases.
+``start_round``: select (``select_clients``), broadcast (``broadcast``:
+the full model, or a random sub-network cut by ``fd_extract`` under
+federated dropout) and, with a ``ClientPool`` of forked workers, submit
+the clients' local SGD to it. ``finish_round``: train (``collect`` from
+the pool, or ``train_clients`` in this process), merge (``aggregate``,
+or ``fd_merge`` under federated dropout), record the loss in the policy
+and switch (staged methods: ``switch`` grows the model in place with
+``apply_diff`` once the policy fires). ``settle_round``: evaluate
+(``evaluate``, every ``eval_every`` rounds and around each switch) and
+complete the round's metrics row. ``run_experiment`` settles round r
+after starting round r + 1, so the evaluation overlaps the workers'
+training; ``run_round`` runs the three phases back to back. Every
+transmitted scalar is accounted at 4 bytes.
 
 Methods:
   fedavg  - final model broadcast in full every round
@@ -22,12 +26,15 @@ Methods:
 
 from __future__ import annotations
 
+import functools
 import math
 import mmap
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Callable
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -547,6 +554,9 @@ _worker: dict = {}  # in a forked worker: the pool's slots and the shards
 
 
 def _start_worker(slots: np.ndarray, shards: list[ClientShard]) -> None:
+    # Lowest priority, so the parent's evaluation, which overlaps the
+    # training, is not starved by the workers.
+    os.nice(19)
     _worker.update(slots=slots, shards=shards)
 
 
@@ -576,7 +586,7 @@ class ClientPool:
     slot k + 1 the update of the k-th selected client. Each worker trains
     a contiguous slice of the selection and sends back only (loss, n).
     Every client does the same arithmetic as in this process, so the
-    updates are the same bits.
+    updates are the same bits. Workers run at niceness 19.
     """
 
     def __init__(self, workers: int, clients: int, slot_size: int,
@@ -588,14 +598,21 @@ class ClientPool:
             workers, mp_context=multiprocessing.get_context("fork"),
             initializer=_start_worker, initargs=(self.slots, shards))
 
-    def train(self, arch: nn.ModelArch, params: nn.Params, sel: list[int], r: int,
-              settings: RunSettings) -> list[tuple[nn.Params, float, int]]:
-        """``train_clients`` across the workers; the returned updates are
-        views of the slots, valid until the next call."""
+    def submit(self, arch: nn.ModelArch, params: nn.Params, sel: list[int], r: int,
+               settings: RunSettings) -> list[Future]:
+        """Write ``params`` to slot 0 and start training ``sel`` across the
+        workers; ``collect`` waits for the returned slices. Every slot is
+        rewritten, so the previous round's updates must be collected and
+        merged first."""
         _write_slot(arch, self.slots[0], params)
         bounds = [len(sel) * w // self.workers for w in range(self.workers + 1)]
-        futures = [self._executor.submit(_train_slice, arch, sel[lo:hi], lo + 1, r, settings)
-                   for lo, hi in zip(bounds, bounds[1:])]
+        return [self._executor.submit(_train_slice, arch, sel[lo:hi], lo + 1, r, settings)
+                for lo, hi in zip(bounds, bounds[1:])]
+
+    def collect(self, arch: nn.ModelArch,
+                futures: list[Future]) -> list[tuple[nn.Params, float, int]]:
+        """The submitted clients' ``train_clients`` result; the updates are
+        views of the slots, valid until the next ``submit``."""
         try:
             results = [pair for future in futures for pair in future.result()]
         except BrokenProcessPool as e:
@@ -624,74 +641,137 @@ def broadcast(state: RunState, r: int, use_fd: bool, settings: RunSettings):
 
 
 def train_clients(arch: nn.ModelArch, params: nn.Params, sel: list[int],
-                  shards: list[ClientShard], r: int, settings: RunSettings,
-                  pool: ClientPool | None = None):
-    """``local_train`` of every selected client, each on its own stream, in
-    ``sel`` order: in this process, or across ``pool``'s workers, whose
-    updates come back as views of the pool's slots."""
-    if pool is not None:
-        return pool.train(arch, params, sel, r, settings)
+                  shards: list[ClientShard], r: int, settings: RunSettings):
+    """``local_train`` of every selected client in this process, each on its
+    own stream, in ``sel`` order."""
     return [local_train(arch, params, shards[cid], settings.train,
                         rngmod.stream(settings.master_seed, rngmod.CLIENT, r, cid))
             for cid in sel]
 
 
+# A model whose test accuracy is owed: (arch, params, targets), where each
+# target is a (record, field name) that receives the accuracy.
+Evaluation = tuple[nn.ModelArch, nn.Params, list[tuple[object, str]]]
+
+
 def switch(state: RunState, r: int, signal: float, diffs, seed: int,
-           test_samples, test_labels) -> None:
-    """Grow ``state`` to the next model and record the switch event."""
+           evaluations: list[Evaluation] | None) -> None:
+    """Grow ``state`` to the next model and record the switch event. Unless
+    ``evaluations`` is None, the models before and after the switch are
+    appended to it, owing the event's two accuracies."""
     index = state.model_index
-    acc_before = acc_after = None
-    if test_samples is not None:
-        acc_before = evaluate(state.arch, state.params, test_samples, test_labels)
+    event = SwitchEvent(r, index, index + 1, signal, None, None)
+    before = (state.arch, state.params, [(event, "accuracy_before")])
     state.arch, state.params, _ = apply_diff(
         state.arch, state.params, diffs[index], rngmod.stream(seed, rngmod.SWITCH, index))
-    if test_samples is not None:
-        acc_after = evaluate(state.arch, state.params, test_samples, test_labels)
-    state.events.append(SwitchEvent(r, index, index + 1, signal, acc_before, acc_after))
+    if evaluations is not None:
+        evaluations += [before, (state.arch, state.params, [(event, "accuracy_after")])]
+    state.events.append(event)
     state.policy.advance()
+
+
+@contextmanager
+def _in_round(r: int):
+    """Prefix a simulator error raised in the block with its round."""
+    try:
+        yield
+    except FedgrowError as e:
+        raise type(e)(f"round {r}: {e}") from e
+
+
+@dataclass
+class Sent:
+    """A round between ``start_round`` and ``finish_round``: what was
+    broadcast, and ``train``, which returns the clients' (update, loss, n)."""
+
+    r: int
+    model_index: int  # the model trained this round, reported pre-switch
+    sel: list[int]
+    arch: nn.ModelArch
+    mask: DropoutMask | None
+    train: Callable[[], list]
+
+
+def start_round(state: RunState, r: int, method: str, shards: list[ClientShard],
+                settings: RunSettings, pool: ClientPool | None = None) -> Sent:
+    """Select and broadcast round ``r``'s clients. ``pool``, when given,
+    starts training them; otherwise they train in ``finish_round``."""
+    index = state.model_index
+    with _in_round(r):
+        sel = select_clients(rngmod.stream(settings.master_seed, rngmod.SELECT, r),
+                             len(shards), settings.clients_per_round)
+        use_fd = method == "fd" or (method == "fnn-fd" and index >= settings.fd_exempt_prefix)
+        arch, params, mask = broadcast(state, r, use_fd, settings)
+        if pool is None:
+            train = functools.partial(train_clients, arch, params, sel, shards, r, settings)
+        else:
+            train = functools.partial(pool.collect, arch,
+                                      pool.submit(arch, params, sel, r, settings))
+    return Sent(r, index, sel, arch, mask, train)
+
+
+def finish_round(state: RunState, sent: Sent, schedule: GrowthSchedule, diffs,
+                 settings: RunSettings, testing: bool):
+    """Merge round ``sent.r``'s updates into ``state``, step the policy and
+    switch when it fires. Returns the round's row and the evaluations
+    ``settle_round`` owes it (none when ``testing`` is false)."""
+    r, policy = sent.r, state.policy
+    with _in_round(r):
+        updates = sent.train()
+        if sent.mask is None:
+            state.params = aggregate([(p, n) for p, _, n in updates])
+        else:
+            state.params = fd_merge(state.arch, state.params,
+                                    [(p, sent.mask, n) for p, _, n in updates])
+        wloss = weighted_round_loss((loss, n) for _, loss, n in updates)
+        policy.record_round_loss(wloss)
+        signal = policy.progress_signal()
+        switched = diffs is not None and policy.should_switch(schedule)
+        evaluations: list[Evaluation] = []
+        if switched:
+            switch(state, r, signal, diffs, settings.master_seed,
+                   evaluations if testing else None)
+
+        mean_n = sum(n for _, _, n in updates) / len(sent.sel)
+        flops = settings.train.local_epochs * int(nn.fwd_bwd_flops(sent.arch) * mean_n)
+        down = up = nn.count_params(sent.arch) * len(sent.sel) * BYTES_PER_SCALAR
+        row = RoundMetrics(r, sent.model_index, wloss, None, signal, switched,
+                           down, up, state.ledger.total_bytes + down + up, flops)
+    if testing and settings.eval_every > 0 and (r + 1) % settings.eval_every == 0:
+        if not switched:
+            evaluations.append((state.arch, state.params, []))
+        # After a switch the grown model is owed already, for accuracy_after.
+        evaluations[-1][2].append((row, "test_accuracy"))
+    return row, evaluations
+
+
+def settle_round(state: RunState, row: RoundMetrics, evaluations: list[Evaluation],
+                 test_samples, test_labels) -> RoundMetrics:
+    """Evaluate what ``finish_round`` left owed, fill the accuracies in and
+    append the completed row to ``state.metrics``."""
+    with _in_round(row.round):
+        for arch, params, targets in evaluations:
+            accuracy = evaluate(arch, params, test_samples, test_labels)
+            for record, name in targets:
+                setattr(record, name, accuracy)
+    state.metrics.append(row)
+    return row
+
+
+def _has_tests(test_samples) -> bool:
+    return test_samples is not None and test_samples.shape[0] > 0
 
 
 def run_round(state: RunState, r: int, method: str, schedule: GrowthSchedule,
               diffs, shards: list[ClientShard], test_samples, test_labels,
               settings: RunSettings, pool: ClientPool | None = None) -> RoundMetrics:
-    """Run round ``r`` on ``state`` in place and return its metrics row.
-    ``diffs`` is ``schedule_diffs(schedule)``, or None for unstaged methods;
-    ``pool``, when given, trains the clients."""
-    seed, policy = settings.master_seed, state.policy
-    if test_samples is not None and test_samples.shape[0] == 0:
-        test_samples = test_labels = None  # nothing to evaluate on
-    index = state.model_index  # the model trained this round, reported pre-switch
-    try:
-        sel = select_clients(rngmod.stream(seed, rngmod.SELECT, r),
-                             len(shards), settings.clients_per_round)
-        use_fd = method == "fd" or (method == "fnn-fd" and index >= settings.fd_exempt_prefix)
-        bc_arch, bc_params, mask = broadcast(state, r, use_fd, settings)
-        updates = train_clients(bc_arch, bc_params, sel, shards, r, settings, pool)
-        if mask is None:
-            state.params = aggregate([(p, n) for p, _, n in updates])
-        else:
-            state.params = fd_merge(state.arch, state.params,
-                                    [(p, mask, n) for p, _, n in updates])
-        wloss = weighted_round_loss((loss, n) for _, loss, n in updates)
-        policy.record_round_loss(wloss)
-        signal = policy.progress_signal()
-        switched = diffs is not None and policy.should_switch(schedule)
-        if switched:
-            switch(state, r, signal, diffs, seed, test_samples, test_labels)
-        accuracy = None
-        if test_samples is not None and settings.eval_every > 0 and \
-                (r + 1) % settings.eval_every == 0:
-            accuracy = evaluate(state.arch, state.params, test_samples, test_labels)
-
-        mean_n = sum(n for _, _, n in updates) / len(sel)
-        flops = settings.train.local_epochs * int(nn.fwd_bwd_flops(bc_arch) * mean_n)
-        down = up = nn.count_params(bc_arch) * len(sel) * BYTES_PER_SCALAR
-        row = RoundMetrics(r, index, wloss, accuracy, signal, switched,
-                           down, up, state.ledger.total_bytes + down + up, flops)
-    except FedgrowError as e:
-        raise type(e)(f"round {r}: {e}") from e
-    state.metrics.append(row)
-    return row
+    """Run round ``r`` on ``state`` in place and return its metrics row: its
+    three phases back to back. ``diffs`` is ``schedule_diffs(schedule)``,
+    or None for unstaged methods; ``pool``, when given, trains the clients."""
+    sent = start_round(state, r, method, shards, settings, pool)
+    row, evaluations = finish_round(state, sent, schedule, diffs, settings,
+                                    _has_tests(test_samples))
+    return settle_round(state, row, evaluations, test_samples, test_labels)
 
 
 def run_experiment(method: str, schedule: GrowthSchedule,
@@ -702,10 +782,15 @@ def run_experiment(method: str, schedule: GrowthSchedule,
                    on_round=None) -> RunState:
     """Execute a full multi-round run of one method.
 
-    ``on_round`` (optional) receives each RoundMetrics as it completes,
-    so callers can stream partial results before a failure. With more
-    than one ``worker_count``, a ``ClientPool`` with a slot for the
-    largest model of the schedule trains the clients.
+    ``on_round`` (optional) receives each RoundMetrics once its accuracy
+    is known, so callers can stream partial results before a failure.
+    With more than one ``worker_count``, a ``ClientPool`` with a slot for
+    the largest model of the schedule trains the clients. Each round runs
+    ``start_round``; then the previous round's ``settle_round``, whose
+    evaluations overlap this round's training in the pool; then this
+    round's ``finish_round``. A row with nothing to evaluate is settled
+    at once, and any row at most one round late. Every completed round's
+    row reaches ``on_round`` before a later round's error is raised.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -722,6 +807,16 @@ def run_experiment(method: str, schedule: GrowthSchedule,
     policy = SwitchPolicy(settings.switch_window, settings.switch_lag, model_index=index)
     # No local holds the initial params, so the first merge frees them.
     state = RunState(arch, nn.init_params(arch, init_rng, settings.init_scheme), policy)
+    testing = _has_tests(test_samples)
+    owed = None  # (row, evaluations) of a finished round not yet settled
+
+    def settle():
+        nonlocal owed
+        if owed is not None:
+            row, owed = settle_round(state, *owed, test_samples, test_labels), None
+            if on_round is not None:
+                on_round(row)
+
     workers = worker_count(settings)
     pool = None
     if workers > 1:
@@ -729,10 +824,14 @@ def run_experiment(method: str, schedule: GrowthSchedule,
                           max(_slot_size(m) for m in schedule.models), shards)
     try:
         for r in range(settings.rounds):
-            row = run_round(state, r, method, schedule, diffs, shards,
-                            test_samples, test_labels, settings, pool)
-            if on_round is not None:
-                on_round(row)
+            try:
+                sent = start_round(state, r, method, shards, settings, pool)
+            finally:  # the previous row is written even when this round fails
+                settle()
+            owed = finish_round(state, sent, schedule, diffs, settings, testing)
+            if not owed[1]:
+                settle()
+        settle()
     finally:
         if pool is not None:
             pool.close()

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 from fedgrow import cli, experiment, fedsim, growth
-from fedgrow.errors import ConfigError, FedgrowError
+from fedgrow.errors import ConfigError, FedgrowError, NumericalError
 from fedgrow.experiment import ExperimentConfig, METRICS_COLUMNS
+from fedgrow.rng import CLIENT, SELECT, stream
 
 
 def tiny_config(tmp_path, method="fnn", rounds=30, seed=5, name=None):
@@ -443,3 +444,54 @@ def test_dead_worker_is_a_round_error_in_the_manifest(tmp_path, cpus, monkeypatc
     assert manifest["workers"] == 2
     assert manifest["error"].startswith("FedgrowError: round 0: a client training worker")
     assert "rounds_completed" not in manifest
+
+
+# A fedsim function of each phase of a round, and the argument that is
+# round 5's own random stream (tiny_config's seed is 5) when it is called
+# for round 5, with the stream that argument then equals.
+ROUND_5_CALLS = {
+    "start": ("select_clients", lambda args: (args[0], stream(5, SELECT, 5))),
+    "train": ("local_train",
+              lambda args: (args[4], stream(5, CLIENT, 5, args[2].client_id))),
+}
+
+
+@pytest.mark.parametrize("phase", ROUND_5_CALLS)
+def test_rows_before_a_failing_round_are_written(tmp_path, cpus, monkeypatch, phase):
+    # Round 4 evaluates (eval_every 5) and round 5 fails. Round 4's row is
+    # settled after round 5 starts, and still written before the error.
+    attr, round_5_stream = ROUND_5_CALLS[phase]
+    fn = getattr(fedsim, attr)
+
+    def failing(*args):
+        rng, own = round_5_stream(args)
+        if rng.bit_generator.state == own.bit_generator.state:
+            raise NumericalError("injected")
+        return fn(*args)
+
+    monkeypatch.setattr(fedsim, attr, failing)
+    outputs = []
+    for workers in (1, 2):
+        cpus(workers)
+        cfg = tiny_config(tmp_path, rounds=10, name=f"{phase}-w{workers}")
+        with pytest.raises(FedgrowError, match="^NumericalError: round 5: "):
+            experiment.run(cfg)
+        rows = list(csv.DictReader(open(Path(cfg.output_dir) / "metrics.csv")))
+        assert [int(row["round"]) for row in rows] == list(range(5))
+        assert rows[4]["test_accuracy"] != ""
+        outputs.append((Path(cfg.output_dir) / "metrics.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_evaluation_names_its_own_round(tmp_path, cpus, monkeypatch, workers):
+    def failing(*args):
+        raise NumericalError("injected")
+
+    monkeypatch.setattr(fedsim, "evaluate", failing)
+    cpus(workers)
+    cfg = tiny_config(tmp_path, rounds=10, name=f"eval-w{workers}")
+    with pytest.raises(FedgrowError, match="^NumericalError: round 4: injected$"):
+        experiment.run(cfg)
+    rows = list(csv.DictReader(open(Path(cfg.output_dir) / "metrics.csv")))
+    assert [int(row["round"]) for row in rows] == list(range(4))

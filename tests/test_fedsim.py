@@ -1,5 +1,7 @@
 """Federated loop tests: partitioning, aggregation, dropout broadcast, runs."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -675,7 +677,7 @@ def test_client_pool_returns_slot_views_and_releases_its_mapping(toy_world):
     sel = [0, 3, 5, 9]
     pool = fedsim.ClientPool(2, len(sel), fedsim._slot_size(arch), shards)
     try:
-        updates = pool.train(arch, params, sel, 0, settings)
+        updates = pool.collect(arch, pool.submit(arch, params, sel, 0, settings))
         expected = fedsim.train_clients(arch, params, sel, shards, 0, settings)
         for (got, loss, n), (want, want_loss, want_n) in zip(updates, expected):
             assert (loss, n) == (want_loss, want_n)
@@ -688,3 +690,82 @@ def test_client_pool_returns_slot_views_and_releases_its_mapping(toy_world):
         mapping = pool._mapping
         pool.close()
     assert mapping.closed
+
+
+def test_pool_workers_run_at_lowest_priority(toy_world):
+    shards, _, _ = toy_world
+    pool = fedsim.ClientPool(2, 4, fedsim._slot_size(tiny_schedule().models[-1]), shards)
+    try:
+        assert pool._executor.submit(os.getpriority, os.PRIO_PROCESS, 0).result() == 19
+    finally:
+        pool.close()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_switch_on_an_evaluation_round_evaluates_the_grown_model_once(
+        toy_world, cpus, monkeypatch, workers):
+    # Thresholds no signal reaches make each model train exactly 4 + 8
+    # rounds, so the switches fall on rounds 11 and 23, both evaluation
+    # rounds: two evaluations per switch and none more.
+    shards, tx, ty = toy_world
+    calls = []
+    evaluate = fedsim.evaluate
+
+    def counted(*args, **kwargs):
+        calls.append(nn.count_params(args[0]))
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(fedsim, "evaluate", counted)
+    cpus(workers)
+    sched = growth.GrowthSchedule("tiny", tiny_schedule().models, (1e9, 1e9))
+    result = run_experiment("fnn", sched, shards, tx, ty, _settings(24, eval_every=12))
+    assert [ev.round for ev in result.events] == [11, 23]
+    assert calls == [nn.count_params(sched.models[k]) for k in (0, 1, 1, 2)]
+    for ev in result.events:
+        assert result.metrics[ev.round].test_accuracy == ev.accuracy_after is not None
+        assert ev.accuracy_before is not None
+
+
+def _pool_log(monkeypatch):
+    """Calls of ``ClientPool.submit`` (with the round), ``ClientPool.collect``,
+    ``fedsim.local_train`` and ``fedsim.evaluate`` in this process, in order."""
+    log = []
+    submit, collect = fedsim.ClientPool.submit, fedsim.ClientPool.collect
+    train, evaluate = fedsim.local_train, fedsim.evaluate
+
+    def logged(name, fn, tag=None):
+        def call(*args, **kwargs):
+            log.append(tag(args) if tag else name)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(fedsim.ClientPool, "submit",
+                        logged("submit", submit, lambda args: ("submit", args[4])))
+    monkeypatch.setattr(fedsim.ClientPool, "collect", logged("collect", collect))
+    monkeypatch.setattr(fedsim, "local_train", logged("train", train))
+    monkeypatch.setattr(fedsim, "evaluate", logged("evaluate", evaluate))
+    return log
+
+
+def test_evaluation_overlaps_the_next_rounds_training(toy_world, cpus, monkeypatch):
+    # Round r's evaluation runs in this process between round r + 1's
+    # submit and collect; the last round's runs after its own collect.
+    shards, tx, ty = toy_world
+    log = _pool_log(monkeypatch)
+    cpus(2)
+    run_experiment("fedavg", tiny_schedule(), shards, tx, ty, _settings(10, eval_every=5))
+    expected = []
+    for r in range(10):
+        expected += [("submit", r)] + (["evaluate"] if r == 5 else []) + ["collect"]
+    assert log == expected + ["evaluate"]
+
+
+def test_one_worker_evaluates_before_the_next_round_trains(toy_world, cpus, monkeypatch):
+    shards, tx, ty = toy_world
+    log = _pool_log(monkeypatch)
+    cpus(1)
+    run_experiment("fedavg", tiny_schedule(), shards, tx, ty, _settings(10, eval_every=5))
+    expected = []
+    for r in range(10):
+        expected += ["train"] * 4 + (["evaluate"] if r in (4, 9) else [])
+    assert log == expected

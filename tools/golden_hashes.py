@@ -10,7 +10,9 @@ process against the ``src/`` of the checkout holding this script, with
 ``OPENBLAS_NUM_THREADS=1``: once restricted to one CPU, so one worker
 (clients train in the run's own process), and once on every CPU it may
 use, so the automatic worker count. It prints one hash per variant and
-exits 1 when the two runs of a variant differ. The hashes depend on the
+exits 1 when the two runs of a variant differ, in ``metrics.csv`` or in
+the manifest's switch events (whose accuracies come from evaluations
+that overlap the next round's training). The hashes depend on the
 numpy/BLAS build, so they are compared between checkouts on one machine
 and are not test assertions.
 """
@@ -63,6 +65,15 @@ VARIANTS = {
         "rounds": 20, "train": {"learning_rate": 0.015, "local_epochs": 2},
         "partition": {"scheme": "label-shard-non-iid", "client_count": 100,
                       "shards_per_client": 2, "seed": 0}},
+    # Switches at rounds 7, 15 and 23, each also an evaluation round, so
+    # the grown model's accuracy is both the switch event's
+    # accuracy_after and the row's test_accuracy. 600 test images make
+    # two evaluation batches, 512 and 88.
+    "eval-on-switch": {
+        "switch_window": 3, "switch_lag": 5, "eval_every": 4, "rounds": 24,
+        "thresholds_override": NEVER_SWITCH_EARLY,
+        "synthetic": {"classes": 10, "per_class": 100, "test_per_class": 60,
+                      "dims": [28, 28, 1], "sigma": 0.1, "separation": 20.0}},
 }
 
 
@@ -70,7 +81,8 @@ def _one_cpu() -> None:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
-def metrics_sha256(name: str, overrides: dict, work: Path, one_cpu: bool) -> str:
+def golden_run(name: str, overrides: dict, work: Path, one_cpu: bool):
+    """(sha256 of ``metrics.csv``, the manifest's switch events) of one run."""
     config = {**json.loads(BASE_CONFIG.read_text()), **overrides}
     if isinstance(config["schedule"], dict):
         schedule_path = work / f"{name}-schedule.json"
@@ -85,17 +97,22 @@ def metrics_sha256(name: str, overrides: dict, work: Path, one_cpu: bool) -> str
                     str(config_path), "--output", str(out)],
                    env=env, check=True, stdout=subprocess.DEVNULL,
                    preexec_fn=_one_cpu if one_cpu else None)
-    return hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest()
+    events = json.loads((out / "manifest.json").read_text())["switch_events"]
+    return hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest(), events
 
 
 def main() -> int:
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name, overrides in VARIANTS.items():
-            serial, auto = (metrics_sha256(name, overrides, Path(tmp), one_cpu)
-                            for one_cpu in (True, False))
+            (serial, serial_events), (auto, auto_events) = (
+                golden_run(name, overrides, Path(tmp), one_cpu) for one_cpu in (True, False))
             if serial != auto:
                 print(f"{name}: one CPU gives {serial}, every CPU gives {auto}",
+                      file=sys.stderr)
+                status = 1
+            if serial_events != auto_events:
+                print(f"{name}: switch events differ between one CPU and every CPU",
                       file=sys.stderr)
                 status = 1
             print(f"{serial}  {name}", flush=True)
