@@ -29,25 +29,42 @@ def _open_maybe_gz(path: Path):
     raise DataFormatError(f"missing dataset file {path} (or {gz.name})")
 
 
-def _read_exact(fh, count: int, what: str, path) -> bytes:
+# Pixel bytes read and converted at a time. The loader then holds the
+# float32 images plus one chunk, not the raw bytes and two float copies.
+_INGEST_CHUNK = 1 << 20
+
+
+def _read_exact(fh, count: int, what: str, path, done: int = 0, total: int = 0) -> bytes:
+    """``count`` bytes of ``fh``. When they continue a ``total``-byte
+    section of which ``done`` bytes were read, a truncation reports the
+    section's byte counts."""
     data = fh.read(count)
     if len(data) != count:
         raise DataFormatError(f"{path}: truncated file while reading {what} "
-                              f"({len(data)} of {count} bytes)")
+                              f"({done + len(data)} of {total or count} bytes)")
     return data
 
 
 def load_idx_images(path) -> np.ndarray:
-    """Big-endian IDX3 images as float32 in [0, 1], shape (n, rows, cols, 1)."""
+    """Big-endian IDX3 images as float32 in [0, 1], shape (n, rows, cols, 1).
+
+    Pixels convert ``_INGEST_CHUNK`` bytes at a time into one float32
+    result, with the bits of ``uint8.astype(float32) / 255``.
+    """
     path = Path(path)
     with _open_maybe_gz(path) as fh:
         magic, n, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, "header", path))
         if magic != IDX_IMAGE_MAGIC:
             raise DataFormatError(f"{path}: bad image magic {magic} "
                                   f"(expected {IDX_IMAGE_MAGIC})")
-        raw = _read_exact(fh, n * rows * cols, "pixel data", path)
-    images = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows, cols, 1)
-    return images.astype(np.float32) / 255.0
+        images = np.empty((n, rows, cols, 1), dtype=np.float32)
+        flat = images.reshape(-1)
+        for start in range(0, flat.size, _INGEST_CHUNK):
+            stop = min(start + _INGEST_CHUNK, flat.size)
+            raw = _read_exact(fh, stop - start, "pixel data", path, start, flat.size)
+            np.divide(np.frombuffer(raw, dtype=np.uint8), np.float32(255),
+                      out=flat[start:stop], dtype=np.float32)
+    return images
 
 
 def load_idx_labels(path) -> np.ndarray:

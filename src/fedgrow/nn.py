@@ -7,6 +7,12 @@ flattening is row-major over (height, width, channels). Trainable weights
 put input channels on axis -2 and output channels on axis -1, for conv2d
 (kh, kw, in, out) and dense (in, out) alike. Plain SGD with sparse
 categorical cross-entropy is the only optimizer/loss pair.
+
+Convolutions are patch-matrix GEMMs. In train mode a layer's patch
+matrix covers the whole batch, since the backward pass reads it. In eval
+mode a conv runs in row blocks of about ``_EVAL_ROWS`` output positions
+and never builds a batch's full patch matrix (on the builtin schedules
+with the bits of one whole-batch GEMM), and ReLU works in place.
 """
 
 from __future__ import annotations
@@ -346,39 +352,66 @@ def _scratch(key, role, shape, dtype):
     return buf
 
 
+# Output rows (samples times output positions) of one eval-mode
+# convolution block. A block's patch matrix, kh*kw*ci floats a row, then
+# stays near L2 size instead of growing with the batch. For every conv of
+# the builtin schedules the blocks give the bits of one GEMM over the
+# batch (the tests check each geometry); for some other shapes BLAS sums
+# a block in another order.
+_EVAL_ROWS = 1024
+
+
 def _conv_forward(x, w, b, stride, padding, *, key=None):
-    """Patch-matrix convolution.
+    """Patch-matrix convolution, in blocks of samples.
 
     Returns (output, saved) where saved carries the materialized patch
     matrix so the backward pass reuses it for the weight gradient
     instead of re-extracting windows. With a ``key`` (the layer index in
-    train mode) the padded input and the patch matrix live in that
-    layer's scratch buffers.
+    train mode) the whole batch is one block, whose padded input and
+    patch matrix live in that layer's scratch buffers. Without one (eval
+    mode) each block holds ``_EVAL_ROWS`` output rows' worth of samples,
+    so no buffer grows with the batch; saved then carries the last
+    block's patch matrix only.
     """
     kh, kw, ci, co = w.shape
     n, h, wd, _ = x.shape
     ph_lo, ph_hi, oh = _pad_spec(h, kh, stride, padding)
     pw_lo, pw_hi, ow = _pad_spec(wd, kw, stride, padding)
+    pointwise = kh == 1 and kw == 1 and stride == 1
+    rows = oh * ow
+    # A pointwise conv reads its input as the patch matrix: nothing to bound.
+    step = max(1, n if key is not None or pointwise else min(n, _EVAL_ROWS // rows))
+    xp_shape = (n, h + ph_lo + ph_hi, wd + pw_lo + pw_hi, ci)
     if ph_lo or ph_hi or pw_lo or pw_hi:
-        xp = _scratch(key, "xp", (n, h + ph_lo + ph_hi, wd + pw_lo + pw_hi, ci), x.dtype)
+        xp_block = _scratch(key, "xp", (step, *xp_shape[1:]), x.dtype)
         # Borders are zeroed on every call: a reused buffer may hold
-        # another geometry's interior there.
-        xp[:, :ph_lo] = xp[:, ph_lo + h:] = 0
-        xp[:, :, :pw_lo] = xp[:, :, pw_lo + wd:] = 0
-        xp[:, ph_lo:ph_lo + h, pw_lo:pw_lo + wd] = x
+        # another geometry's interior there. Blocks write only interiors.
+        xp_block[:, :ph_lo] = xp_block[:, ph_lo + h:] = 0
+        xp_block[:, :, :pw_lo] = xp_block[:, :, pw_lo + wd:] = 0
     else:
-        xp = x
-    if kh == 1 and kw == 1 and stride == 1:
-        cols = xp.reshape(n * oh * ow, ci)  # pointwise conv: no patch copy
-    else:
-        win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-        # (n, oh, ow, ci, kh, kw) -> rows ordered (kh, kw, ci) to match
-        # w.reshape(kh*kw*ci, co).
-        cols = _scratch(key, "cols", (n * oh * ow, kh * kw * ci), x.dtype)
-        np.copyto(cols.reshape(n, oh, ow, kh, kw, ci), win.transpose(0, 1, 2, 4, 5, 3))
-    out = cols @ w.reshape(-1, co)
+        xp_block = None
+    if not pointwise:
+        cols_block = _scratch(key, "cols", (step * rows, kh * kw * ci), x.dtype)
+    w2 = w.reshape(-1, co)
+    out = np.empty((n * rows, co), dtype=np.result_type(x.dtype, w.dtype))
+    for start in range(0, max(n, 1), step):  # an empty batch is one empty block
+        m = min(step, n - start)
+        if xp_block is None:
+            xp = x[start:start + m]
+        else:
+            xp = xp_block[:m]
+            xp[:, ph_lo:ph_lo + h, pw_lo:pw_lo + wd] = x[start:start + m]
+        if pointwise:
+            cols = xp.reshape(m * rows, ci)  # no patch copy
+        else:
+            win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+            # (m, oh, ow, ci, kh, kw) -> rows ordered (kh, kw, ci) to match
+            # w.reshape(kh*kw*ci, co).
+            cols = cols_block[:m * rows]
+            np.copyto(cols.reshape(m, oh, ow, kh, kw, ci), win.transpose(0, 1, 2, 4, 5, 3))
+        np.matmul(cols, w2, out=out[start * rows:(start + m) * rows])
     out += b
-    saved = (xp.shape, cols, (ph_lo, pw_lo), (oh, ow), key)
+    saved = (xp_shape, cols, (ph_lo, pw_lo), (oh, ow), key)
     return out.reshape(n, oh, ow, co), saved
 
 
@@ -490,9 +523,11 @@ def _run_layers(arch, params, x, mode, rng, upto, tape):
             a = a @ p.w
             a += p.b
         elif kind == "relu":
-            if tape is not None:  # eval computes no mask
+            if tape is not None:
                 saved = a > 0
-            a = np.maximum(a, 0)
+                a = np.maximum(a, 0)
+            else:  # no mask to keep: overwrite a, unless it is the caller's batch
+                a = np.maximum(a, 0, out=None if np.may_share_memory(a, x) else a)
         elif kind == "dropout":
             if mode == "train" and spec.rate > 0.0:
                 if rng is None:

@@ -3,6 +3,7 @@
 import gzip
 import shutil
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -116,3 +117,47 @@ def test_one_layer_model_separates_six_sigma_blobs():
         idx = r.integers(0, x.shape[0], 10)
         params, _ = nn.backward_and_step(arch, params, x[idx], y[idx], cfg, r)
     assert fedsim.evaluate(arch, params, x, y) >= 0.99
+
+
+def _write_idx_images(path, pixels):
+    n, rows, cols = pixels.shape
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(">IIII", datasets.IDX_IMAGE_MAGIC, n, rows, cols))
+        fh.write(pixels.astype(np.uint8).tobytes())
+
+
+@pytest.mark.parametrize("gz", [False, True])
+def test_every_byte_loads_to_the_whole_array_formula_across_chunks(tmp_path, monkeypatch, gz):
+    monkeypatch.setattr(datasets, "_INGEST_CHUNK", 100)
+    pixels = stream(5, 5).permutation(np.tile(np.arange(256), 5)).reshape(20, 8, 8)
+    path = tmp_path / "images"
+    _write_idx_images(path, pixels)
+    if gz:
+        with open(path, "rb") as fh, gzip.open(tmp_path / "images.gz", "wb") as out:
+            shutil.copyfileobj(fh, out)
+        path.unlink()
+    images = datasets.load_idx_images(path)
+    expect = pixels.astype(np.uint8).astype(np.float32).reshape(20, 8, 8, 1) / 255.0
+    assert images.dtype == expect.dtype and images.shape == expect.shape
+    assert images.tobytes() == expect.tobytes()
+
+
+def test_truncation_in_a_later_chunk_reports_the_whole_pixel_section(tmp_path, monkeypatch):
+    monkeypatch.setattr(datasets, "_INGEST_CHUNK", 100)
+    path = tmp_path / "images"
+    _write_idx_images(path, np.zeros((4, 16, 16), dtype=np.uint8))
+    path.write_bytes(path.read_bytes()[:16 + 550])
+    with pytest.raises(DataFormatError, match=r"truncated .*\(550 of 1024 bytes\)"):
+        datasets.load_idx_images(path)
+
+
+def test_image_ingest_holds_about_one_float_copy(tmp_path):
+    path = tmp_path / "images"
+    _write_idx_images(path, stream(6, 6).integers(0, 256, (3000, 28, 28)))
+    tracemalloc.start()
+    try:
+        images = datasets.load_idx_images(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * images.nbytes + datasets._INGEST_CHUNK

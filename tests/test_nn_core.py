@@ -1,9 +1,12 @@
 """Engine tests: forward semantics, gradients, SGD, counting."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from fedgrow import growth, nn
+from fedgrow import fedsim, growth, nn
 from fedgrow.errors import ConfigError, NumericalError
 from fedgrow.rng import stream
 
@@ -359,3 +362,63 @@ def test_forward_flops_counts_macs():
     arch = dense_arch()
     assert nn.forward_flops(arch) == 2 * (6 * 4 + 4 * 3)
     assert nn.fwd_bwd_flops(arch) == 3 * nn.forward_flops(arch)
+
+
+def _builtin_conv_geometries():
+    """(input shape, weight shape, stride, padding) of every conv layer in
+    the builtin schedules."""
+    geometries = set()
+    for dataset in ("mnist", "emnist", "cifar10"):
+        for arch in growth.builtin_schedule(dataset).models:
+            for i, spec in enumerate(arch.layers):
+                if spec.kind == "conv2d":
+                    geometries.add((nn.shape_before(arch, i), spec.weight_shape,
+                                    spec.stride, spec.padding))
+    return sorted(geometries)
+
+
+@pytest.mark.parametrize("eval_rows", [64, nn._EVAL_ROWS])
+@pytest.mark.parametrize("shape, weight_shape, stride, padding", _builtin_conv_geometries())
+def test_eval_conv_blocks_equal_the_train_mode_batch(monkeypatch, shape, weight_shape,
+                                                     stride, padding, eval_rows):
+    monkeypatch.setattr(nn, "_EVAL_ROWS", eval_rows)
+    rows = math.prod(nn._conv_out(size, k, stride, padding)
+                     for size, k in zip(shape, weight_shape))
+    step = max(1, eval_rows // rows)
+    r = stream(51, *weight_shape)
+    w = r.normal(0.0, 0.1, weight_shape).astype(np.float32)
+    b = r.normal(0.0, 0.1, weight_shape[-1]).astype(np.float32)
+    # One block, then several blocks whose last one is a partial tail
+    # (or a one-sample block when a block holds one sample).
+    for n in (1, 2 * step + max(1, step // 2)):
+        x = r.random((n,) + shape, dtype=np.float32)
+        expect, _ = nn._conv_forward(x, w, b, stride, padding, key=0)
+        got, _ = nn._conv_forward(x, w, b, stride, padding)
+        assert got.tobytes() == expect.tobytes(), n
+
+
+def test_evaluate_memory_stays_bounded_on_mnist_model6():
+    # The full patch matrix of model 6's second conv is 321 MB at 512
+    # images; row blocks and in-place ReLU keep the peak near the first
+    # conv's output.
+    arch = growth.builtin_schedule("mnist").models[5]
+    params = nn.init_params(arch, stream(0, 0))
+    x = stream(0, 1).random((512,) + arch.input_shape, dtype=np.float32)
+    y = stream(0, 2).integers(0, arch.num_classes, 512)
+    tracemalloc.start()
+    try:
+        fedsim.evaluate(arch, params, x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
+
+
+@pytest.mark.parametrize("layers", [(nn.relu(), nn.flatten()), (nn.flatten(), nn.relu())])
+def test_eval_relu_never_writes_the_callers_batch(layers):
+    arch = nn.ModelArch((2, 3, 1), (*layers, nn.dense(6, 2), nn.softmax()))
+    params = random_params(arch, 12)
+    x = stream(12, 1).normal(0.0, 1.0, (4, 2, 3, 1)).astype(np.float32)
+    before = x.copy()
+    nn.forward(arch, params, x)
+    assert np.array_equal(x, before)

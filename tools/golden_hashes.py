@@ -22,10 +22,13 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 BASE_CONFIG = ROOT / "configs" / "synthetic-fnn.json"
@@ -74,7 +77,36 @@ VARIANTS = {
         "thresholds_override": NEVER_SWITCH_EARLY,
         "synthetic": {"classes": 10, "per_class": 100, "test_per_class": 60,
                       "dims": [28, 28, 1], "sigma": 0.1, "separation": 20.0}},
+    # The only variant that loads IDX files (written by ``write_idx``).
+    # Its 1000 test images make two evaluation batches, 512 and 488;
+    # in each, the second conv of mnist models 3 to 6 ends in a partial
+    # row block, and every stage is evaluated.
+    "idx-mnist-all-stages": {
+        "dataset": "mnist", "switch_window": 3, "switch_lag": 5, "rounds": 48,
+        "eval_every": 4, "thresholds_override": NEVER_SWITCH_EARLY},
 }
+IDX_IMAGES = 1000  # per split
+IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC = 2051, 2049
+
+
+def write_idx(directory: Path) -> Path:
+    """The four standard IDX files of a 10-class 28x28 image set, drawn
+    with numpy alone, so that no change to fedgrow changes them: class c
+    brightens the c-th tenth of the pixels of a noisy grey image."""
+    directory.mkdir(exist_ok=True)
+    rng = np.random.default_rng(12)
+    for prefix in ("train", "t10k"):
+        labels = rng.integers(0, 10, IDX_IMAGES)
+        pixels = 64 + rng.integers(-48, 49, (IDX_IMAGES, 28 * 28))
+        for c in range(10):
+            pixels[labels == c, c * 78:(c + 1) * 78] += 96
+        with open(directory / f"{prefix}-images-idx3-ubyte", "wb") as fh:
+            fh.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, IDX_IMAGES, 28, 28))
+            fh.write(pixels.astype(np.uint8).tobytes())
+        with open(directory / f"{prefix}-labels-idx1-ubyte", "wb") as fh:
+            fh.write(struct.pack(">II", IDX_LABEL_MAGIC, IDX_IMAGES))
+            fh.write(labels.astype(np.uint8).tobytes())
+    return directory
 
 
 def _one_cpu() -> None:
@@ -88,6 +120,8 @@ def golden_run(name: str, overrides: dict, work: Path, one_cpu: bool):
         schedule_path = work / f"{name}-schedule.json"
         schedule_path.write_text(json.dumps(config["schedule"]))
         config["schedule"] = str(schedule_path)
+    if config["dataset"] == "mnist":
+        config["data_dir"] = str(write_idx(work / "idx"))
     name = f"{name}-{'one-cpu' if one_cpu else 'all-cpus'}"
     config_path = work / f"{name}.json"
     config_path.write_text(json.dumps(config))
