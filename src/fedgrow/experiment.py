@@ -89,6 +89,11 @@ class ExperimentConfig(fedsim.RunSettings):
             problems.append(f"unknown method {self.method!r}")
         if self.rounds < 0:
             problems.append("rounds must be >= 0")
+        if self.master_seed < 0:
+            problems.append(f"master_seed must be >= 0, got {self.master_seed}")
+        if self.partition.seed < 0 and self.partition.seed != self.master_seed:
+            # `--seed` and the default partition copy master_seed: one mistake, one line
+            problems.append(f"partition seed must be >= 0, got {self.partition.seed}")
         if self.clients_per_round < 1:
             problems.append("clients per round must be >= 1")
         if self.clients_per_round > self.partition.client_count:

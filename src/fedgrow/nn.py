@@ -12,7 +12,14 @@ Convolutions are patch-matrix GEMMs. In train mode a layer's patch
 matrix covers the whole batch, since the backward pass reads it. In eval
 mode a conv runs in row blocks of about ``_EVAL_ROWS`` output positions
 and never builds a batch's full patch matrix (on the builtin schedules
-with the bits of one whole-batch GEMM), and ReLU works in place.
+with the bits of one whole-batch GEMM).
+
+ReLU and dropout overwrite their input when the forward pass allocated
+it and no tape entry holds it: the output of conv2d, dense, relu,
+dropout or gap, and in eval mode (no tape) also of maxpool. They never
+write the caller's batch, nor a train-mode maxpool output, which the
+maxpool backward reads. The SGD step writes the new parameters over
+their gradients. None of this changes a bit of any result.
 """
 
 from __future__ import annotations
@@ -451,10 +458,23 @@ def _conv_backward(g, w, stride, saved, x_shape, need_dx=True):
 
 
 def _maxpool_forward(x, window):
+    """Non-overlapping max pooling, separable: the maximum along each
+    window row, then down those row maxima. Max is exact, so each value
+    equals the maximum over its whole window, signed zeros included;
+    taking the columns first can give a zero of the other sign where +0.0
+    and -0.0 tie. Always returns a new array."""
     n, h, w, c = x.shape
     oh, ow = h // window, w // window
-    xr = x[:, :oh * window, :ow * window, :].reshape(n, oh, window, ow, window, c)
-    return np.ascontiguousarray(xr.max(axis=(2, 4)))
+    if window == 1:
+        return x.copy()
+    x = x[:, :oh * window, :ow * window]
+    rows = np.maximum(x[:, :, 0::window], x[:, :, 1::window])
+    for v in range(2, window):
+        np.maximum(rows, x[:, :, v::window], out=rows)
+    out = np.maximum(rows[:, 0::window], rows[:, 1::window])
+    for u in range(2, window):
+        np.maximum(out, rows[:, u::window], out=out)
+    return out
 
 
 def _maxpool_backward(g, x, out, window):
@@ -502,8 +522,12 @@ def _check_batch(arch, x):
 
 def _run_layers(arch, params, x, mode, rng, upto, tape):
     """Forward through layers [0, upto); with a tape, appends one entry per
-    layer: what its backward reads."""
+    layer: what its backward reads.
+
+    ``fresh`` says whether ``a`` may be overwritten: this pass allocated
+    it and no tape entry holds it (see the module docstring)."""
     a = x
+    fresh = False
     for i in range(upto):
         spec = arch.layers[i]
         kind = spec.kind
@@ -518,32 +542,38 @@ def _run_layers(arch, params, x, mode, rng, upto, tape):
                                             key=None if tape is None else i)
             saved = (a.shape, conv_saved)
             a = out
+            fresh = True
         elif kind == "dense":
             saved = a
             a = a @ p.w
             a += p.b
+            fresh = True
         elif kind == "relu":
             if tape is not None:
                 saved = a > 0
-                a = np.maximum(a, 0)
-            else:  # no mask to keep: overwrite a, unless it is the caller's batch
-                a = np.maximum(a, 0, out=None if np.may_share_memory(a, x) else a)
+            a = np.maximum(a, 0, out=a if fresh else None)
+            fresh = True
         elif kind == "dropout":
             if mode == "train" and spec.rate > 0.0:
                 if rng is None:
                     raise ConfigError("train-mode forward with dropout requires an rng")
                 keep = rng.random(a.shape, dtype=np.float32) >= spec.rate
-                scale = a.dtype.type(1.0 / (1.0 - spec.rate))
-                saved = (keep, scale)
-                a = a * keep
-                a *= scale
+                # Each factor is 0 or the scale, so a * factor has the bits
+                # of (a * keep) * scale, signed zeros and NaNs included.
+                factor = keep.astype(a.dtype)
+                factor *= a.dtype.type(1.0 / (1.0 - spec.rate))
+                saved = factor
+                a = np.multiply(a, factor, out=a if fresh else None)
+                fresh = True
         elif kind == "maxpool":
             out = _maxpool_forward(a, spec.window)
             saved = (a, out)
             a = out
+            fresh = tape is None  # the maxpool backward reads its output
         elif kind == "gap":
             saved = a.shape
             a = a.mean(axis=(1, 2), dtype=a.dtype)
+            fresh = True
         elif kind == "flatten":
             saved = a.shape
             a = a.reshape(a.shape[0], -1)
@@ -623,9 +653,7 @@ def gradients(arch: ModelArch, params: Params, batch: np.ndarray, labels: np.nda
             g *= saved
         elif kind == "dropout":
             if saved is not None:
-                keep, scale = saved
-                g *= keep
-                g *= scale
+                g *= saved
         elif kind == "maxpool":
             xin, out = saved
             g = _maxpool_backward(g, xin, out, spec.window)
@@ -650,12 +678,12 @@ def backward_and_step(arch: ModelArch, params: Params, batch: np.ndarray,
     loss, grads = gradients(arch, params, batch, labels, rng=rng, mode="train")
     if not np.isfinite(loss):
         raise NumericalError(f"non-finite training loss {loss!r}")
-    # Each gradient is fresh, so it is scaled in place; the difference is
-    # a new array and the caller's params are never written.
+    # Each gradient is a fresh array, so the step is written over it and it
+    # becomes the new parameter; the caller's params are never written.
     lr = DTYPE(cfg.learning_rate)
     new_params: Params = {}
     for i, p in params.items():
         gw, gb = grads[i]
-        new_params[i] = LayerParams(np.subtract(p.w, np.multiply(gw, lr, out=gw)),
-                                    np.subtract(p.b, np.multiply(gb, lr, out=gb)))
+        new_params[i] = LayerParams(np.subtract(p.w, np.multiply(gw, lr, out=gw), out=gw),
+                                    np.subtract(p.b, np.multiply(gb, lr, out=gb), out=gb))
     return new_params, loss

@@ -43,11 +43,11 @@ def random_params(arch, seed, scheme="truncnorm", bias_scale=0.05):
     return params
 
 
-def _activation_signature(arch, params, x):
+def _activation_signature(arch, params, x, rng=None):
     """Relu masks and pool argmax indices; a finite-difference step is only
     valid when these do not change across the perturbation."""
     tape = []
-    nn._run_layers(arch, params, x, "train", None, len(arch.layers) - 1, tape)
+    nn._run_layers(arch, params, x, "train", rng, len(arch.layers) - 1, tape)
     sig = []
     for spec, saved in zip(arch.layers, tape):
         if spec.kind == "relu":
@@ -57,17 +57,23 @@ def _activation_signature(arch, params, x):
     return sig
 
 
-def finite_difference_check(arch, params, x, y, eps=1e-3, samples_per_tensor=60):
+def finite_difference_check(arch, params, x, y, eps=1e-3, samples_per_tensor=60,
+                            dropout_seed=None):
     """Worst relative error between analytic gradients and central finite
     differences, skipping coordinates whose perturbation crosses a
     relu/pool kink (where the finite difference itself is invalid).
 
     Runs the production formulas at float64 so the comparison measures
-    the math, not float32 round-off.
+    the math, not float32 round-off. With a ``dropout_seed`` every pass
+    draws its dropout masks from the same fresh stream, so the perturbed
+    losses see the same network.
     """
+    def rng():
+        return None if dropout_seed is None else stream(dropout_seed, 0)
+
     params = params_to_f64(params)
     x = np.asarray(x, dtype=np.float64)
-    _, grads = nn.gradients(arch, params, x, y)
+    _, grads = nn.gradients(arch, params, x, y, rng=rng())
     worst = 0.0
     checked = 0
     for li, lp in params.items():
@@ -78,11 +84,11 @@ def finite_difference_check(arch, params, x, y, eps=1e-3, samples_per_tensor=60)
             for j in range(0, flat.size, step):
                 orig = flat[j]
                 flat[j] = orig + eps
-                sig_hi = _activation_signature(arch, params, x)
-                hi, _ = nn.gradients(arch, params, x, y)
+                sig_hi = _activation_signature(arch, params, x, rng())
+                hi, _ = nn.gradients(arch, params, x, y, rng=rng())
                 flat[j] = orig - eps
-                sig_lo = _activation_signature(arch, params, x)
-                lo, _ = nn.gradients(arch, params, x, y)
+                sig_lo = _activation_signature(arch, params, x, rng())
+                lo, _ = nn.gradients(arch, params, x, y, rng=rng())
                 flat[j] = orig
                 if not all(np.array_equal(a, b) for a, b in zip(sig_hi, sig_lo)):
                     continue

@@ -320,18 +320,35 @@ def test_cli_seed_override_keeps_the_configured_partition(tmp_path):
     ({"clients_per_round": 1, "partition": {"scheme": "label-shard-non-iid",
                                             "client_count": 1, "shards_per_client": 2}},
      "3 labels need at least 3 shards, got 2"),
+    ({"master_seed": -3}, "master_seed must be >= 0, got -3"),
+    ({"partition": {"client_count": 12, "seed": -1}}, "partition seed must be >= 0, got -1"),
+    (["--seed", "-3"], "master_seed must be >= 0, got -3"),
 ])
 def test_cli_rejects_malformed_config_before_any_output(tmp_path, capsys, override,
                                                         fragment):
+    # An override is config keys (a dict) or extra `fedgrow run` flags (a list).
+    flags = override if isinstance(override, list) else []
     data = tiny_config(tmp_path).to_dict()
-    data.update(override)
+    data.update({} if flags else override)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(data))
     out = tmp_path / "never-written"
-    assert cli.main(["run", "--config", str(cfg_path), "--output", str(out)]) == 1
+    assert cli.main(["run", "--config", str(cfg_path), "--output", str(out), *flags]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, seeds", [(["--seed", "-3"], 5), ([], -3)])
+def test_a_negative_master_seed_is_reported_once(tmp_path, capsys, flags, seeds):
+    # `--seed` sets both seeds; a config may too. One mistake names only master_seed.
+    config = tiny_config(tmp_path, seed=seeds).to_dict()
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    assert cli.main(["run", "--config", str(cfg_path), *flags]) == 1
+    err = capsys.readouterr().err
+    assert "master_seed must be >= 0, got -3" in err and "partition seed" not in err
+    assert not (tmp_path / "fnn").exists()
 
 
 _SCHEDULE_HEAD = '{"dataset": "mnist", "input_shape": [8, 8, 1], "thresholds": [], '

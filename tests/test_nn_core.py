@@ -118,6 +118,38 @@ def test_maxpool_floor_semantics():
     assert nn.infer_shapes(arch)[1] == (10, 10, 4)
 
 
+def _reshape_max_pool(x, window):
+    n, h, w, c = x.shape
+    oh, ow = h // window, w // window
+    xr = x[:, :oh * window, :ow * window].reshape(n, oh, window, ow, window, c)
+    return xr.max(axis=(2, 4))
+
+
+@pytest.mark.parametrize("channels", [1, 5, 32])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("window", [1, 2, 3, 4])
+def test_separable_maxpool_equals_the_reshape_max(window, dtype, channels):
+    # Small integers make ties common, zeros carry either sign, and the
+    # extents leave remainder rows and columns that floor pooling drops.
+    r = stream(31, window, channels)
+    x = r.integers(-2, 2, size=(3, 4 * window + 1, 3 * window + 2, channels)).astype(dtype)
+    zero = x == 0
+    x[zero] = np.where(r.random(int(zero.sum())) < 0.5, -0.0, 0.0)
+    x[r.random(x.shape) < 0.03] = np.nan
+    before = x.tobytes()
+    got = nn._maxpool_forward(x, window)
+    want = _reshape_max_pool(x, window)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous and not np.shares_memory(got, x)
+    assert x.tobytes() == before
+    assert np.array_equal(got, want, equal_nan=True)
+    # Equal values with equal sign bits: the bits of every non-NaN result.
+    real = ~np.isnan(want)
+    assert 0 < real.sum() < real.size
+    assert np.array_equal(np.signbit(got[real]), np.signbit(want[real]))
+    assert nn._maxpool_forward(x[:0], window).shape == (0, *want.shape[1:])
+
+
 def test_zero_learning_rate_keeps_params_and_returns_forward_loss():
     arch = dense_arch()
     params = random_params(arch, 8)
@@ -338,6 +370,99 @@ def test_dropout_train_scales_and_eval_identity():
     assert np.allclose(kept, 2.0)  # 1 / (1 - 0.5)
     out_eval = nn._run_layers(arch, None, x, "eval", None, 1, None)
     assert np.array_equal(out_eval, x)
+
+
+def _bits(a):
+    return a.view(f"u{a.itemsize}")
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in multiply")
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_factor_has_the_bits_of_mask_then_scale(dtype):
+    rate = 0.375
+    scale = dtype(1.0 / (1.0 - rate))
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-40], dtype=dtype)
+
+    def values(key):
+        r = stream(33, key)
+        v = r.normal(0.0, 1.0, (6, 40)).astype(dtype)
+        pick = r.random(v.shape) < 0.3
+        v[pick] = r.choice(specials, int(pick.sum()))
+        return v
+
+    def keep(shape):
+        return stream(33, 9).random(shape, dtype=np.float32) >= rate
+
+    # Dropout on the caller's batch (a new array) ...
+    x = values(1)
+    arch = nn.ModelArch((40,), (nn.dropout(rate), nn.dense(40, 3), nn.softmax()))
+    tape = []
+    out = nn._run_layers(arch, None, x, "train", stream(33, 9), 1, tape)
+    mask = keep(x.shape)
+    assert out.dtype == dtype
+    assert np.array_equal(_bits(out), _bits((x * mask) * scale))
+    g = values(2)
+    assert np.array_equal(_bits(g * tape[0]), _bits((g * mask) * scale))
+    # ... and in place on a dense output; dropped negatives become -0.0.
+    arch = nn.ModelArch((40,), (nn.dense(40, 30), nn.dropout(rate), nn.dense(30, 3),
+                                nn.softmax()))
+    params = {i: nn.LayerParams(p.w.astype(dtype), p.b.astype(dtype))
+              for i, p in random_params(arch, 34).items()}
+    x = stream(34, 1).normal(0.0, 1.0, (6, 40)).astype(dtype)
+    dense_out = nn._run_layers(arch, params, x, "eval", None, 1, None)
+    out = nn._run_layers(arch, params, x, "train", stream(33, 9), 2, [])
+    expect = (dense_out * keep(dense_out.shape)) * scale
+    assert np.signbit(expect[expect == 0]).any()
+    assert np.array_equal(_bits(out), _bits(expect))
+
+
+def _pool_relu_dropout_archs():
+    k = nn.KernelShape
+    return {
+        "relu-and-dropout-after-batch": nn.ModelArch((6, 6, 2), (
+            nn.relu(), nn.dropout(0.25), nn.conv2d(k(3, 3, 2, 3)), nn.relu(),
+            nn.flatten(), nn.dense(108, 3), nn.softmax())),
+        "relu-and-dropout-after-maxpool": nn.ModelArch((8, 8, 2), (
+            nn.conv2d(k(3, 3, 2, 4)), nn.maxpool(2), nn.relu(), nn.dropout(0.25),
+            nn.conv2d(k(3, 3, 4, 3)), nn.maxpool(2), nn.dropout(0.5),
+            nn.flatten(), nn.dense(12, 3), nn.softmax())),
+        "relu-and-dropout-after-flatten": nn.ModelArch((6, 6, 2), (
+            nn.conv2d(k(3, 3, 2, 3)), nn.relu(), nn.maxpool(3), nn.flatten(),
+            nn.relu(), nn.dropout(0.25), nn.dense(12, 3), nn.softmax())),
+        "dropout-after-batch-flatten": nn.ModelArch((3, 4, 1), (
+            nn.flatten(), nn.dropout(0.25), nn.relu(), nn.dense(12, 5), nn.relu(),
+            nn.dropout(0.25), nn.dense(5, 3), nn.softmax())),
+        "relu-and-dropout-after-gap": nn.ModelArch((5, 5, 2), (
+            nn.conv2d(k(3, 3, 2, 4)), nn.relu(), nn.dropout(0.25), nn.global_avg_pool(),
+            nn.relu(), nn.dropout(0.25), nn.dense(4, 3), nn.softmax())),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_pool_relu_dropout_archs()))
+def test_in_place_relu_and_dropout_never_write_the_batch_params_or_tape(name):
+    arch = _pool_relu_dropout_archs()[name]
+    params = random_params(arch, 35)
+    x = stream(35, 1).normal(0.0, 1.0, (4,) + arch.input_shape).astype(np.float32)
+    y = stream(35, 2).integers(0, arch.num_classes, 4)
+    x_bytes = x.tobytes()
+    param_bytes = [(p.w.tobytes(), p.b.tobytes()) for p in params.values()]
+
+    # Every maxpool entry of the tape still holds the pool of its input.
+    tape = []
+    nn._run_layers(arch, params, x, "train", stream(35, 3), len(arch.layers) - 1, tape)
+    for spec, saved in zip(arch.layers, tape):
+        if spec.kind == "maxpool":
+            assert np.array_equal(saved[1], nn._maxpool_forward(saved[0], spec.window))
+
+    worst = finite_difference_check(arch, params, x, y, dropout_seed=36)
+    assert worst < 1e-2, f"finite-difference mismatch: {worst}"
+    new_params, _ = nn.backward_and_step(arch, params, x, y, nn.TrainConfig(0.1),
+                                         stream(35, 3))
+    assert x.tobytes() == x_bytes
+    assert [(p.w.tobytes(), p.b.tobytes()) for p in params.values()] == param_bytes
+    for i, p in new_params.items():
+        assert not np.shares_memory(p.w, params[i].w)
+        assert not np.shares_memory(p.b, params[i].b)
 
 
 def test_count_params_matches_brute_force():
