@@ -111,6 +111,8 @@ class ExperimentConfig(fedsim.RunSettings):
         if self.init_scheme not in nn.INIT_SCHEMES:
             problems.append(f"unknown init scheme {self.init_scheme!r}; expected one "
                             f"of {nn.INIT_SCHEMES}")
+        if self.fd_exempt_prefix < 0:
+            problems.append(f"fd_exempt_prefix must be >= 0, got {self.fd_exempt_prefix}")
         keep = self.fd_keep_fraction
         if keep is not None and not 0.0 < keep <= 1.0:
             problems.append(f"fd_keep_fraction must be in (0, 1], got {keep}")

@@ -187,61 +187,40 @@ def weighted_round_loss(losses_and_counts) -> float:
     return math.fsum(loss * n for loss, n in pairs) / total
 
 
-def aggregate(updates: list[tuple[nn.Params, int]]) -> nn.Params:
-    """Sample-count-weighted mean of client parameters.
-
-    Accumulates in float64 with a fixed (list) order and rounds to
-    float32 once, so a single update (or identical updates) comes back
-    bit-exact and the result is deterministic for a given order.
-    """
-    if not updates:
-        raise ConfigError("aggregate needs at least one update")
-    keys = set(updates[0][0].keys())
-    for p, _ in updates[1:]:
-        if set(p.keys()) != keys:
-            raise ConfigError("aggregate: updates have different layer sets")
-    total = float(sum(n for _, n in updates))
-    if total <= 0:
-        raise ConfigError("aggregate: total sample count must be positive")
-    weights = [float(n) for _, n in updates]
-    out: nn.Params = {}
-    for i in keys:
-        layers = [p[i] for p, _ in updates]
-        if any(q.w.shape != layers[0].w.shape or q.b.shape != layers[0].b.shape
-               for q in layers):
-            raise ConfigError(f"aggregate: layer {i} shape mismatch across updates")
-        out[i] = nn.LayerParams(_weighted_mean([q.w for q in layers], weights, total),
-                                _weighted_mean([q.b for q in layers], weights, total))
-    return out
-
-
 # float64 elements per fold block: the accumulator and the scratch buffer
 # (256 KiB together) stay in L2 while every client is folded in.
 _FOLD_BLOCK = 16384
 
 
-def _weighted_mean(arrays: list[np.ndarray], weights: list[float],
-                   total: float) -> np.ndarray:
-    """``sum(a.astype(float64) * n) / total`` over equal-shape arrays, rounded
-    to float32 once.
+def aggregate(updates: list[tuple[nn.Params, int]]) -> nn.Params:
+    """Sample-count-weighted mean of client parameters of one arch.
 
-    Folds one block of elements at a time, adding the arrays in list
-    order, so every element sees the same operations in the same order
-    as a whole-array fold.
+    Accumulates in float64 with a fixed (list) order and rounds to
+    float32 once, so a single update (or identical updates) comes back
+    bit-exact and the result is deterministic for a given order. The
+    clients' vectors are folded one block of elements at a time, so every
+    element sees the operations of a whole-vector fold in the same order.
     """
-    flats = [a.reshape(-1) for a in arrays]
-    size = flats[0].size
-    out = np.empty(size, dtype=nn.DTYPE)
+    if not updates:
+        raise ConfigError("aggregate needs at least one update")
+    arch = updates[0][0].arch
+    if any(p.arch.layers != arch.layers for p, _ in updates[1:]):
+        raise ConfigError("aggregate: updates differ in their layers or layer shapes")
+    total = float(sum(n for _, n in updates))
+    if total <= 0:
+        raise ConfigError("aggregate: total sample count must be positive")
+    out = nn.Params(arch)
+    size = out.flat.size
     acc = np.empty(min(size, _FOLD_BLOCK), dtype=np.float64)
     scratch = np.empty_like(acc)
     for start in range(0, size, _FOLD_BLOCK):
         stop = min(start + _FOLD_BLOCK, size)
         a, s = acc[:stop - start], scratch[:stop - start]
         a.fill(0.0)
-        for flat, n in zip(flats, weights):
-            a += np.multiply(flat[start:stop], n, out=s, dtype=np.float64)
-        out[start:stop] = np.divide(a, total, out=a)
-    return out.reshape(arrays[0].shape)
+        for p, n in updates:
+            a += np.multiply(p.flat[start:stop], float(n), out=s, dtype=np.float64)
+        out.flat[start:stop] = np.divide(a, total, out=a)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -315,18 +294,17 @@ def fd_extract(arch: nn.ModelArch, params: nn.Params, keep_fraction: float,
 def _crop_model(arch: nn.ModelArch, params: nn.Params, mask: DropoutMask):
     prev_map = _prev_trainable_map(arch)
     layers = list(arch.layers)
-    sub_params: nn.Params = {}
+    cropped = {}
     for i in nn.trainable_indices(arch):
         spec, p = arch.layers[i], params[i]
         in_idx = _in_index(arch, i, mask.kept, prev_map)
         out_idx = mask.kept.get(i)
-        w = np.ascontiguousarray(p.w[_index_expr(spec, in_idx, out_idx)])
-        b = p.b[out_idx] if out_idx is not None else p.b.copy()
-        sub_params[i] = nn.LayerParams(w, b)
+        w = p.w[_index_expr(spec, in_idx, out_idx)]
+        cropped[i] = nn.LayerParams(w, p.b if out_idx is None else p.b[out_idx])
         layers[i] = spec.with_widths(*w.shape[-2:])
     sub_arch = arch.with_layers(layers)
     nn.validate_arch(sub_arch)
-    return sub_arch, sub_params
+    return sub_arch, nn.pack(sub_arch, cropped)
 
 
 def fd_merge(arch: nn.ModelArch, global_params: nn.Params,
@@ -349,7 +327,7 @@ def fd_merge(arch: nn.ModelArch, global_params: nn.Params,
                               "a round shares one mask")
     mean = aggregate([(sub, n) for sub, _, n in updates])
     prev_map = _prev_trainable_map(arch)
-    merged: nn.Params = {}
+    merged = nn.copy_params(global_params)
     for i in nn.trainable_indices(arch):
         spec = arch.layers[i]
         *kernel, full_in, full_out = spec.weight_shape
@@ -361,10 +339,8 @@ def fd_merge(arch: nn.ModelArch, global_params: nn.Params,
                 mean[i].b.shape != (expect_out,):
             raise ConfigError(f"fd_merge: layer {i} update shape {mean[i].w.shape} "
                               f"inconsistent with its mask")
-        w, b = global_params[i].w.copy(), global_params[i].b.copy()
-        w[_index_expr(spec, in_idx, out_idx)] = mean[i].w
-        b[out_idx if out_idx is not None else slice(None)] = mean[i].b
-        merged[i] = nn.LayerParams(w, b)
+        merged[i].w[_index_expr(spec, in_idx, out_idx)] = mean[i].w
+        merged[i].b[out_idx if out_idx is not None else slice(None)] = mean[i].b
     return merged
 
 
@@ -509,47 +485,6 @@ def worker_count(settings: RunSettings) -> int:
     return max(1, min(settings.clients_per_round, cpus // _blas_threads(cpus)))
 
 
-# float32 elements: every slot, and every array in a slot, starts on a
-# 64-byte boundary.
-_SLOT_ALIGN = 16
-
-
-def _aligned(size: int) -> int:
-    return -(-size // _SLOT_ALIGN) * _SLOT_ALIGN
-
-
-def _array_shapes(arch: nn.ModelArch):
-    """(layer, weight shape, bias shape) of every trainable layer."""
-    for i in nn.trainable_indices(arch):
-        shape = arch.layers[i].weight_shape
-        yield i, shape, shape[-1:]
-
-
-def _slot_size(arch: nn.ModelArch) -> int:
-    """Elements a slot needs for ``arch``."""
-    return sum(_aligned(math.prod(w)) + _aligned(math.prod(b))
-               for _, w, b in _array_shapes(arch))
-
-
-def _slot_params(arch: nn.ModelArch, slot: np.ndarray) -> nn.Params:
-    """``arch``'s parameters as views into the flat float32 ``slot``."""
-    params: nn.Params = {}
-    at = 0
-    for i, *shapes in _array_shapes(arch):
-        arrays = []
-        for shape in shapes:
-            arrays.append(slot[at:at + math.prod(shape)].reshape(shape))
-            at += _aligned(math.prod(shape))
-        params[i] = nn.LayerParams(*arrays)
-    return params
-
-
-def _write_slot(arch: nn.ModelArch, slot: np.ndarray, params: nn.Params) -> None:
-    for i, view in _slot_params(arch, slot).items():
-        view.w[...] = params[i].w
-        view.b[...] = params[i].b
-
-
 _worker: dict = {}  # in a forked worker: the pool's slots and the shards
 
 
@@ -563,16 +498,17 @@ def _start_worker(slots: np.ndarray, shards: list[ClientShard]) -> None:
 def _train_slice(arch: nn.ModelArch, cids: list[int], first_slot: int, r: int,
                  settings: RunSettings) -> list[tuple[float, int]]:
     """In a worker: ``local_train`` of clients ``cids`` from the model in
-    slot 0, each update written to the next slot from ``first_slot`` on.
+    slot 0, each update packed into the next slot from ``first_slot`` on.
     Returns the clients' (loss, n)."""
     slots, shards = _worker["slots"], _worker["shards"]
-    params = _slot_params(arch, slots[0])
+    size = nn.count_params(arch)
+    params = nn.Params(arch, slots[0, :size])
     out = []
     for k, cid in enumerate(cids):
         update, loss, n = local_train(
             arch, params, shards[cid], settings.train,
             rngmod.stream(settings.master_seed, rngmod.CLIENT, r, cid))
-        _write_slot(arch, slots[first_slot + k], update)
+        nn.pack(arch, update, slots[first_slot + k, :size])
         out.append((loss, n))
     return out
 
@@ -582,11 +518,14 @@ class ClientPool:
 
     The workers inherit the shards copy-on-write, so no data is sent to
     them. Parameters travel through one shared anonymous mapping of
-    ``clients + 1`` float32 slots: slot 0 holds the broadcast model and
-    slot k + 1 the update of the k-th selected client. Each worker trains
-    a contiguous slice of the selection and sends back only (loss, n).
-    Every client does the same arithmetic as in this process, so the
-    updates are the same bits. Workers run at niceness 19.
+    ``clients + 1`` float32 slots of ``slot_size`` elements, the largest
+    ``nn.count_params`` of the schedule. A model in a slot is the
+    ``nn.Params`` over the slot's first ``count_params(arch)`` elements.
+    Slot 0 holds the broadcast model and slot k + 1 the update of the
+    k-th selected client. Each worker trains a contiguous slice of the
+    selection and sends back only (loss, n). Every client does the same
+    arithmetic as in this process, so the updates are the same bits.
+    Workers run at niceness 19.
     """
 
     def __init__(self, workers: int, clients: int, slot_size: int,
@@ -600,11 +539,11 @@ class ClientPool:
 
     def submit(self, arch: nn.ModelArch, params: nn.Params, sel: list[int], r: int,
                settings: RunSettings) -> list[Future]:
-        """Write ``params`` to slot 0 and start training ``sel`` across the
+        """Copy ``params.flat`` to slot 0 and start training ``sel`` across the
         workers; ``collect`` waits for the returned slices. Every slot is
         rewritten, so the previous round's updates must be collected and
         merged first."""
-        _write_slot(arch, self.slots[0], params)
+        self.slots[0, :params.flat.size] = params.flat
         bounds = [len(sel) * w // self.workers for w in range(self.workers + 1)]
         return [self._executor.submit(_train_slice, arch, sel[lo:hi], lo + 1, r, settings)
                 for lo, hi in zip(bounds, bounds[1:])]
@@ -617,7 +556,8 @@ class ClientPool:
             results = [pair for future in futures for pair in future.result()]
         except BrokenProcessPool as e:
             raise FedgrowError(f"a client training worker exited unexpectedly: {e}") from e
-        return [(_slot_params(arch, self.slots[k + 1]), loss, n)
+        size = nn.count_params(arch)
+        return [(nn.Params(arch, self.slots[k + 1, :size]), loss, n)
                 for k, (loss, n) in enumerate(results)]
 
     def close(self) -> None:
@@ -643,10 +583,14 @@ def broadcast(state: RunState, r: int, use_fd: bool, settings: RunSettings):
 def train_clients(arch: nn.ModelArch, params: nn.Params, sel: list[int],
                   shards: list[ClientShard], r: int, settings: RunSettings):
     """``local_train`` of every selected client in this process, each on its
-    own stream, in ``sel`` order."""
-    return [local_train(arch, params, shards[cid], settings.train,
-                        rngmod.stream(settings.master_seed, rngmod.CLIENT, r, cid))
-            for cid in sel]
+    own stream, in ``sel`` order, with each update packed into one vector."""
+    results = []
+    for cid in sel:
+        update, loss, n = local_train(
+            arch, params, shards[cid], settings.train,
+            rngmod.stream(settings.master_seed, rngmod.CLIENT, r, cid))
+        results.append((nn.pack(arch, update), loss, n))
+    return results
 
 
 # A model whose test accuracy is owed: (arch, params, targets), where each
@@ -821,7 +765,7 @@ def run_experiment(method: str, schedule: GrowthSchedule,
     pool = None
     if workers > 1:
         pool = ClientPool(workers, settings.clients_per_round,
-                          max(_slot_size(m) for m in schedule.models), shards)
+                          max(nn.count_params(m) for m in schedule.models), shards)
     try:
         for r in range(settings.rounds):
             try:

@@ -442,13 +442,24 @@ def _arch_to_tokens(arch: nn.ModelArch) -> list:
 
 
 def schedule_to_dict(schedule: GrowthSchedule) -> dict:
+    """The JSON form of ``schedule``. Raises ScheduleError, naming the model
+    and the layer, when the tokens would load back as other layers."""
     first = schedule.models[0]
+    rate = _nearest_dropout_rate(first)
+    rows = [_arch_to_tokens(m) for m in schedule.models]
+    for mi, (model, tokens) in enumerate(zip(schedule.models, rows)):
+        rebuilt = build_arch(first.input_shape, [_token(t) for t in tokens], rate).layers
+        if rebuilt != model.layers:
+            i = next((i for i, (a, b) in enumerate(zip(model.layers, rebuilt)) if a != b),
+                     min(len(model.layers), len(rebuilt)))
+            raise ScheduleError(f"model {mi + 1}: layer {i} has no schedule token "
+                                f"that rebuilds it")
     return {
         "dataset": schedule.dataset,
         "input_shape": list(first.input_shape),
-        "dropout_rate": _nearest_dropout_rate(first),
+        "dropout_rate": rate,
         "thresholds": list(schedule.thresholds),
-        "models": [_arch_to_tokens(m) for m in schedule.models],
+        "models": rows,
     }
 
 

@@ -70,12 +70,12 @@ def sample_mapping(layer: int, old_width: int, new_width: int,
     return WidenMapping(layer, mapping, counts)
 
 
-def _shift_params(params: nn.Params, at: int, by: int) -> nn.Params:
+def _shift_params(params, at: int, by: int) -> dict[int, nn.LayerParams]:
     """Re-key params after layers were inserted at index ``at``."""
     return {(i + by if i >= at else i): p for i, p in params.items()}
 
 
-def _widened_params(arch: nn.ModelArch, params: nn.Params,
+def _widened_params(arch: nn.ModelArch, new_arch: nn.ModelArch, params: nn.Params,
                     mapping: WidenMapping) -> nn.Params:
     """``params`` with the outputs of ``mapping.layer`` and the inputs of
     the next trainable layer replicated through ``mapping``."""
@@ -84,9 +84,9 @@ def _widened_params(arch: nn.ModelArch, params: nn.Params,
     nxt = nn.next_trainable(arch, layer)
     div = mapping.counts.astype(nn.DTYPE)[g]
 
-    new_params = nn.copy_params(params)
+    new_params = dict(params)
     p = params[layer]
-    new_params[layer] = nn.LayerParams(p.w[..., g].copy(), p.b[g].copy())
+    new_params[layer] = nn.LayerParams(p.w[..., g], p.b[g])
 
     # Incoming weights of the next trainable layer: replicated inputs are
     # divided by their replication count so each group sums to the original.
@@ -98,8 +98,8 @@ def _widened_params(arch: nn.ModelArch, params: nn.Params,
     per_pos = q.w.reshape(*kernel, ratio, old_width, next_out)
     new_w = (per_pos[..., g, :] / div[:, None]).reshape(
         *kernel, ratio * new_width, next_out)
-    new_params[nxt] = nn.LayerParams(new_w.astype(nn.DTYPE), q.b.copy())
-    return new_params
+    new_params[nxt] = nn.LayerParams(new_w, q.b)
+    return nn.pack(new_arch, new_params)
 
 
 def widen_with_mapping(arch: nn.ModelArch, params: nn.Params,
@@ -107,7 +107,7 @@ def widen_with_mapping(arch: nn.ModelArch, params: nn.Params,
     """Widen using a caller-provided mapping (the deterministic core of
     ``widen``; tests use it to inject hand-chosen mappings)."""
     new_arch = growth.widen_arch(arch, mapping.layer, len(mapping.mapping))
-    return new_arch, _widened_params(arch, params, mapping)
+    return new_arch, _widened_params(arch, new_arch, params, mapping)
 
 
 def widen(arch: nn.ModelArch, params: nn.Params, layer: int, new_width: int,
@@ -119,7 +119,7 @@ def widen(arch: nn.ModelArch, params: nn.Params, layer: int, new_width: int,
     """
     new_arch = growth.widen_arch(arch, layer, new_width)
     mapping = sample_mapping(layer, arch.layers[layer].weight_shape[-1], new_width, rng)
-    return new_arch, _widened_params(arch, params, mapping), mapping
+    return new_arch, _widened_params(arch, new_arch, params, mapping), mapping
 
 
 def deepen(arch: nn.ModelArch, params: nn.Params, position: int,
@@ -134,16 +134,16 @@ def deepen(arch: nn.ModelArch, params: nn.Params, position: int,
     *kernel, _, width = spec.weight_shape
     w = np.zeros(spec.weight_shape, dtype=nn.DTYPE)
     w[tuple(k // 2 for k in kernel)] = np.eye(width, dtype=nn.DTYPE)
-    new_params = _shift_params(nn.copy_params(params), position, 3)
+    new_params = _shift_params(params, position, 3)
     new_params[position] = nn.LayerParams(w, np.zeros(width, dtype=nn.DTYPE))
-    return new_arch, new_params
+    return new_arch, nn.pack(new_arch, new_params)
 
 
 def split_pool(arch: nn.ModelArch, params: nn.Params, position: int):
     """Replace a 4x4 max pool with two stacked 2x2 pools (exact), leaving
     an insertion slot between them."""
     new_arch = growth.split_pool_arch(arch, position)
-    return new_arch, _shift_params(nn.copy_params(params), position + 1, 1)
+    return new_arch, nn.pack(new_arch, _shift_params(params, position + 1, 1))
 
 
 def apply_diff(arch: nn.ModelArch, params: nn.Params,

@@ -8,6 +8,12 @@ put input channels on axis -2 and output channels on axis -1, for conv2d
 (kh, kw, in, out) and dense (in, out) alike. Plain SGD with sparse
 categorical cross-entropy is the only optimizer/loss pair.
 
+A model's parameters have one layout: ``Params`` views one float32
+vector of ``count_params(arch)`` elements as each trainable layer's
+weight, then its bias, in layer order, with no padding. ``forward`` and
+``gradients`` read any mapping of LayerParams; an SGD step returns a
+plain dict whose arrays are the memory of the step's gradients.
+
 Convolutions are patch-matrix GEMMs. In train mode a layer's patch
 matrix covers the whole batch, since the backward pass reads it. In eval
 mode a conv runs in row blocks of about ``_EVAL_ROWS`` output positions
@@ -18,8 +24,7 @@ ReLU and dropout overwrite their input when the forward pass allocated
 it and no tape entry holds it: the output of conv2d, dense, relu,
 dropout or gap, and in eval mode (no tape) also of maxpool. They never
 write the caller's batch, nor a train-mode maxpool output, which the
-maxpool backward reads. The SGD step writes the new parameters over
-their gradients. None of this changes a bit of any result.
+maxpool backward reads. None of this changes a bit of any result.
 """
 
 from __future__ import annotations
@@ -151,8 +156,26 @@ class LayerParams:
     b: np.ndarray
 
 
-# Params maps layer index -> LayerParams for every trainable layer.
-Params = dict[int, LayerParams]
+class Params(dict):
+    """Layer index -> LayerParams of ``arch``, views of the vector ``flat``
+    (a zeroed one when None) in the layout above."""
+
+    def __init__(self, arch: ModelArch, flat: np.ndarray | None = None):
+        super().__init__()
+        size = count_params(arch)
+        if flat is None:
+            flat = np.zeros(size, dtype=DTYPE)
+        elif flat.shape != (size,) or flat.dtype != DTYPE:
+            raise ConfigError(f"params need a ({size},) float32 vector, got "
+                              f"{flat.shape} {flat.dtype}")
+        self.arch, self.flat = arch, flat
+        at = 0
+        for i in trainable_indices(arch):
+            shape = arch.layers[i].weight_shape
+            w = flat[at:at + math.prod(shape)].reshape(shape)
+            at += w.size
+            self[i] = LayerParams(w, flat[at:at + shape[-1]])
+            at += shape[-1]
 
 
 @dataclass(frozen=True)
@@ -297,16 +320,25 @@ def _init_std(scheme: str, fan_in: int) -> float:
 def init_params(arch: ModelArch, rng: np.random.Generator,
                 scheme: str = "truncnorm") -> Params:
     """Fresh trainable parameters: truncated-normal weights, zero biases."""
-    params: Params = {}
-    for i in trainable_indices(arch):
-        shape = arch.layers[i].weight_shape
-        w = _truncated_normal(rng, shape, _init_std(scheme, math.prod(shape[:-1])))
-        params[i] = LayerParams(w, np.zeros(shape[-1], dtype=DTYPE))
+    params = Params(arch)
+    for p in params.values():
+        std = _init_std(scheme, math.prod(p.w.shape[:-1]))
+        p.w[...] = _truncated_normal(rng, p.w.shape, std)
+    return params
+
+
+def pack(arch: ModelArch, layers, out: np.ndarray | None = None) -> Params:
+    """``Params(arch, out)`` holding a copy of ``layers``, any mapping of
+    LayerParams with ``arch``'s shapes."""
+    params = Params(arch, out)
+    for i, p in params.items():
+        p.w[...] = layers[i].w
+        p.b[...] = layers[i].b
     return params
 
 
 def copy_params(params: Params) -> Params:
-    return {i: LayerParams(p.w.copy(), p.b.copy()) for i, p in params.items()}
+    return Params(params.arch, params.flat.copy())
 
 
 def count_params(arch: ModelArch) -> int:
@@ -681,7 +713,7 @@ def backward_and_step(arch: ModelArch, params: Params, batch: np.ndarray,
     # Each gradient is a fresh array, so the step is written over it and it
     # becomes the new parameter; the caller's params are never written.
     lr = DTYPE(cfg.learning_rate)
-    new_params: Params = {}
+    new_params: dict[int, LayerParams] = {}
     for i, p in params.items():
         gw, gb = grads[i]
         new_params[i] = LayerParams(np.subtract(p.w, np.multiply(gw, lr, out=gw), out=gw),

@@ -323,6 +323,7 @@ def test_cli_seed_override_keeps_the_configured_partition(tmp_path):
     ({"master_seed": -3}, "master_seed must be >= 0, got -3"),
     ({"partition": {"client_count": 12, "seed": -1}}, "partition seed must be >= 0, got -1"),
     (["--seed", "-3"], "master_seed must be >= 0, got -3"),
+    ({"method": "fnn-fd", "fd_exempt_prefix": -1}, "fd_exempt_prefix must be >= 0, got -1"),
 ])
 def test_cli_rejects_malformed_config_before_any_output(tmp_path, capsys, override,
                                                         fragment):

@@ -138,9 +138,9 @@ def test_aggregate_single_client_identity():
 
 
 def test_aggregate_weighted_mean_hand_case():
-    p0 = {0: nn.LayerParams(np.zeros((2, 2), np.float32), np.zeros(2, np.float32))}
-    p1 = {0: nn.LayerParams(np.full((2, 2), 4.0, np.float32),
-                            np.full(2, 4.0, np.float32))}
+    arch = nn.ModelArch((2,), (nn.dense(2, 2), nn.softmax()))
+    p0 = nn.Params(arch)
+    p1 = nn.Params(arch, np.full(6, 4.0, np.float32))
     out = aggregate([(p0, 1), (p1, 3)])
     assert np.allclose(out[0].w, 3.0)  # (1*0 + 3*4) / 4
     assert np.allclose(out[0].b, 3.0)
@@ -154,8 +154,8 @@ def test_aggregate_identical_clients_fixed_point():
 
 
 def test_aggregate_shape_mismatch_rejected():
-    a = {0: nn.LayerParams(np.zeros((2, 2), np.float32), np.zeros(2, np.float32))}
-    b = {0: nn.LayerParams(np.zeros((3, 2), np.float32), np.zeros(2, np.float32))}
+    a = nn.Params(nn.ModelArch((2,), (nn.dense(2, 2), nn.softmax())))
+    b = nn.Params(nn.ModelArch((3,), (nn.dense(3, 2), nn.softmax())))
     with pytest.raises(ConfigError, match="shape"):
         aggregate([(a, 1), (b, 1)])
 
@@ -675,7 +675,7 @@ def test_client_pool_returns_slot_views_and_releases_its_mapping(toy_world):
     params = random_params(arch, 16)
     settings = _settings(1)
     sel = [0, 3, 5, 9]
-    pool = fedsim.ClientPool(2, len(sel), fedsim._slot_size(arch), shards)
+    pool = fedsim.ClientPool(2, len(sel), nn.count_params(arch), shards)
     try:
         updates = pool.collect(arch, pool.submit(arch, params, sel, 0, settings))
         expected = fedsim.train_clients(arch, params, sel, shards, 0, settings)
@@ -694,7 +694,7 @@ def test_client_pool_returns_slot_views_and_releases_its_mapping(toy_world):
 
 def test_pool_workers_run_at_lowest_priority(toy_world):
     shards, _, _ = toy_world
-    pool = fedsim.ClientPool(2, 4, fedsim._slot_size(tiny_schedule().models[-1]), shards)
+    pool = fedsim.ClientPool(2, 4, nn.count_params(tiny_schedule().models[-1]), shards)
     try:
         assert pool._executor.submit(os.getpriority, os.PRIO_PROCESS, 0).result() == 19
     finally:

@@ -176,6 +176,25 @@ def test_schedule_file_round_trip(tmp_path):
     assert [m.layers for m in loaded.models] == [m.layers for m in sched.models]
 
 
+@pytest.mark.parametrize("conv", [
+    nn.conv2d(nn.KernelShape(5, 3, 1, 4)),  # a (3, 5) kernel would load back as (5, 5)
+    nn.conv2d(nn.KernelShape(3, 3, 1, 4), padding="valid"),  # would load back as same
+])
+def test_save_schedule_refuses_what_its_tokens_cannot_rebuild(tmp_path, conv):
+    def model(width):
+        arch = nn.ModelArch((8, 8, 1), (conv.with_widths(1, width), nn.relu(),
+                                        nn.dropout(0.125), nn.maxpool(2), nn.flatten()))
+        flat = nn.infer_shapes(arch)[-1][0]
+        return arch.with_layers((*arch.layers, nn.dense(flat, 3), nn.softmax()))
+
+    sched = growth.GrowthSchedule("custom", (model(4), model(8)), (0.5,))
+    growth.validate_schedule(sched)
+    path = tmp_path / "sched.json"
+    with pytest.raises(ScheduleError, match="model 1: layer 0"):
+        growth.save_schedule(sched, path)
+    assert not path.exists()
+
+
 def test_schedule_file_arity_error(tmp_path):
     data = growth.schedule_to_dict(growth.builtin_schedule("mnist"))
     data["thresholds"] = data["thresholds"][:3]

@@ -1,0 +1,79 @@
+"""Guard for the bench tracer: the names it wraps exist, and the work it
+records for the parameter-moving calls is 4 bytes per parameter.
+
+``bench/spans.py`` is loaded from its file and not changed; its own
+tests live outside this suite.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from fedgrow import datasets, experiment, fedsim, growth, nn, rng
+from fedgrow.fedsim import PartitionSpec, RunSettings, partition, run_experiment
+from fedgrow.rng import stream
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+MODULES = {"datasets": datasets, "experiment": experiment, "fedsim": fedsim,
+           "growth": growth, "nn": nn, "rng": rng}
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bytes(params) -> int:
+    return 4 * nn.count_params(params.arch)
+
+
+# (module, attribute, span name, bytes of the models one call receives)
+RECEIVERS = (
+    (fedsim, "aggregate", "fedsim.aggregate",
+     lambda args: sum(_bytes(p) for p, _ in args[0])),
+    (fedsim, "fd_merge", "fedsim.fd_merge",
+     lambda args: sum(_bytes(p) for p, _, _ in args[2])),
+    (nn, "copy_params", "nn.copy_params", lambda args: _bytes(args[0])),
+)
+
+
+def test_every_traced_name_exists(spans):
+    for mod_name, attr, _, _ in spans.TRACED:
+        assert callable(getattr(MODULES[mod_name], attr, None)), f"{mod_name}.{attr}"
+    for attr in spans.POLICY_METHODS:
+        assert callable(getattr(fedsim.SwitchPolicy, attr, None)), attr
+
+
+def test_traced_parameter_work_is_four_bytes_a_parameter(spans, monkeypatch):
+    r = stream(40, 0)
+    x = r.random((80, 4, 4, 1), dtype=np.float32)
+    y = r.integers(0, 3, 80)
+    shards = partition(x, y, PartitionSpec(client_count=8, seed=40))
+    sched = growth.GrowthSchedule("tiny", tuple(
+        growth.build_arch((4, 4, 1), row, 0.125)
+        for row in ([("conv", 2, 3), ("pool", 2), ("dense", 4), ("dense", 3)],
+                    [("conv", 4, 3), ("pool", 2), ("dense", 8), ("dense", 3)])), (0.5,))
+    settings = RunSettings(rounds=3, clients_per_round=3,
+                           train=nn.TrainConfig(learning_rate=0.05), master_seed=4,
+                           eval_every=0)
+    monkeypatch.setattr(fedsim, "_cpus", lambda: 1)  # one worker: every call in process
+
+    expected = {name: [] for _, _, name, _ in RECEIVERS}
+    for owner, attr, name, received in RECEIVERS:
+        def recorded(*args, _fn=getattr(owner, attr), _name=name, _received=received):
+            result = _fn(*args)
+            expected[_name].append(_received(args))
+            return result
+        monkeypatch.setattr(owner, attr, recorded)
+
+    tracer = spans.Tracer("guard")
+    with tracer.install(MODULES):
+        run_experiment("fd", sched, shards, None, None, settings)
+    for _, _, name, _ in RECEIVERS:
+        recorded = [work for *_, span_name, _, _, work in tracer.spans if span_name == name]
+        assert expected[name] and recorded == expected[name], name
