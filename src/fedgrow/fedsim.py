@@ -26,13 +26,14 @@ Methods:
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import mmap
 import multiprocessing
 import os
 from collections.abc import Callable
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -187,9 +188,11 @@ def weighted_round_loss(losses_and_counts) -> float:
     return math.fsum(loss * n for loss, n in pairs) / total
 
 
-# float64 elements per fold block: the accumulator and the scratch buffer
-# (256 KiB together) stay in L2 while every client is folded in.
-_FOLD_BLOCK = 16384
+# float64 elements per fold block: each thread's accumulator and scratch
+# buffer (1 MiB together) stay in its core's L2 while every client is
+# folded in. On a 2-vCPU Xeon with 2 MiB of L2 per core, two threads fold
+# 10 mnist m6 updates in 20.6 ms at this size and 25.9 ms at 16384.
+_FOLD_BLOCK = 65536
 
 
 def aggregate(updates: list[tuple[nn.Params, int]]) -> nn.Params:
@@ -199,7 +202,12 @@ def aggregate(updates: list[tuple[nn.Params, int]]) -> nn.Params:
     float32 once, so a single update (or identical updates) comes back
     bit-exact and the result is deterministic for a given order. The
     clients' vectors are folded one block of elements at a time, so every
-    element sees the operations of a whole-vector fold in the same order.
+    element sees the operations of a whole-vector fold in the same order:
+    (0 + x1·n1 + x2·n2 + …) / total. Contiguous, block-aligned ranges of
+    at least two blocks each fold at the same time on up to ``_cpus()``
+    threads (numpy releases the GIL in its ufuncs), the first in the
+    calling thread. The threads live only inside the call, so none is
+    alive when a ``ClientPool`` forks; the split never changes a bit.
     """
     if not updates:
         raise ConfigError("aggregate needs at least one update")
@@ -211,16 +219,33 @@ def aggregate(updates: list[tuple[nn.Params, int]]) -> nn.Params:
         raise ConfigError("aggregate: total sample count must be positive")
     out = nn.Params(arch)
     size = out.flat.size
-    acc = np.empty(min(size, _FOLD_BLOCK), dtype=np.float64)
-    scratch = np.empty_like(acc)
-    for start in range(0, size, _FOLD_BLOCK):
-        stop = min(start + _FOLD_BLOCK, size)
-        a, s = acc[:stop - start], scratch[:stop - start]
-        a.fill(0.0)
-        for p, n in updates:
-            a += np.multiply(p.flat[start:stop], float(n), out=s, dtype=np.float64)
-        out.flat[start:stop] = np.divide(a, total, out=a)
+    blocks = -(-size // _FOLD_BLOCK)
+    parts = max(1, min(_cpus(), blocks // 2))
+    edges = [blocks * k // parts * _FOLD_BLOCK for k in range(parts)] + [size]
+    # Every part's accumulator and scratch buffer, allocated in this
+    # thread, so no fold thread grows a malloc arena of its own.
+    buffers = np.empty((parts, 2, min(size, _FOLD_BLOCK)), dtype=np.float64)
+    fold = functools.partial(_fold, updates, total, out.flat)
+    with ThreadPoolExecutor(max(1, parts - 1)) as threads:  # joined on exit
+        futures = [threads.submit(fold, edges[k], edges[k + 1], buffers[k])
+                   for k in range(1, parts)]
+        fold(edges[0], edges[1], buffers[0])
+        for future in futures:
+            future.result()
     return out
+
+
+def _fold(updates, total: float, out: np.ndarray, start: int, stop: int,
+          buffers: np.ndarray) -> None:
+    """``aggregate`` of elements ``start:stop`` into ``out``, one block at a
+    time, with ``buffers`` as the accumulator and the scratch buffer."""
+    for lo in range(start, stop, _FOLD_BLOCK):
+        hi = min(lo + _FOLD_BLOCK, stop)
+        acc, scratch = buffers[0, :hi - lo], buffers[1, :hi - lo]
+        acc.fill(0.0)
+        for p, n in updates:
+            acc += np.multiply(p.flat[lo:hi], float(n), out=scratch, dtype=np.float64)
+        out[lo:hi] = np.divide(acc, total, out=acc)
 
 
 # ---------------------------------------------------------------------------
@@ -489,9 +514,29 @@ _worker: dict = {}  # in a forked worker: the pool's slots and the shards
 
 
 def _start_worker(slots: np.ndarray, shards: list[ClientShard]) -> None:
-    # Lowest priority, so the parent's evaluation, which overlaps the
-    # training, is not starved by the workers.
+    """Initialise a forked pool worker.
+
+    It runs at the lowest priority, so the parent's evaluation, which
+    overlaps the training, is not starved by the workers. It keeps the
+    memory it frees: by default glibc returns a large free top of the
+    heap to the kernel and unmaps a large array's own mapping when it is
+    freed, so a later client faults the same pages in again. Both
+    thresholds are set, because setting either one turns off glibc's
+    dynamic tuning of the other. Where the C library has no ``mallopt``,
+    nothing is set.
+    """
     os.nice(19)
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError):  # not glibc
+        pass
+    else:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        # M_TRIM_THRESHOLD (-1): free memory up to 1 GiB stays in the heap;
+        # M_MMAP_THRESHOLD (-3): blocks up to 32 MiB, glibc's cap, come
+        # from the heap instead of a mapping of their own.
+        for param, value in ((-1, 1 << 30), (-3, 32 << 20)):
+            mallopt(param, value)
     _worker.update(slots=slots, shards=shards)
 
 
@@ -525,7 +570,10 @@ class ClientPool:
     k-th selected client. Each worker trains a contiguous slice of the
     selection and sends back only (loss, n). Every client does the same
     arithmetic as in this process, so the updates are the same bits.
-    Workers run at niceness 19.
+    Workers run at niceness 19 and keep the heap memory they free from
+    one task to the next (``_start_worker``). While they wait at the
+    round's barrier, the parent's ``aggregate`` folds on every CPU; it
+    starts no thread that outlives the call, so the fork sees none.
     """
 
     def __init__(self, workers: int, clients: int, slot_size: int,

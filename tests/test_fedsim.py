@@ -1,6 +1,8 @@
 """Federated loop tests: partitioning, aggregation, dropout broadcast, runs."""
 
 import os
+import resource
+import threading
 
 import numpy as np
 import pytest
@@ -160,26 +162,59 @@ def test_aggregate_shape_mismatch_rejected():
         aggregate([(a, 1), (b, 1)])
 
 
-def test_aggregate_matches_brute_force_per_scalar():
-    # The second model's dense weight spans three fold blocks plus a
-    # ragged tail.
+def test_aggregate_matches_brute_force_per_scalar(cpus, monkeypatch):
+    # The second model spans seven fold blocks plus a ragged tail, so it
+    # splits into up to four parts of at least two blocks each.
     block = fedsim._FOLD_BLOCK
-    multi_block = growth.build_arch((100,), [("dense", 3 * block // 100 + 7), ("dense", 3)])
-    size = np.prod(multi_block.layers[0].weight_shape)
-    assert size > 3 * block and size % block
+    multi_block = growth.build_arch((100,), [("dense", 7 * block // 100 + 7), ("dense", 3)])
+    size = nn.count_params(multi_block)
+    assert 7 * block < size < 8 * block
+    folds = []
+    fold = fedsim._fold
+
+    def recorded(updates, total, out, start, stop, buffers):
+        folds.append((start, stop, threading.get_ident()))
+        fold(updates, total, out, start, stop, buffers)
+
+    monkeypatch.setattr(fedsim, "_fold", recorded)
     rng = stream(5, 0)
     for arch in (tiny_schedule().models[0], multi_block):
         updates = []
         for k in range(6):
             updates.append((random_params(arch, 50 + k), int(rng.integers(1, 40))))
-        out = aggregate(updates)
+        # Two huge updates that cancel exactly when they are folded first,
+        # in list order; in any other order they swamp the others' bits.
+        big = nn.Params(arch, updates[0][0].flat * np.float32(1e12))
+        updates[:1] = [(big, updates[0][1]), (nn.Params(arch, -big.flat), updates[0][1])]
         total = sum(n for _, n in updates)
+        expect = {}
         for i in updates[0][0]:
             # The sequential float64 fold in list order, rounded once.
             expect_w = sum(p[i].w.astype(np.float64) * n for p, n in updates) / total
             expect_b = sum(p[i].b.astype(np.float64) * n for p, n in updates) / total
-            assert out[i].w.tobytes() == expect_w.astype(nn.DTYPE).tobytes()
-            assert out[i].b.tobytes() == expect_b.astype(nn.DTYPE).tobytes()
+            expect[i] = (expect_w.astype(nn.DTYPE).tobytes(),
+                         expect_b.astype(nn.DTYPE).tobytes())
+        for workers, parts in ((1, 1), (2, 2), (3, 3), (10**6, 4)):
+            cpus(workers)
+            folds.clear()
+            threads_before = threading.active_count()
+            out = aggregate(updates)
+            assert threading.active_count() == threads_before
+            for i in updates[0][0]:
+                assert (out[i].w.tobytes(), out[i].b.tobytes()) == expect[i], (workers, i)
+            # Contiguous, block-aligned ranges of at least two blocks; the
+            # first in the calling thread, the others in other threads.
+            folds.sort()
+            if arch is multi_block:
+                assert len(folds) == parts
+                assert all(stop - start > block for start, stop, _ in folds)
+            else:
+                assert len(folds) == 1
+            assert [start for start, _, _ in folds] == [0] + [stop for _, stop, _ in folds[:-1]]
+            assert folds[-1][1] == nn.count_params(arch)
+            assert all(start % block == 0 for start, _, _ in folds)
+            assert [ident == threading.get_ident() for _, _, ident in folds] == \
+                [True] + [False] * (len(folds) - 1)
 
 
 def test_sgd_step_and_local_train_leave_callers_params_unchanged():
@@ -313,7 +348,7 @@ def _kept_position(kept, index):
     return int(hits[0]) if hits.size else None
 
 
-def test_fd_merge_matches_brute_force_with_shared_mask():
+def test_fd_merge_matches_brute_force_with_shared_mask(cpus, monkeypatch):
     # conv(4) -> pool -> flatten -> dense(5) -> dense(3): the dense layer
     # reads 2x2 positions of the 4 conv channels, so its input row r is
     # position r // 4 of channel r % 4 (the flatten path of the crop).
@@ -334,46 +369,52 @@ def test_fd_merge_matches_brute_force_with_shared_mask():
         return position * len(mask.kept[conv]) + sub_channel
 
     covered = uncovered = 0
-    for case in range(6):
-        params = random_params(arch, 60 + case)
-        rng = stream(61, case)
-        keep = float(rng.choice([0.25, 0.5, 0.75]))
-        _, _, mask = fd_extract(arch, params, keep, stream(62, case))
-        updates = []
-        for _ in range(int(rng.integers(1, 5))):
-            _, sub = fedsim._crop_model(arch, params, mask)
-            for p in sub.values():
-                p.w += rng.normal(0.0, 1.0, p.w.shape).astype(np.float32)
-                p.b += rng.normal(0.0, 1.0, p.b.shape).astype(np.float32)
-            updates.append((sub, mask, int(rng.integers(1, 20))))
-        merged = fd_merge(arch, params, updates)
+    # fd_merge folds through aggregate: at the default fold, then in
+    # 4-element blocks on one CPU and split across two threads.
+    for workers in (None, 1, 2):
+        if workers is not None:
+            cpus(workers)
+            monkeypatch.setattr(fedsim, "_FOLD_BLOCK", 4)
+        for case in range(6):
+            params = random_params(arch, 60 + case)
+            rng = stream(61, case)
+            keep = float(rng.choice([0.25, 0.5, 0.75]))
+            _, _, mask = fd_extract(arch, params, keep, stream(62, case))
+            updates = []
+            for _ in range(int(rng.integers(1, 5))):
+                _, sub = fedsim._crop_model(arch, params, mask)
+                for p in sub.values():
+                    p.w += rng.normal(0.0, 1.0, p.w.shape).astype(np.float32)
+                    p.b += rng.normal(0.0, 1.0, p.b.shape).astype(np.float32)
+                updates.append((sub, mask, int(rng.integers(1, 20))))
+            merged = fd_merge(arch, params, updates)
 
-        for i in (conv, dense, classifier):
-            expect_w, expect_b = params[i].w.copy(), params[i].b.copy()
-            for pos in np.ndindex(expect_w.shape):
-                acc = weight = 0.0
-                for sub, mask, n in updates:
-                    row = sub_input(mask, i, pos[-2])
-                    col = _kept_position(mask.kept.get(i), pos[-1])
-                    if row is not None and col is not None:
-                        acc += float(n) * float(sub[i].w[pos[:-2] + (row, col)])
-                        weight += float(n)
-                if weight:
-                    expect_w[pos] = np.float32(acc / weight)
-                    covered += 1
-                else:
-                    uncovered += 1
-            for col in range(expect_b.shape[0]):
-                acc = weight = 0.0
-                for sub, mask, n in updates:
-                    sub_col = _kept_position(mask.kept.get(i), col)
-                    if sub_col is not None:
-                        acc += float(n) * float(sub[i].b[sub_col])
-                        weight += float(n)
-                if weight:
-                    expect_b[col] = np.float32(acc / weight)
-            assert np.array_equal(merged[i].w, expect_w), (case, i)
-            assert np.array_equal(merged[i].b, expect_b), (case, i)
+            for i in (conv, dense, classifier):
+                expect_w, expect_b = params[i].w.copy(), params[i].b.copy()
+                for pos in np.ndindex(expect_w.shape):
+                    acc = weight = 0.0
+                    for sub, mask, n in updates:
+                        row = sub_input(mask, i, pos[-2])
+                        col = _kept_position(mask.kept.get(i), pos[-1])
+                        if row is not None and col is not None:
+                            acc += float(n) * float(sub[i].w[pos[:-2] + (row, col)])
+                            weight += float(n)
+                    if weight:
+                        expect_w[pos] = np.float32(acc / weight)
+                        covered += 1
+                    else:
+                        uncovered += 1
+                for col in range(expect_b.shape[0]):
+                    acc = weight = 0.0
+                    for sub, mask, n in updates:
+                        sub_col = _kept_position(mask.kept.get(i), col)
+                        if sub_col is not None:
+                            acc += float(n) * float(sub[i].b[sub_col])
+                            weight += float(n)
+                    if weight:
+                        expect_b[col] = np.float32(acc / weight)
+                assert np.array_equal(merged[i].w, expect_w), (case, i)
+                assert np.array_equal(merged[i].b, expect_b), (case, i)
     assert covered and uncovered
 
 
@@ -699,6 +740,39 @@ def test_pool_workers_run_at_lowest_priority(toy_world):
         assert pool._executor.submit(os.getpriority, os.PRIO_PROCESS, 0).result() == 19
     finally:
         pool.close()
+
+
+def _refaults(mb: int, count: int) -> int:
+    """Minor page faults of filling ``count`` new blocks of ``mb`` MiB right
+    after as many blocks were filled and freed."""
+    for _ in range(2):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        blocks = [bytearray(mb << 20) for _ in range(count)]
+        del blocks
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+def test_pool_workers_keep_the_memory_they_free(toy_world):
+    # 80 MiB freed is more than glibc's default trim threshold ever
+    # grows to (64 MiB), so a worker with the default settings hands the
+    # pages back and faults all 20480 of them in again.
+    shards, _, _ = toy_world
+    pool = fedsim.ClientPool(1, 1, nn.count_params(tiny_schedule().models[-1]), shards)
+    try:
+        assert pool._executor.submit(_refaults, 20, 4).result() < 100
+    finally:
+        pool.close()
+
+
+def test_a_worker_starts_without_mallopt(monkeypatch):
+    class NoMallopt:
+        pass
+
+    monkeypatch.setattr(fedsim.os, "nice", lambda increment: increment)
+    monkeypatch.setattr(fedsim.ctypes, "CDLL", lambda name: NoMallopt())
+    monkeypatch.setattr(fedsim, "_worker", {})
+    fedsim._start_worker("slots", "shards")
+    assert fedsim._worker == {"slots": "slots", "shards": "shards"}
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -1,11 +1,13 @@
-"""Per-layer time of one SGD step and one evaluation, measured in process.
+"""Per-layer time of one SGD step, one evaluation and one merge, in process.
 
     python3 tools/step_profile.py [--root DIR] [--models 'mnist m6,cifar10 m6 fd']
 
 For the smallest and largest builtin model of each schedule, and for the
 cifar10 final model as federated dropout crops it, this times
-``nn.backward_and_step`` on a batch of 10 and ``fedsim.evaluate`` on
-300 images, one evaluation batch. It wraps module attributes from
+``nn.backward_and_step`` on a batch of 10, ``fedsim.evaluate`` on 300
+images, one evaluation batch, and ``fedsim.aggregate`` of 10 updates at
+the process's CPU count (``fedsim._cpus``), which sets how many threads
+the merge folds on. It wraps module attributes from
 outside with this checkout's ``bench/spans.py`` tracer and changes no
 source, so ``--root`` measures another checkout's ``src`` (for example a
 clone of the parent commit) with this same harness.
@@ -15,11 +17,12 @@ of the wrapped functions it calls. ``_run_layers`` then holds the
 forward of dense, relu, dropout, gap and flatten, ``gradients`` the loss
 and their backward, and ``backward_and_step`` the SGD update. ``other``
 is the call's wall time outside every wrapped function. Each number is
-the median over ``STEPS`` steps or ``EVALS`` evaluations; the warm-up
-calls before them are discarded.
+the median over ``STEPS`` steps, ``EVALS`` evaluations or ``MERGES``
+merges; the warm-up calls before them are discarded.
 BLAS runs at one thread. Each model also reports the analytic FLOPs
 (``nn.fwd_bwd_flops`` per step, ``nn.forward_flops`` per evaluation),
-the achieved GFLOP/s and the minor page faults per call.
+the achieved GFLOP/s, the float32 bytes a merge reads and its GB/s, and
+the minor page faults per call.
 """
 
 from __future__ import annotations
@@ -47,11 +50,14 @@ BATCH = 10  # the default batch of nn.TrainConfig
 EVAL_SAMPLES = 300  # one evaluation batch, as in the bench's fnn-mnist-grow
 STEPS, WARMUP = 20, 5  # measured and discarded SGD steps per model
 EVALS, EVAL_WARMUP = 3, 1  # measured and discarded evaluations per model
+UPDATES = 10  # the bench workloads' clients_per_round
+MERGES, MERGE_WARMUP = 9, 2  # measured and discarded merges per model
 
 # (module, attribute) of every wrapped function. nn calls its helpers
 # through module globals and fedsim calls nn through the module, so the
 # wrappers see every call.
 WRAPPED = (
+    ("fedsim", "aggregate"),
     ("fedsim", "evaluate"),
     ("nn", "backward_and_step"),
     ("nn", "gradients"),
@@ -140,23 +146,42 @@ def profile(root: Path, only) -> None:
         def evaluate():
             fedsim.evaluate(arch, state["params"], test_x, test_y)
 
+        size = nn.count_params(arch)
+        updates = [(nn.Params(arch, data.random(size, dtype=np.float32)), k + 1)
+                   for k in range(UPDATES)]
+
+        def aggregate():
+            fedsim.aggregate(updates)
+
         step_row = measure(step, WARMUP, STEPS, tracer)
         step_row["gflop"] = nn.fwd_bwd_flops(arch) * BATCH / 1e9
         eval_row = measure(evaluate, EVAL_WARMUP, EVALS, tracer)
         eval_row["gflop"] = nn.forward_flops(arch) * EVAL_SAMPLES / 1e9
-        report(name, step_row, eval_row)
+        merge_row = measure(aggregate, MERGE_WARMUP, MERGES, tracer)
+        merge_row["mb"] = UPDATES * size * np.dtype(nn.DTYPE).itemsize / 1e6
+        report(name, step_row, eval_row, merge_row, fedsim._cpus())
 
 
-def report(name: str, step_row: dict, eval_row: dict) -> None:
+def report(name: str, step_row: dict, eval_row: dict, merge_row: dict,
+           cpus: int) -> None:
     for what, row, n in (("step", step_row, BATCH), ("evaluate", eval_row, EVAL_SAMPLES)):
         gflops = row["gflop"] / (row["wall_ms"] / 1e3)
         print(f"{name} {what} ({n} samples): {row['wall_ms']:.2f} ms, "
               f"{row['gflop']:.3f} GFLOP, {gflops:.2f} GFLOP/s, "
               f"{row['minor_faults']:g} minor faults")
-        for fn, ms in sorted(row["self_ms"].items(), key=lambda kv: -kv[1]):
-            if ms >= 0.005:
-                print(f"    {fn:28s} {ms:9.3f} ms")
+        print_self_ms(row)
+    gbps = merge_row["mb"] / merge_row["wall_ms"]
+    print(f"{name} aggregate ({UPDATES} updates, {cpus} CPUs): "
+          f"{merge_row['wall_ms']:.2f} ms, {merge_row['mb']:.1f} MB read, "
+          f"{gbps:.2f} GB/s, {merge_row['minor_faults']:g} minor faults")
+    print_self_ms(merge_row)
     sys.stdout.flush()
+
+
+def print_self_ms(row: dict) -> None:
+    for fn, ms in sorted(row["self_ms"].items(), key=lambda kv: -kv[1]):
+        if ms >= 0.005:
+            print(f"    {fn:28s} {ms:9.3f} ms")
 
 
 def main(argv=None) -> int:
