@@ -26,7 +26,6 @@ Methods:
 
 from __future__ import annotations
 
-import ctypes
 import functools
 import math
 import mmap
@@ -190,8 +189,11 @@ def weighted_round_loss(losses_and_counts) -> float:
 
 # float64 elements per fold block: each thread's accumulator and scratch
 # buffer (1 MiB together) stay in its core's L2 while every client is
-# folded in. On a 2-vCPU Xeon with 2 MiB of L2 per core, two threads fold
-# 10 mnist m6 updates in 20.6 ms at this size and 25.9 ms at 16384.
+# folded in. On a 2-vCPU Xeon with 2 MiB of L2 per core, 20 alternating
+# pairs of tools/step_profile.py runs at two CPUs folded 10 updates faster
+# at this size than at 16384 (medians: mnist m6 17.5 against 21.7 ms,
+# emnist m6 67.3 against 82.8 ms, cifar10 m6 10.8 against 13.4 ms). A
+# model of fewer than two blocks (131072 elements) folds in one thread.
 _FOLD_BLOCK = 65536
 
 
@@ -514,29 +516,9 @@ _worker: dict = {}  # in a forked worker: the pool's slots and the shards
 
 
 def _start_worker(slots: np.ndarray, shards: list[ClientShard]) -> None:
-    """Initialise a forked pool worker.
-
-    It runs at the lowest priority, so the parent's evaluation, which
-    overlaps the training, is not starved by the workers. It keeps the
-    memory it frees: by default glibc returns a large free top of the
-    heap to the kernel and unmaps a large array's own mapping when it is
-    freed, so a later client faults the same pages in again. Both
-    thresholds are set, because setting either one turns off glibc's
-    dynamic tuning of the other. Where the C library has no ``mallopt``,
-    nothing is set.
-    """
+    # Lowest priority, so the parent's evaluation, which overlaps the
+    # training, is not starved by the workers.
     os.nice(19)
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError):  # not glibc
-        pass
-    else:
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        # M_TRIM_THRESHOLD (-1): free memory up to 1 GiB stays in the heap;
-        # M_MMAP_THRESHOLD (-3): blocks up to 32 MiB, glibc's cap, come
-        # from the heap instead of a mapping of their own.
-        for param, value in ((-1, 1 << 30), (-3, 32 << 20)):
-            mallopt(param, value)
     _worker.update(slots=slots, shards=shards)
 
 
@@ -570,10 +552,9 @@ class ClientPool:
     k-th selected client. Each worker trains a contiguous slice of the
     selection and sends back only (loss, n). Every client does the same
     arithmetic as in this process, so the updates are the same bits.
-    Workers run at niceness 19 and keep the heap memory they free from
-    one task to the next (``_start_worker``). While they wait at the
-    round's barrier, the parent's ``aggregate`` folds on every CPU; it
-    starts no thread that outlives the call, so the fork sees none.
+    Workers run at niceness 19. While they wait at the round's barrier,
+    the parent's ``aggregate`` folds on every CPU; it starts no thread
+    that outlives the call, so the fork sees none.
     """
 
     def __init__(self, workers: int, clients: int, slot_size: int,

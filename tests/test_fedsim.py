@@ -1,7 +1,6 @@
 """Federated loop tests: partitioning, aggregation, dropout broadcast, runs."""
 
 import os
-import resource
 import threading
 
 import numpy as np
@@ -740,39 +739,6 @@ def test_pool_workers_run_at_lowest_priority(toy_world):
         assert pool._executor.submit(os.getpriority, os.PRIO_PROCESS, 0).result() == 19
     finally:
         pool.close()
-
-
-def _refaults(mb: int, count: int) -> int:
-    """Minor page faults of filling ``count`` new blocks of ``mb`` MiB right
-    after as many blocks were filled and freed."""
-    for _ in range(2):
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        blocks = [bytearray(mb << 20) for _ in range(count)]
-        del blocks
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-
-
-def test_pool_workers_keep_the_memory_they_free(toy_world):
-    # 80 MiB freed is more than glibc's default trim threshold ever
-    # grows to (64 MiB), so a worker with the default settings hands the
-    # pages back and faults all 20480 of them in again.
-    shards, _, _ = toy_world
-    pool = fedsim.ClientPool(1, 1, nn.count_params(tiny_schedule().models[-1]), shards)
-    try:
-        assert pool._executor.submit(_refaults, 20, 4).result() < 100
-    finally:
-        pool.close()
-
-
-def test_a_worker_starts_without_mallopt(monkeypatch):
-    class NoMallopt:
-        pass
-
-    monkeypatch.setattr(fedsim.os, "nice", lambda increment: increment)
-    monkeypatch.setattr(fedsim.ctypes, "CDLL", lambda name: NoMallopt())
-    monkeypatch.setattr(fedsim, "_worker", {})
-    fedsim._start_worker("slots", "shards")
-    assert fedsim._worker == {"slots": "slots", "shards": "shards"}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
