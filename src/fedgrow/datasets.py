@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gzip
+import os
 import struct
 from pathlib import Path
 
@@ -57,6 +58,12 @@ def load_idx_images(path) -> np.ndarray:
         if magic != IDX_IMAGE_MAGIC:
             raise DataFormatError(f"{path}: bad image magic {magic} "
                                   f"(expected {IDX_IMAGE_MAGIC})")
+        # The pixel bytes the file can hold; deflate inflates a byte to 1032 at most.
+        size = os.fstat(fh.fileno()).st_size
+        room = size * 1032 if isinstance(fh, gzip.GzipFile) else size - 16
+        if n * rows * cols > room:
+            raise DataFormatError(f"{path}: header declares {n}x{rows}x{cols} pixels: "
+                                  f"truncated file ({room} of {n * rows * cols} bytes)")
         images = np.empty((n, rows, cols, 1), dtype=np.float32)
         flat = images.reshape(-1)
         for start in range(0, flat.size, _INGEST_CHUNK):

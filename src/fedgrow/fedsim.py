@@ -4,17 +4,16 @@
 metrics rows, switch events) round by round. A round has three phases.
 ``start_round``: select (``select_clients``), broadcast (``broadcast``:
 the full model, or a random sub-network cut by ``fd_extract`` under
-federated dropout) and, with a ``ClientPool`` of forked workers, submit
-the clients' local SGD to it. ``finish_round``: train (``collect`` from
-the pool, or ``train_clients`` in this process), merge (``aggregate``,
-or ``fd_merge`` under federated dropout), record the loss in the policy
-and switch (staged methods: ``switch`` grows the model in place with
-``apply_diff`` once the policy fires). ``settle_round``: evaluate
-(``evaluate``, every ``eval_every`` rounds and around each switch) and
-complete the round's metrics row. ``run_experiment`` settles round r
-after starting round r + 1, so the evaluation overlaps the workers'
-training; ``run_round`` runs the three phases back to back. Every
-transmitted scalar is accounted at 4 bytes.
+federated dropout) and submit the clients' local SGD to the run's
+``ClientPool``. ``finish_round``: train (``collect`` from the pool),
+merge (``aggregate``, or ``fd_merge`` under federated dropout), record
+the loss in the policy and switch (staged methods: ``switch`` grows the
+model in place with ``apply_diff`` once the policy fires).
+``settle_round``: evaluate (``evaluate``, every ``eval_every`` rounds and
+around each switch) and complete the round's metrics row.
+``run_experiment`` settles round r after starting round r + 1, so the
+evaluation overlaps the workers' training; ``run_round`` runs the three
+phases back to back. Every transmitted scalar is accounted at 4 bytes.
 
 Methods:
   fedavg  - final model broadcast in full every round
@@ -32,7 +31,7 @@ import mmap
 import multiprocessing
 import os
 from collections.abc import Callable
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -522,12 +521,16 @@ def _start_worker(slots: np.ndarray, shards: list[ClientShard]) -> None:
     _worker.update(slots=slots, shards=shards)
 
 
-def _train_slice(arch: nn.ModelArch, cids: list[int], first_slot: int, r: int,
+def _train_in_worker(*args) -> list[tuple[float, int]]:
+    return _train_slice(_worker["slots"], _worker["shards"], *args)
+
+
+def _train_slice(slots: np.ndarray, shards: list[ClientShard], arch: nn.ModelArch,
+                 cids: list[int], first_slot: int, r: int,
                  settings: RunSettings) -> list[tuple[float, int]]:
-    """In a worker: ``local_train`` of clients ``cids`` from the model in
-    slot 0, each update packed into the next slot from ``first_slot`` on.
-    Returns the clients' (loss, n)."""
-    slots, shards = _worker["slots"], _worker["shards"]
+    """``local_train`` of clients ``cids``, each on its own stream, from the
+    model in slot 0, each update packed into the next slot from
+    ``first_slot`` on. Returns the clients' (loss, n)."""
     size = nn.count_params(arch)
     params = nn.Params(arch, slots[0, :size])
     out = []
@@ -541,17 +544,17 @@ def _train_slice(arch: nn.ModelArch, cids: list[int], first_slot: int, r: int,
 
 
 class ClientPool:
-    """Fork-started processes that train a round's clients.
+    """Trains a round's clients: in this process at one worker, otherwise
+    in fork-started processes, which inherit the shards copy-on-write.
 
-    The workers inherit the shards copy-on-write, so no data is sent to
-    them. Parameters travel through one shared anonymous mapping of
+    Parameters travel through one shared anonymous mapping of
     ``clients + 1`` float32 slots of ``slot_size`` elements, the largest
     ``nn.count_params`` of the schedule. A model in a slot is the
     ``nn.Params`` over the slot's first ``count_params(arch)`` elements.
     Slot 0 holds the broadcast model and slot k + 1 the update of the
     k-th selected client. Each worker trains a contiguous slice of the
-    selection and sends back only (loss, n). Every client does the same
-    arithmetic as in this process, so the updates are the same bits.
+    selection and sends back only (loss, n), so at any worker count every
+    client does the same arithmetic and the updates are the same bits.
     Workers run at niceness 19. While they wait at the round's barrier,
     the parent's ``aggregate`` folds on every CPU; it starts no thread
     that outlives the call, so the fork sees none.
@@ -560,29 +563,34 @@ class ClientPool:
     def __init__(self, workers: int, clients: int, slot_size: int,
                  shards: list[ClientShard]):
         self.workers = workers
+        self._shards = shards
         self._mapping = mmap.mmap(-1, (clients + 1) * slot_size * np.dtype(nn.DTYPE).itemsize)
         self.slots = np.frombuffer(self._mapping, dtype=nn.DTYPE).reshape(clients + 1, -1)
         self._executor = ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_start_worker, initargs=(self.slots, shards))
+            initializer=_start_worker, initargs=(self.slots, shards)) if workers > 1 else None
 
     def submit(self, arch: nn.ModelArch, params: nn.Params, sel: list[int], r: int,
-               settings: RunSettings) -> list[Future]:
+               settings: RunSettings) -> list[Callable[[], list]]:
         """Copy ``params.flat`` to slot 0 and start training ``sel`` across the
-        workers; ``collect`` waits for the returned slices. Every slot is
-        rewritten, so the previous round's updates must be collected and
-        merged first."""
+        workers; ``collect`` calls the returned slices, which at one worker
+        train in this process. Every slot is rewritten, so the previous
+        round's updates must be collected and merged first."""
         self.slots[0, :params.flat.size] = params.flat
+        if self._executor is None:
+            return [functools.partial(_train_slice, self.slots, self._shards,
+                                      arch, sel, 1, r, settings)]
         bounds = [len(sel) * w // self.workers for w in range(self.workers + 1)]
-        return [self._executor.submit(_train_slice, arch, sel[lo:hi], lo + 1, r, settings)
+        return [self._executor.submit(_train_in_worker, arch, sel[lo:hi], lo + 1, r,
+                                      settings).result
                 for lo, hi in zip(bounds, bounds[1:])]
 
     def collect(self, arch: nn.ModelArch,
-                futures: list[Future]) -> list[tuple[nn.Params, float, int]]:
-        """The submitted clients' ``train_clients`` result; the updates are
-        views of the slots, valid until the next ``submit``."""
+                slices: list[Callable[[], list]]) -> list[tuple[nn.Params, float, int]]:
+        """The submitted clients' (update, loss, n) in ``sel`` order; the
+        updates are views of the slots, valid until the next ``submit``."""
         try:
-            results = [pair for future in futures for pair in future.result()]
+            results = [pair for wait in slices for pair in wait()]
         except BrokenProcessPool as e:
             raise FedgrowError(f"a client training worker exited unexpectedly: {e}") from e
         size = nn.count_params(arch)
@@ -590,7 +598,8 @@ class ClientPool:
                 for k, (loss, n) in enumerate(results)]
 
     def close(self) -> None:
-        self._executor.shutdown(cancel_futures=True)
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=True)
         self._executor = self.slots = None  # both hold the mapping
         try:
             self._mapping.close()
@@ -607,19 +616,6 @@ def broadcast(state: RunState, r: int, use_fd: bool, settings: RunSettings):
         return fd_extract(state.arch, state.params, keep,
                           rngmod.stream(settings.master_seed, rngmod.FD_MASK, r))
     return state.arch, state.params, None
-
-
-def train_clients(arch: nn.ModelArch, params: nn.Params, sel: list[int],
-                  shards: list[ClientShard], r: int, settings: RunSettings):
-    """``local_train`` of every selected client in this process, each on its
-    own stream, in ``sel`` order, with each update packed into one vector."""
-    results = []
-    for cid in sel:
-        update, loss, n = local_train(
-            arch, params, shards[cid], settings.train,
-            rngmod.stream(settings.master_seed, rngmod.CLIENT, r, cid))
-        results.append((nn.pack(arch, update), loss, n))
-    return results
 
 
 # A model whose test accuracy is owed: (arch, params, targets), where each
@@ -655,7 +651,8 @@ def _in_round(r: int):
 @dataclass
 class Sent:
     """A round between ``start_round`` and ``finish_round``: what was
-    broadcast, and ``train``, which returns the clients' (update, loss, n)."""
+    broadcast, and ``train``, the pool's ``collect``, which returns the
+    clients' (update, loss, n)."""
 
     r: int
     model_index: int  # the model trained this round, reported pre-switch
@@ -666,20 +663,17 @@ class Sent:
 
 
 def start_round(state: RunState, r: int, method: str, shards: list[ClientShard],
-                settings: RunSettings, pool: ClientPool | None = None) -> Sent:
-    """Select and broadcast round ``r``'s clients. ``pool``, when given,
-    starts training them; otherwise they train in ``finish_round``."""
+                settings: RunSettings, pool: ClientPool) -> Sent:
+    """Select and broadcast round ``r``'s clients and submit them to
+    ``pool``; ``finish_round`` collects their updates."""
     index = state.model_index
     with _in_round(r):
         sel = select_clients(rngmod.stream(settings.master_seed, rngmod.SELECT, r),
                              len(shards), settings.clients_per_round)
         use_fd = method == "fd" or (method == "fnn-fd" and index >= settings.fd_exempt_prefix)
         arch, params, mask = broadcast(state, r, use_fd, settings)
-        if pool is None:
-            train = functools.partial(train_clients, arch, params, sel, shards, r, settings)
-        else:
-            train = functools.partial(pool.collect, arch,
-                                      pool.submit(arch, params, sel, r, settings))
+        train = functools.partial(pool.collect, arch,
+                                  pool.submit(arch, params, sel, r, settings))
     return Sent(r, index, sel, arch, mask, train)
 
 
@@ -737,10 +731,10 @@ def _has_tests(test_samples) -> bool:
 
 def run_round(state: RunState, r: int, method: str, schedule: GrowthSchedule,
               diffs, shards: list[ClientShard], test_samples, test_labels,
-              settings: RunSettings, pool: ClientPool | None = None) -> RoundMetrics:
+              settings: RunSettings, pool: ClientPool) -> RoundMetrics:
     """Run round ``r`` on ``state`` in place and return its metrics row: its
     three phases back to back. ``diffs`` is ``schedule_diffs(schedule)``,
-    or None for unstaged methods; ``pool``, when given, trains the clients."""
+    or None for unstaged methods; ``pool`` trains the clients."""
     sent = start_round(state, r, method, shards, settings, pool)
     row, evaluations = finish_round(state, sent, schedule, diffs, settings,
                                     _has_tests(test_samples))
@@ -756,14 +750,15 @@ def run_experiment(method: str, schedule: GrowthSchedule,
     """Execute a full multi-round run of one method.
 
     ``on_round`` (optional) receives each RoundMetrics once its accuracy
-    is known, so callers can stream partial results before a failure.
-    With more than one ``worker_count``, a ``ClientPool`` with a slot for
-    the largest model of the schedule trains the clients. Each round runs
+    is known, so callers can stream partial results before a failure. A
+    ``ClientPool`` of ``worker_count`` workers with a slot for the largest
+    model of the schedule trains the clients. Each round runs
     ``start_round``; then the previous round's ``settle_round``, whose
-    evaluations overlap this round's training in the pool; then this
-    round's ``finish_round``. A row with nothing to evaluate is settled
-    at once, and any row at most one round late. Every completed round's
-    row reaches ``on_round`` before a later round's error is raised.
+    evaluations overlap this round's training in forked workers (at one
+    worker, precede it); then this round's ``finish_round``. A row with
+    nothing to evaluate is settled at once, and any row at most one round
+    late. Every completed round's row reaches ``on_round`` before a later
+    round's error is raised.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -790,11 +785,8 @@ def run_experiment(method: str, schedule: GrowthSchedule,
             if on_round is not None:
                 on_round(row)
 
-    workers = worker_count(settings)
-    pool = None
-    if workers > 1:
-        pool = ClientPool(workers, settings.clients_per_round,
-                          max(nn.count_params(m) for m in schedule.models), shards)
+    pool = ClientPool(worker_count(settings), settings.clients_per_round,
+                      max(nn.count_params(m) for m in schedule.models), shards)
     try:
         for r in range(settings.rounds):
             try:
@@ -806,6 +798,5 @@ def run_experiment(method: str, schedule: GrowthSchedule,
                 settle()
         settle()
     finally:
-        if pool is not None:
-            pool.close()
+        pool.close()
     return state

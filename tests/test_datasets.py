@@ -1,6 +1,7 @@
 """IDX parsing and synthetic dataset tests."""
 
 import gzip
+import json
 import shutil
 import struct
 import tracemalloc
@@ -8,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fedgrow import datasets, fedsim, nn
+from fedgrow import cli, datasets, fedsim, nn
 from fedgrow.errors import ConfigError, DataFormatError
 from fedgrow.rng import stream
 
@@ -149,6 +150,34 @@ def test_truncation_in_a_later_chunk_reports_the_whole_pixel_section(tmp_path, m
     path.write_bytes(path.read_bytes()[:16 + 550])
     with pytest.raises(DataFormatError, match=r"truncated .*\(550 of 1024 bytes\)"):
         datasets.load_idx_images(path)
+
+
+# A header declaring 0xFFFFFFFF images of 255x255 pixels, about 1016 TiB
+# of float32, followed by no pixel data.
+_HUGE_HEADER = struct.pack(">IIII", datasets.IDX_IMAGE_MAGIC, 0xFFFFFFFF, 255, 255)
+
+
+@pytest.mark.parametrize("gz", [False, True])
+def test_a_header_larger_than_its_file_is_rejected_before_allocating(tmp_path, gz):
+    path = tmp_path / "images"
+    if gz:
+        with gzip.open(tmp_path / "images.gz", "wb") as out:
+            out.write(_HUGE_HEADER)
+    else:
+        path.write_bytes(_HUGE_HEADER)
+    with pytest.raises(DataFormatError, match="declares 4294967295x255x255 pixels"):
+        datasets.load_idx_images(path)
+
+
+def test_cli_reports_a_header_larger_than_its_file(idx_dir, tmp_path, capsys):
+    (idx_dir / datasets.TRAIN_IMAGES).write_bytes(_HUGE_HEADER)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dataset": "mnist", "data_dir": str(idx_dir)}))
+    out = tmp_path / "never-written"
+    assert cli.main(["run", "--config", str(config), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "4294967295x255x255" in err
+    assert not out.exists()
 
 
 def test_image_ingest_holds_about_one_float_copy(tmp_path):

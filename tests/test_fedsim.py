@@ -11,7 +11,7 @@ from fedgrow.errors import ConfigError, NumericalError
 from fedgrow.fedsim import (ClientShard, PartitionSpec, RunSettings, RunState, aggregate,
                             fd_extract, fd_merge, local_train, partition,
                             run_experiment, run_round, select_clients)
-from fedgrow.rng import INIT, SELECT, stream
+from fedgrow.rng import CLIENT, INIT, SELECT, stream
 from fedgrow.switching import DEFAULT_LAG, DEFAULT_WINDOW, SwitchPolicy
 
 from conftest import random_params
@@ -576,8 +576,13 @@ def test_run_round_steps_a_run_state_like_run_experiment(toy_world):
     state = RunState(arch, nn.init_params(arch, stream(settings.master_seed, INIT)),
                      SwitchPolicy(settings.switch_window, settings.switch_lag))
     diffs = growth.schedule_diffs(sched)
-    rows = [run_round(state, r, "fnn-fd", sched, diffs, shards, tx, ty, settings)
-            for r in range(settings.rounds)]
+    pool = fedsim.ClientPool(1, settings.clients_per_round,
+                             nn.count_params(sched.models[-1]), shards)
+    try:
+        rows = [run_round(state, r, "fnn-fd", sched, diffs, shards, tx, ty, settings, pool)
+                for r in range(settings.rounds)]
+    finally:
+        pool.close()
     assert rows == state.metrics == whole.metrics
     assert state.events == whole.events
     assert state.model_index == whole.model_index == len(whole.events)
@@ -709,16 +714,20 @@ def test_first_failing_client_in_selection_order_is_reported(toy_world, cpus, mo
         assert str(exc.value) == f"round 0: client {sel[1]}: injected"
 
 
-def test_client_pool_returns_slot_views_and_releases_its_mapping(toy_world):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_client_pool_returns_slot_views_and_releases_its_mapping(toy_world, workers):
     shards, _, _ = toy_world
     arch = tiny_schedule().models[-1]
     params = random_params(arch, 16)
     settings = _settings(1)
     sel = [0, 3, 5, 9]
-    pool = fedsim.ClientPool(2, len(sel), nn.count_params(arch), shards)
+    pool = fedsim.ClientPool(workers, len(sel), nn.count_params(arch), shards)
     try:
         updates = pool.collect(arch, pool.submit(arch, params, sel, 0, settings))
-        expected = fedsim.train_clients(arch, params, sel, shards, 0, settings)
+        expected = [fedsim.local_train(arch, params, shards[cid], settings.train,
+                                       stream(settings.master_seed, CLIENT, 0, cid))
+                    for cid in sel]
+        assert len(updates) == len(sel)
         for (got, loss, n), (want, want_loss, want_n) in zip(updates, expected):
             assert (loss, n) == (want_loss, want_n)
             for i, p in want.items():
@@ -787,25 +796,30 @@ def _pool_log(monkeypatch):
     return log
 
 
-def test_evaluation_overlaps_the_next_rounds_training(toy_world, cpus, monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_evaluation_overlaps_the_next_rounds_training(toy_world, cpus, monkeypatch, workers):
     # Round r's evaluation runs in this process between round r + 1's
     # submit and collect; the last round's runs after its own collect.
+    # Forked workers train between the two; one worker trains inside
+    # collect, after the evaluation.
     shards, tx, ty = toy_world
     log = _pool_log(monkeypatch)
-    cpus(2)
+    cpus(workers)
     run_experiment("fedavg", tiny_schedule(), shards, tx, ty, _settings(10, eval_every=5))
     expected = []
     for r in range(10):
         expected += [("submit", r)] + (["evaluate"] if r == 5 else []) + ["collect"]
+        expected += ["train"] * 4 if workers == 1 else []
     assert log == expected + ["evaluate"]
 
 
-def test_one_worker_evaluates_before_the_next_round_trains(toy_world, cpus, monkeypatch):
-    shards, tx, ty = toy_world
-    log = _pool_log(monkeypatch)
+def test_one_worker_forks_nothing(toy_world, cpus, monkeypatch):
+    def executor(*args, **kwargs):
+        raise AssertionError("a one-worker run started a process pool")
+
     cpus(1)
-    run_experiment("fedavg", tiny_schedule(), shards, tx, ty, _settings(10, eval_every=5))
-    expected = []
-    for r in range(10):
-        expected += ["train"] * 4 + (["evaluate"] if r in (4, 9) else [])
-    assert log == expected
+    monkeypatch.setattr(fedsim, "ProcessPoolExecutor", executor)
+    shards, tx, ty = toy_world
+    result = run_experiment("fnn-fd", tiny_schedule(), shards, tx, ty,
+                            _settings(30, fd_keep_fraction=0.5, fd_exempt_prefix=1))
+    assert result.events and len(result.metrics) == 30

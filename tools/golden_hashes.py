@@ -9,12 +9,15 @@ Each variant runs ``fedgrow run`` twice, each time in its own child
 process against the ``src/`` of the checkout holding this script, with
 ``OPENBLAS_NUM_THREADS=1``: once restricted to one CPU, so one worker
 (clients train in the run's own process), and once on every CPU it may
-use, so the automatic worker count. It prints one hash per variant and
-exits 1 when the two runs of a variant differ, in ``metrics.csv`` or in
-the manifest's switch events (whose accuracies come from evaluations
-that overlap the next round's training). The hashes depend on the
-numpy/BLAS build, so they are compared between checkouts on one machine
-and are not test assertions.
+use, so the automatic worker count. It prints one hash per variant, with
+each run's worker count (the manifest's ``workers``), and exits 1 when
+the two runs of a variant differ, in ``metrics.csv`` or in the manifest's
+switch events (whose accuracies come from evaluations that overlap the
+next round's training), or when the every-CPU run also used one worker:
+both runs then trained in process, and the forked path went unchecked.
+The hashes depend on the numpy/BLAS build, so they are compared between
+checkouts on one machine (the first two fields of each line) and are not
+test assertions.
 """
 
 from __future__ import annotations
@@ -114,7 +117,8 @@ def _one_cpu() -> None:
 
 
 def golden_run(name: str, overrides: dict, work: Path, one_cpu: bool):
-    """(sha256 of ``metrics.csv``, the manifest's switch events) of one run."""
+    """(sha256 of ``metrics.csv``, the manifest's switch events, the
+    manifest's worker count) of one run."""
     config = {**json.loads(BASE_CONFIG.read_text()), **overrides}
     if isinstance(config["schedule"], dict):
         schedule_path = work / f"{name}-schedule.json"
@@ -131,16 +135,22 @@ def golden_run(name: str, overrides: dict, work: Path, one_cpu: bool):
                     str(config_path), "--output", str(out)],
                    env=env, check=True, stdout=subprocess.DEVNULL,
                    preexec_fn=_one_cpu if one_cpu else None)
-    events = json.loads((out / "manifest.json").read_text())["switch_events"]
-    return hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest(), events
+    manifest = json.loads((out / "manifest.json").read_text())
+    digest = hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest()
+    return digest, manifest["switch_events"], manifest["workers"]
 
 
 def main() -> int:
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
         for name, overrides in VARIANTS.items():
-            (serial, serial_events), (auto, auto_events) = (
+            (serial, serial_events, serial_workers), (auto, auto_events, auto_workers) = (
                 golden_run(name, overrides, Path(tmp), one_cpu) for one_cpu in (True, False))
+            if auto_workers == 1:
+                print(f"{name}: the every-CPU run used one worker too, so the forked "
+                      f"path went unchecked; run this script on at least two CPUs",
+                      file=sys.stderr)
+                status = 1
             if serial != auto:
                 print(f"{name}: one CPU gives {serial}, every CPU gives {auto}",
                       file=sys.stderr)
@@ -149,7 +159,7 @@ def main() -> int:
                 print(f"{name}: switch events differ between one CPU and every CPU",
                       file=sys.stderr)
                 status = 1
-            print(f"{serial}  {name}", flush=True)
+            print(f"{serial}  {name}  workers {serial_workers}, {auto_workers}", flush=True)
     return status
 
 
