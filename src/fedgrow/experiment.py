@@ -269,19 +269,31 @@ def run(config: ExperimentConfig) -> Path:
     """
     config.validate()
     schedule = build_schedule(config)
+    # Every model federated dropout crops: the final one under fd, all
+    # past the exempt prefix under fnn-fd.
+    cropped = {"fd": schedule.num_models - 1, "fnn-fd": config.fd_exempt_prefix}
+    for k in range(cropped.get(config.method, schedule.num_models), schedule.num_models):
+        try:
+            fedsim.fd_kept_units(schedule.models[k], config.fd_keep_fraction,
+                                 config.train.dropout_rate)
+        except ConfigError as e:
+            raise ConfigError(f"fd_keep_fraction on model {k + 1}: {e}") from e
     first = schedule.models[0]
     dims = tuple(config.synthetic.dims)
     if config.dataset == "synthetic" and dims != tuple(first.input_shape):
         raise ConfigError(f"synthetic dims {dims} do not match schedule input "
                           f"{first.input_shape}")
     train_x, train_y, test_x, test_y = build_dataset(config)
-    if tuple(train_x.shape[1:]) != tuple(first.input_shape):
-        raise ConfigError(f"dataset samples {train_x.shape[1:]} do not match "
-                          f"schedule input {first.input_shape}")
-    n_classes = int(train_y.max()) + 1
-    if n_classes > first.num_classes:
-        raise ConfigError(f"dataset has {n_classes} classes but the schedule "
-                          f"classifier has {first.num_classes}")
+    # An empty test split is a run without evaluations; partition rejects
+    # an empty training split.
+    for split, x, y in (("dataset", train_x, train_y), ("test split", test_x, test_y)):
+        if x.shape[0] and tuple(x.shape[1:]) != tuple(first.input_shape):
+            raise ConfigError(f"{split} samples {x.shape[1:]} do not match "
+                              f"schedule input {first.input_shape}")
+        n_classes = int(y.max()) + 1 if y.size else 0
+        if n_classes > first.num_classes:
+            raise ConfigError(f"{split} has {n_classes} classes but the schedule "
+                              f"classifier has {first.num_classes}")
     shards = fedsim.partition(train_x, train_y, config.partition)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)

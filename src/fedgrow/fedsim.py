@@ -10,10 +10,10 @@ merge (``aggregate``, or ``fd_merge`` under federated dropout), record
 the loss in the policy and switch (staged methods: ``switch`` grows the
 model in place with ``apply_diff`` once the policy fires).
 ``settle_round``: evaluate (``evaluate``, every ``eval_every`` rounds and
-around each switch) and complete the round's metrics row.
-``run_experiment`` settles round r after starting round r + 1, so the
-evaluation overlaps the workers' training; ``run_round`` runs the three
-phases back to back. Every transmitted scalar is accounted at 4 bytes.
+around each switch, unless there are no test samples) and complete the
+round's metrics row. ``run_experiment`` settles round r after starting
+round r + 1, so the evaluation overlaps the workers' training. Every
+transmitted scalar is accounted at 4 bytes.
 
 Methods:
   fedavg  - final model broadcast in full every round
@@ -290,24 +290,39 @@ def _prev_trainable_map(arch: nn.ModelArch) -> dict[int, int]:
     return prev_map
 
 
+def fd_kept_units(arch: nn.ModelArch, keep_fraction: float | None,
+                  dropout_rate: float | None = None) -> tuple[float, dict[int, int]]:
+    """Federated dropout's keep fraction on ``arch`` and the units it keeps
+    of each hidden trainable layer, floor(width * keep fraction); the
+    classifier keeps all. A ``keep_fraction`` of None resolves to
+    1 - ``dropout_rate``. Raises ConfigError when the fraction is outside
+    (0, 1] or keeps zero units of a layer."""
+    if keep_fraction is None:
+        keep_fraction = 1.0 - dropout_rate
+    if not 0.0 < keep_fraction <= 1.0:
+        raise ConfigError(f"keep fraction must be in (0, 1], got {keep_fraction}")
+    counts = {}
+    for i in nn.trainable_indices(arch)[:-1]:
+        width = arch.layers[i].weight_shape[-1]
+        counts[i] = math.floor(width * keep_fraction)
+        if counts[i] == 0:
+            raise ConfigError(
+                f"layer {i}: keep fraction {keep_fraction} keeps zero of {width} units")
+    return keep_fraction, counts
+
+
 def fd_extract(arch: nn.ModelArch, params: nn.Params, keep_fraction: float,
                rng: np.random.Generator):
     """Random sub-network for broadcasting.
 
-    Keeps floor(width * keep_fraction) units/filters in every hidden
-    trainable layer (the classifier is exempt) and crops adjacent
-    weights consistently. Returns (sub_arch, sub_params, mask).
+    Keeps the units ``fd_kept_units`` counts, chosen at random, in every
+    hidden trainable layer and crops adjacent weights consistently.
+    Returns (sub_arch, sub_params, mask).
     """
-    if not 0.0 < keep_fraction <= 1.0:
-        raise ConfigError(f"keep fraction must be in (0, 1], got {keep_fraction}")
-    trainables = nn.trainable_indices(arch)
+    _, counts = fd_kept_units(arch, keep_fraction)
     kept: dict[int, np.ndarray] = {}
-    for i in trainables[:-1]:
+    for i, count in counts.items():
         width = arch.layers[i].weight_shape[-1]
-        count = int(math.floor(width * keep_fraction))
-        if count == 0:
-            raise ConfigError(
-                f"layer {i}: keep fraction {keep_fraction} keeps zero of {width} units")
         if count == width:
             kept[i] = np.arange(width)
         else:
@@ -385,14 +400,19 @@ def _index_expr(spec, in_idx, out_idx):
 # Evaluation, accounting, the round loop
 
 
+# Test samples per ``evaluate`` batch: whole 512-sample batches give the
+# same bits in any process, and splitting a batch changes the dense layers' bits.
+EVAL_BATCH = 512
+
+
 def evaluate(arch: nn.ModelArch, params: nn.Params, samples: np.ndarray,
-             labels: np.ndarray, batch_size: int = 512) -> float:
+             labels: np.ndarray) -> float:
     """Top-1 accuracy in eval mode; deterministic for fixed inputs."""
     hits = 0
-    for start in range(0, samples.shape[0], batch_size):
-        probs = nn.forward(arch, params, samples[start:start + batch_size])
+    for start in range(0, samples.shape[0], EVAL_BATCH):
+        probs = nn.forward(arch, params, samples[start:start + EVAL_BATCH])
         hits += int((probs.argmax(axis=1) ==
-                     labels[start:start + batch_size]).sum())
+                     labels[start:start + EVAL_BATCH]).sum())
     return hits / samples.shape[0]
 
 
@@ -609,12 +629,12 @@ class ClientPool:
 
 def broadcast(state: RunState, r: int, use_fd: bool, settings: RunSettings):
     """(arch, params, mask) sent to round ``r``'s clients; mask None is the full model."""
-    keep = settings.fd_keep_fraction
-    if keep is None:
-        keep = 1.0 - settings.train.dropout_rate
-    if use_fd and keep < 1.0:
-        return fd_extract(state.arch, state.params, keep,
-                          rngmod.stream(settings.master_seed, rngmod.FD_MASK, r))
+    if use_fd:
+        keep, _ = fd_kept_units(state.arch, settings.fd_keep_fraction,
+                                settings.train.dropout_rate)
+        if keep < 1.0:
+            return fd_extract(state.arch, state.params, keep,
+                              rngmod.stream(settings.master_seed, rngmod.FD_MASK, r))
     return state.arch, state.params, None
 
 
@@ -624,17 +644,16 @@ Evaluation = tuple[nn.ModelArch, nn.Params, list[tuple[object, str]]]
 
 
 def switch(state: RunState, r: int, signal: float, diffs, seed: int,
-           evaluations: list[Evaluation] | None) -> None:
-    """Grow ``state`` to the next model and record the switch event. Unless
-    ``evaluations`` is None, the models before and after the switch are
-    appended to it, owing the event's two accuracies."""
+           evaluations: list[Evaluation]) -> None:
+    """Grow ``state`` to the next model and record the switch event. The
+    models before and after the switch are appended to ``evaluations``,
+    owing the event's two accuracies."""
     index = state.model_index
     event = SwitchEvent(r, index, index + 1, signal, None, None)
     before = (state.arch, state.params, [(event, "accuracy_before")])
     state.arch, state.params, _ = apply_diff(
         state.arch, state.params, diffs[index], rngmod.stream(seed, rngmod.SWITCH, index))
-    if evaluations is not None:
-        evaluations += [before, (state.arch, state.params, [(event, "accuracy_after")])]
+    evaluations += [before, (state.arch, state.params, [(event, "accuracy_after")])]
     state.events.append(event)
     state.policy.advance()
 
@@ -678,10 +697,10 @@ def start_round(state: RunState, r: int, method: str, shards: list[ClientShard],
 
 
 def finish_round(state: RunState, sent: Sent, schedule: GrowthSchedule, diffs,
-                 settings: RunSettings, testing: bool):
+                 settings: RunSettings):
     """Merge round ``sent.r``'s updates into ``state``, step the policy and
     switch when it fires. Returns the round's row and the evaluations
-    ``settle_round`` owes it (none when ``testing`` is false)."""
+    ``settle_round`` owes it."""
     r, policy = sent.r, state.policy
     with _in_round(r):
         updates = sent.train()
@@ -696,15 +715,14 @@ def finish_round(state: RunState, sent: Sent, schedule: GrowthSchedule, diffs,
         switched = diffs is not None and policy.should_switch(schedule)
         evaluations: list[Evaluation] = []
         if switched:
-            switch(state, r, signal, diffs, settings.master_seed,
-                   evaluations if testing else None)
+            switch(state, r, signal, diffs, settings.master_seed, evaluations)
 
         mean_n = sum(n for _, _, n in updates) / len(sent.sel)
         flops = settings.train.local_epochs * int(nn.fwd_bwd_flops(sent.arch) * mean_n)
         down = up = nn.count_params(sent.arch) * len(sent.sel) * BYTES_PER_SCALAR
         row = RoundMetrics(r, sent.model_index, wloss, None, signal, switched,
                            down, up, state.ledger.total_bytes + down + up, flops)
-    if testing and settings.eval_every > 0 and (r + 1) % settings.eval_every == 0:
+    if settings.eval_every > 0 and (r + 1) % settings.eval_every == 0:
         if not switched:
             evaluations.append((state.arch, state.params, []))
         # After a switch the grown model is owed already, for accuracy_after.
@@ -715,7 +733,10 @@ def finish_round(state: RunState, sent: Sent, schedule: GrowthSchedule, diffs,
 def settle_round(state: RunState, row: RoundMetrics, evaluations: list[Evaluation],
                  test_samples, test_labels) -> RoundMetrics:
     """Evaluate what ``finish_round`` left owed, fill the accuracies in and
-    append the completed row to ``state.metrics``."""
+    append the completed row to ``state.metrics``. Without test samples
+    nothing is evaluated and every accuracy stays None."""
+    if test_samples is None or test_samples.shape[0] == 0:
+        evaluations = []
     with _in_round(row.round):
         for arch, params, targets in evaluations:
             accuracy = evaluate(arch, params, test_samples, test_labels)
@@ -723,22 +744,6 @@ def settle_round(state: RunState, row: RoundMetrics, evaluations: list[Evaluatio
                 setattr(record, name, accuracy)
     state.metrics.append(row)
     return row
-
-
-def _has_tests(test_samples) -> bool:
-    return test_samples is not None and test_samples.shape[0] > 0
-
-
-def run_round(state: RunState, r: int, method: str, schedule: GrowthSchedule,
-              diffs, shards: list[ClientShard], test_samples, test_labels,
-              settings: RunSettings, pool: ClientPool) -> RoundMetrics:
-    """Run round ``r`` on ``state`` in place and return its metrics row: its
-    three phases back to back. ``diffs`` is ``schedule_diffs(schedule)``,
-    or None for unstaged methods; ``pool`` trains the clients."""
-    sent = start_round(state, r, method, shards, settings, pool)
-    row, evaluations = finish_round(state, sent, schedule, diffs, settings,
-                                    _has_tests(test_samples))
-    return settle_round(state, row, evaluations, test_samples, test_labels)
 
 
 def run_experiment(method: str, schedule: GrowthSchedule,
@@ -755,10 +760,10 @@ def run_experiment(method: str, schedule: GrowthSchedule,
     model of the schedule trains the clients. Each round runs
     ``start_round``; then the previous round's ``settle_round``, whose
     evaluations overlap this round's training in forked workers (at one
-    worker, precede it); then this round's ``finish_round``. A row with
-    nothing to evaluate is settled at once, and any row at most one round
-    late. Every completed round's row reaches ``on_round`` before a later
-    round's error is raised.
+    worker, precede it); then this round's ``finish_round``. A row that
+    owes no evaluation is settled at once, and any row, with test samples
+    or none, at most one round late. Every completed round's row reaches
+    ``on_round`` before a later round's error is raised.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -775,7 +780,6 @@ def run_experiment(method: str, schedule: GrowthSchedule,
     policy = SwitchPolicy(settings.switch_window, settings.switch_lag, model_index=index)
     # No local holds the initial params, so the first merge frees them.
     state = RunState(arch, nn.init_params(arch, init_rng, settings.init_scheme), policy)
-    testing = _has_tests(test_samples)
     owed = None  # (row, evaluations) of a finished round not yet settled
 
     def settle():
@@ -793,7 +797,7 @@ def run_experiment(method: str, schedule: GrowthSchedule,
                 sent = start_round(state, r, method, shards, settings, pool)
             finally:  # the previous row is written even when this round fails
                 settle()
-            owed = finish_round(state, sent, schedule, diffs, settings, testing)
+            owed = finish_round(state, sent, schedule, diffs, settings)
             if not owed[1]:
                 settle()
         settle()

@@ -34,7 +34,6 @@ THRESHOLDS = {
 LEARNING_RATES = {"emnist": 0.035, "cifar10": 0.05, "mnist": 0.015}
 CLIENTS_PER_ROUND = {"emnist": 35, "cifar10": 10, "mnist": 10}
 
-DEFAULT_DROPOUT = 0.125
 
 @dataclass(frozen=True)
 class GrowthSchedule:
@@ -80,7 +79,7 @@ class TransformStep:
 # spatial one.
 
 
-def build_arch(input_shape, tokens, dropout_rate: float = DEFAULT_DROPOUT,
+def build_arch(input_shape, tokens, dropout_rate: float = nn.DEFAULT_DROPOUT,
                name: str = "") -> nn.ModelArch:
     """Assemble a full architecture from compact layer tokens.
 
@@ -164,7 +163,7 @@ def _cifar_tokens():
     ]
 
 
-def builtin_schedule(dataset: str, dropout_rate: float = DEFAULT_DROPOUT) -> GrowthSchedule:
+def builtin_schedule(dataset: str, dropout_rate: float = nn.DEFAULT_DROPOUT) -> GrowthSchedule:
     """The six-model growth schedule for a builtin dataset tag."""
     if dataset == "emnist":
         rows = _mnist_family_tokens(62, (512, 512, 512, 512, 1024, 2048))
@@ -303,7 +302,7 @@ def _nearest_dropout_rate(arch: nn.ModelArch) -> float:
     for spec in arch.layers:
         if spec.kind == "dropout":
             return spec.rate
-    return DEFAULT_DROPOUT
+    return nn.DEFAULT_DROPOUT
 
 
 def _structurally_same(a: nn.LayerSpec, b: nn.LayerSpec) -> bool:
@@ -517,7 +516,7 @@ def schedule_from_dict(data: dict) -> GrowthSchedule:
         if type(data["thresholds"]) is not list:
             raise ValueError(f"thresholds must be a list, got {data['thresholds']!r}")
         thresholds = tuple(_number(t, "threshold") for t in data["thresholds"])
-        rate = _number(data.get("dropout_rate", DEFAULT_DROPOUT), "dropout_rate")
+        rate = _number(data.get("dropout_rate", nn.DEFAULT_DROPOUT), "dropout_rate")
         rows = [[_token(tok) for tok in row] for row in data["models"]]
     except (KeyError, TypeError, ValueError) as e:
         raise ScheduleError([f"malformed schedule data: {e!r}"])

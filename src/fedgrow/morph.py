@@ -70,8 +70,9 @@ def sample_mapping(layer: int, old_width: int, new_width: int,
     return WidenMapping(layer, mapping, counts)
 
 
-def _shift_params(params, at: int, by: int) -> dict[int, nn.LayerParams]:
-    """Re-key params after layers were inserted at index ``at``."""
+def _shift_params(params, at: int, arch, new_arch) -> dict[int, nn.LayerParams]:
+    """Re-key ``arch``'s params after ``new_arch`` inserted layers at ``at``."""
+    by = len(new_arch.layers) - len(arch.layers)
     return {(i + by if i >= at else i): p for i, p in params.items()}
 
 
@@ -134,7 +135,7 @@ def deepen(arch: nn.ModelArch, params: nn.Params, position: int,
     *kernel, _, width = spec.weight_shape
     w = np.zeros(spec.weight_shape, dtype=nn.DTYPE)
     w[tuple(k // 2 for k in kernel)] = np.eye(width, dtype=nn.DTYPE)
-    new_params = _shift_params(params, position, 3)
+    new_params = _shift_params(params, position, arch, new_arch)
     new_params[position] = nn.LayerParams(w, np.zeros(width, dtype=nn.DTYPE))
     return new_arch, nn.pack(new_arch, new_params)
 
@@ -143,7 +144,7 @@ def split_pool(arch: nn.ModelArch, params: nn.Params, position: int):
     """Replace a 4x4 max pool with two stacked 2x2 pools (exact), leaving
     an insertion slot between them."""
     new_arch = growth.split_pool_arch(arch, position)
-    return new_arch, nn.pack(new_arch, _shift_params(params, position + 1, 1))
+    return new_arch, nn.pack(new_arch, _shift_params(params, position + 1, arch, new_arch))
 
 
 def apply_diff(arch: nn.ModelArch, params: nn.Params,

@@ -40,6 +40,9 @@ from .errors import ConfigError, NumericalError
 
 DTYPE = np.float32
 
+# Dropout rate of the builtin schedules and of ``TrainConfig``.
+DEFAULT_DROPOUT = 0.125
+
 TRAINABLE_KINDS = ("conv2d", "dense")
 # Kinds a transform may walk through when looking for the next/previous
 # trainable layer.
@@ -185,7 +188,7 @@ class TrainConfig:
     learning_rate: float
     batch_size: int = 10
     local_epochs: int = 1
-    dropout_rate: float = 0.125
+    dropout_rate: float = DEFAULT_DROPOUT
 
     def __post_init__(self):
         if self.learning_rate < 0:
@@ -552,9 +555,10 @@ def _check_batch(arch, x):
     return x
 
 
-def _run_layers(arch, params, x, mode, rng, upto, tape):
-    """Forward through layers [0, upto); with a tape, appends one entry per
-    layer: what its backward reads.
+def _run_layers(arch, params, x, rng, upto, tape):
+    """Forward through layers [0, upto). A pass with a tape is in train
+    mode (dropout masks from ``rng``) and appends one entry per layer:
+    what its backward reads. Without a tape dropout is the identity.
 
     ``fresh`` says whether ``a`` may be overwritten: this pass allocated
     it and no tape entry holds it (see the module docstring)."""
@@ -586,7 +590,7 @@ def _run_layers(arch, params, x, mode, rng, upto, tape):
             a = np.maximum(a, 0, out=a if fresh else None)
             fresh = True
         elif kind == "dropout":
-            if mode == "train" and spec.rate > 0.0:
+            if tape is not None and spec.rate > 0.0:
                 if rng is None:
                     raise ConfigError("train-mode forward with dropout requires an rng")
                 keep = rng.random(a.shape, dtype=np.float32) >= spec.rate
@@ -623,18 +627,20 @@ def forward(arch: ModelArch, params: Params, batch: np.ndarray,
     """Per-class probabilities for a batch.
 
     In eval mode dropout is the identity and the result is a pure
-    function of (arch, params, batch). Train mode additionally consumes
-    dropout masks from ``rng``.
+    function of (arch, params, batch). Train mode is an SGD step's taped
+    pass (the tape is dropped): it also consumes dropout masks from ``rng``.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"unknown forward mode {mode!r}")
     x = _check_batch(arch, batch)
-    return _run_layers(arch, params, x, mode, rng, len(arch.layers), None)
+    return _run_layers(arch, params, x, rng, len(arch.layers),
+                       [] if mode == "train" else None)
 
 
 def gradients(arch: ModelArch, params: Params, batch: np.ndarray, labels: np.ndarray,
-              rng: np.random.Generator | None = None, mode: str = "train"):
-    """Mean cross-entropy loss and its gradients for every trainable layer.
+              rng: np.random.Generator | None = None):
+    """Mean cross-entropy loss and its gradients for every trainable layer,
+    from a train-mode pass (dropout masks from ``rng``).
 
     Returns (loss, grads) with grads[i] = (gw, gb). The softmax and the
     cross-entropy are differentiated jointly for numerical stability.
@@ -648,7 +654,7 @@ def gradients(arch: ModelArch, params: Params, batch: np.ndarray, labels: np.nda
         raise ConfigError("final layer must be softmax")
 
     tape: list = []
-    logits = _run_layers(arch, params, x, mode, rng, len(arch.layers) - 1, tape)
+    logits = _run_layers(arch, params, x, rng, len(arch.layers) - 1, tape)
 
     n = x.shape[0]
     z = logits - logits.max(axis=1, keepdims=True)
@@ -707,7 +713,7 @@ def backward_and_step(arch: ModelArch, params: Params, batch: np.ndarray,
     Returns (updated params, mean loss before the step). Raises
     NumericalError if the loss is not finite.
     """
-    loss, grads = gradients(arch, params, batch, labels, rng=rng, mode="train")
+    loss, grads = gradients(arch, params, batch, labels, rng=rng)
     if not np.isfinite(loss):
         raise NumericalError(f"non-finite training loss {loss!r}")
     # Each gradient is a fresh array, so the step is written over it and it

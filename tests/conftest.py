@@ -47,7 +47,7 @@ def _activation_signature(arch, params, x, rng=None):
     """Relu masks and pool argmax indices; a finite-difference step is only
     valid when these do not change across the perturbation."""
     tape = []
-    nn._run_layers(arch, params, x, "train", rng, len(arch.layers) - 1, tape)
+    nn._run_layers(arch, params, x, rng, len(arch.layers) - 1, tape)
     sig = []
     for spec, saved in zip(arch.layers, tape):
         if spec.kind == "relu":

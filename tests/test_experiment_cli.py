@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from fedgrow import cli, experiment, fedsim, growth
+from fedgrow import cli, datasets, experiment, fedsim, growth
 from fedgrow.errors import ConfigError, FedgrowError, NumericalError
 from fedgrow.experiment import ExperimentConfig, METRICS_COLUMNS
 from fedgrow.rng import CLIENT, SELECT, stream
@@ -324,6 +324,10 @@ def test_cli_seed_override_keeps_the_configured_partition(tmp_path):
     ({"partition": {"client_count": 12, "seed": -1}}, "partition seed must be >= 0, got -1"),
     (["--seed", "-3"], "master_seed must be >= 0, got -3"),
     ({"method": "fnn-fd", "fd_exempt_prefix": -1}, "fd_exempt_prefix must be >= 0, got -1"),
+    # Model 2 keeps floor(4 * 0.2) == 0 of its conv's 4 filters; at fd_exempt_prefix 1
+    # fnn-fd first crops it after the switch, rounds into the run.
+    ({"method": "fnn-fd", "fd_exempt_prefix": 1, "fd_keep_fraction": 0.2},
+     "fd_keep_fraction on model 2: layer 0: keep fraction 0.2 keeps zero of 4 units"),
 ])
 def test_cli_rejects_malformed_config_before_any_output(tmp_path, capsys, override,
                                                         fragment):
@@ -405,6 +409,55 @@ def test_cli_rejects_unreadable_files_before_any_output(tmp_path, capsys, config
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err
     assert not out.exists()
+
+
+def test_fd_keep_fraction_is_checked_on_the_cropped_models_only(tmp_path):
+    # floor(2 * 0.4) == 0 filters of model 1's conv, which fd_exempt_prefix 1 exempts.
+    cfg = tiny_config(tmp_path, method="fnn-fd", rounds=0)
+    cfg.fd_keep_fraction, cfg.fd_exempt_prefix = 0.4, 1
+    experiment.run(cfg)
+    cfg.fd_exempt_prefix = 0
+    with pytest.raises(ConfigError, match="model 1: layer 0: keep fraction 0.4 keeps zero"):
+        experiment.run(cfg)
+
+
+def _idx_run(tmp_path, train, test, rounds=6):
+    """`fedgrow run` arguments of a fedavg run of ``tiny_config`` on IDX
+    files holding ``train`` and ``test``."""
+    datasets.save_idx_dataset(tmp_path / "idx", train, test)
+    cfg = tiny_config(tmp_path, method="fedavg", rounds=rounds)
+    cfg.dataset, cfg.data_dir = "mnist-like", str(tmp_path / "idx")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    return ["run", "--config", str(cfg_path), "--output", str(tmp_path / "out")]
+
+
+def _split(per_class, dims=(8, 8, 1), key=1):
+    return datasets.make_synthetic(3, dims, per_class, stream(1, key), separation=20.0)
+
+
+_TRAIN, _TEST = _split(40), _split(10, key=2)
+
+
+@pytest.mark.parametrize("train, test, fragment", [
+    ((_TRAIN[0][:0], _TRAIN[1][:0]), _TEST, "cannot partition an empty dataset"),
+    (_TRAIN, _split(10, (10, 10, 1), 2),
+     "test split samples (10, 10, 1) do not match schedule input (8, 8, 1)"),
+    (_TRAIN, (_TEST[0], _TEST[1] + 1),
+     "test split has 4 classes but the schedule classifier has 3"),
+], ids=["empty-training-split", "test-shape", "test-labels"])
+def test_cli_rejects_dataset_splits_before_any_output(tmp_path, capsys, train, test,
+                                                      fragment):
+    assert cli.main(_idx_run(tmp_path, train, test)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_empty_test_split_runs_without_evaluations(tmp_path):
+    assert cli.main(_idx_run(tmp_path, _TRAIN, (_TEST[0][:0], _TEST[1][:0]), rounds=10)) == 0
+    rows = list(csv.DictReader(open(tmp_path / "out" / "metrics.csv")))
+    assert len(rows) == 10 and all(row["test_accuracy"] == "" for row in rows)
 
 
 @pytest.mark.parametrize("name, digest", [

@@ -2,17 +2,18 @@
 
 import os
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fedgrow import fedsim, growth, nn
 from fedgrow.errors import ConfigError, NumericalError
-from fedgrow.fedsim import (ClientShard, PartitionSpec, RunSettings, RunState, aggregate,
+from fedgrow.fedsim import (ClientShard, PartitionSpec, RunSettings, aggregate,
                             fd_extract, fd_merge, local_train, partition,
-                            run_experiment, run_round, select_clients)
-from fedgrow.rng import CLIENT, INIT, SELECT, stream
-from fedgrow.switching import DEFAULT_LAG, DEFAULT_WINDOW, SwitchPolicy
+                            run_experiment, select_clients)
+from fedgrow.rng import CLIENT, SELECT, stream
+from fedgrow.switching import DEFAULT_LAG, DEFAULT_WINDOW
 
 from conftest import random_params
 
@@ -565,34 +566,6 @@ def test_fnn_fd_exemption_prefix(toy_world):
         assert all(b < full1 for b in by_model[1])
 
 
-def test_run_round_steps_a_run_state_like_run_experiment(toy_world):
-    shards, tx, ty = toy_world
-    sched = tiny_schedule()
-    settings = _settings(40, fd_keep_fraction=0.5, fd_exempt_prefix=1)
-    whole = run_experiment("fnn-fd", sched, shards, tx, ty, settings)
-    assert whole.events, "expected at least one switch in 40 rounds"
-
-    arch = sched.models[0]
-    state = RunState(arch, nn.init_params(arch, stream(settings.master_seed, INIT)),
-                     SwitchPolicy(settings.switch_window, settings.switch_lag))
-    diffs = growth.schedule_diffs(sched)
-    pool = fedsim.ClientPool(1, settings.clients_per_round,
-                             nn.count_params(sched.models[-1]), shards)
-    try:
-        rows = [run_round(state, r, "fnn-fd", sched, diffs, shards, tx, ty, settings, pool)
-                for r in range(settings.rounds)]
-    finally:
-        pool.close()
-    assert rows == state.metrics == whole.metrics
-    assert state.events == whole.events
-    assert state.model_index == whole.model_index == len(whole.events)
-    assert state.arch == whole.arch
-    assert state.params.keys() == whole.params.keys()
-    for i, p in state.params.items():
-        assert p.w.tobytes() == whole.params[i].w.tobytes()
-        assert p.b.tobytes() == whole.params[i].b.tobytes()
-
-
 def test_run_settings_defaults():
     settings = RunSettings()
     assert (settings.switch_window, settings.switch_lag) == (DEFAULT_WINDOW, DEFAULT_LAG)
@@ -755,7 +728,8 @@ def test_switch_on_an_evaluation_round_evaluates_the_grown_model_once(
         toy_world, cpus, monkeypatch, workers):
     # Thresholds no signal reaches make each model train exactly 4 + 8
     # rounds, so the switches fall on rounds 11 and 23, both evaluation
-    # rounds: two evaluations per switch and none more.
+    # rounds: two evaluations per switch and none more. Without test
+    # samples the same run evaluates nothing.
     shards, tx, ty = toy_world
     calls = []
     evaluate = fedsim.evaluate
@@ -773,6 +747,14 @@ def test_switch_on_an_evaluation_round_evaluates_the_grown_model_once(
     for ev in result.events:
         assert result.metrics[ev.round].test_accuracy == ev.accuracy_after is not None
         assert ev.accuracy_before is not None
+
+    calls.clear()
+    untested = run_experiment("fnn", sched, shards, tx[:0], ty[:0],
+                              _settings(24, eval_every=12))
+    assert calls == []
+    assert untested.metrics == [replace(m, test_accuracy=None) for m in result.metrics]
+    assert untested.events == [replace(ev, accuracy_before=None, accuracy_after=None)
+                               for ev in result.events]
 
 
 def _pool_log(monkeypatch):

@@ -44,6 +44,9 @@ def test_train_forward_deterministic_under_seeded_rng():
     out1 = nn.forward(arch, params, x, mode="train", rng=stream(3, 3))
     out2 = nn.forward(arch, params, x, mode="train", rng=stream(3, 3))
     assert np.array_equal(out1, out2)
+    # Train mode is the taped pass of an SGD step, which the forward drops.
+    taped = nn._run_layers(arch, params, x, stream(3, 3), len(arch.layers), [])
+    assert np.array_equal(_bits(out1), _bits(taped))
 
 
 def test_softmax_rows_sum_to_one():
@@ -222,7 +225,7 @@ def test_non_square_kernel_keeps_its_axes(padding, conv_out):
     assert nn.infer_shapes(arch)[2] == conv_out
     params = random_params(arch, 23)
     x = stream(23, 1).random((3, 6, 5, 2), dtype=np.float32)
-    assert nn._run_layers(arch, params, x, "eval", None, 3, None).shape == (3, *conv_out)
+    assert nn._run_layers(arch, params, x, None, 3, None).shape == (3, *conv_out)
     # The second conv computes an input gradient, so both backward paths
     # run on the non-square kernel.
     y = stream(23, 2).integers(0, 3, 3)
@@ -365,10 +368,10 @@ def test_dropout_train_scales_and_eval_identity():
     arch = nn.ModelArch((50,), (nn.dropout(0.5), nn.dense(50, 2), nn.softmax()))
     x = np.ones((1, 50), dtype=np.float32)
     tape = []
-    out = nn._run_layers(arch, None, x, "train", stream(4, 4), 1, tape)
+    out = nn._run_layers(arch, None, x, stream(4, 4), 1, tape)
     kept = out[out != 0]
     assert np.allclose(kept, 2.0)  # 1 / (1 - 0.5)
-    out_eval = nn._run_layers(arch, None, x, "eval", None, 1, None)
+    out_eval = nn._run_layers(arch, None, x, None, 1, None)
     assert np.array_equal(out_eval, x)
 
 
@@ -397,7 +400,7 @@ def test_dropout_factor_has_the_bits_of_mask_then_scale(dtype):
     x = values(1)
     arch = nn.ModelArch((40,), (nn.dropout(rate), nn.dense(40, 3), nn.softmax()))
     tape = []
-    out = nn._run_layers(arch, None, x, "train", stream(33, 9), 1, tape)
+    out = nn._run_layers(arch, None, x, stream(33, 9), 1, tape)
     mask = keep(x.shape)
     assert out.dtype == dtype
     assert np.array_equal(_bits(out), _bits((x * mask) * scale))
@@ -409,8 +412,8 @@ def test_dropout_factor_has_the_bits_of_mask_then_scale(dtype):
     params = {i: nn.LayerParams(p.w.astype(dtype), p.b.astype(dtype))
               for i, p in random_params(arch, 34).items()}
     x = stream(34, 1).normal(0.0, 1.0, (6, 40)).astype(dtype)
-    dense_out = nn._run_layers(arch, params, x, "eval", None, 1, None)
-    out = nn._run_layers(arch, params, x, "train", stream(33, 9), 2, [])
+    dense_out = nn._run_layers(arch, params, x, None, 1, None)
+    out = nn._run_layers(arch, params, x, stream(33, 9), 2, [])
     expect = (dense_out * keep(dense_out.shape)) * scale
     assert np.signbit(expect[expect == 0]).any()
     assert np.array_equal(_bits(out), _bits(expect))
@@ -449,7 +452,7 @@ def test_in_place_relu_and_dropout_never_write_the_batch_params_or_tape(name):
 
     # Every maxpool entry of the tape still holds the pool of its input.
     tape = []
-    nn._run_layers(arch, params, x, "train", stream(35, 3), len(arch.layers) - 1, tape)
+    nn._run_layers(arch, params, x, stream(35, 3), len(arch.layers) - 1, tape)
     for spec, saved in zip(arch.layers, tape):
         if spec.kind == "maxpool":
             assert np.array_equal(saved[1], nn._maxpool_forward(saved[0], spec.window))

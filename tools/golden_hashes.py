@@ -87,27 +87,36 @@ VARIANTS = {
     "idx-mnist-all-stages": {
         "dataset": "mnist", "switch_window": 3, "switch_lag": 5, "rounds": 48,
         "eval_every": 4, "thresholds_override": NEVER_SWITCH_EARLY},
+    # The only run without test samples: an empty t10k split. Switches at
+    # rounds 7, 15 and 23, and every fourth round owes an evaluation that
+    # is skipped, so every accuracy is empty.
+    "idx-no-test-set": {
+        "dataset": "mnist", "switch_window": 3, "switch_lag": 5, "rounds": 24,
+        "eval_every": 4, "thresholds_override": NEVER_SWITCH_EARLY},
 }
 IDX_IMAGES = 1000  # per split
+# Test images of the IDX variants that have fewer than IDX_IMAGES.
+IDX_TEST_IMAGES = {"idx-no-test-set": 0}
 IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC = 2051, 2049
 
 
-def write_idx(directory: Path) -> Path:
+def write_idx(directory: Path, test_images: int = IDX_IMAGES) -> Path:
     """The four standard IDX files of a 10-class 28x28 image set, drawn
     with numpy alone, so that no change to fedgrow changes them: class c
-    brightens the c-th tenth of the pixels of a noisy grey image."""
+    brightens the c-th tenth of the pixels of a noisy grey image. The
+    training split is drawn first, so it does not depend on ``test_images``."""
     directory.mkdir(exist_ok=True)
     rng = np.random.default_rng(12)
-    for prefix in ("train", "t10k"):
-        labels = rng.integers(0, 10, IDX_IMAGES)
-        pixels = 64 + rng.integers(-48, 49, (IDX_IMAGES, 28 * 28))
+    for prefix, count in (("train", IDX_IMAGES), ("t10k", test_images)):
+        labels = rng.integers(0, 10, count)
+        pixels = 64 + rng.integers(-48, 49, (count, 28 * 28))
         for c in range(10):
             pixels[labels == c, c * 78:(c + 1) * 78] += 96
         with open(directory / f"{prefix}-images-idx3-ubyte", "wb") as fh:
-            fh.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, IDX_IMAGES, 28, 28))
+            fh.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, count, 28, 28))
             fh.write(pixels.astype(np.uint8).tobytes())
         with open(directory / f"{prefix}-labels-idx1-ubyte", "wb") as fh:
-            fh.write(struct.pack(">II", IDX_LABEL_MAGIC, IDX_IMAGES))
+            fh.write(struct.pack(">II", IDX_LABEL_MAGIC, count))
             fh.write(labels.astype(np.uint8).tobytes())
     return directory
 
@@ -125,7 +134,8 @@ def golden_run(name: str, overrides: dict, work: Path, one_cpu: bool):
         schedule_path.write_text(json.dumps(config["schedule"]))
         config["schedule"] = str(schedule_path)
     if config["dataset"] == "mnist":
-        config["data_dir"] = str(write_idx(work / "idx"))
+        test_images = IDX_TEST_IMAGES.get(name, IDX_IMAGES)
+        config["data_dir"] = str(write_idx(work / f"idx-{test_images}", test_images))
     name = f"{name}-{'one-cpu' if one_cpu else 'all-cpus'}"
     config_path = work / f"{name}.json"
     config_path.write_text(json.dumps(config))

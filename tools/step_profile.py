@@ -112,7 +112,7 @@ def models(growth, fedsim, nn, rngmod):
             arch = schedule.models[k]
             out.append((f"{tag} m{k + 1}", arch, nn.init_params(arch, rngmod.stream(0, k))))
     _, arch, params = out[-1]
-    sub_arch, sub_params, _ = fedsim.fd_extract(arch, params, 1.0 - growth.DEFAULT_DROPOUT,
+    sub_arch, sub_params, _ = fedsim.fd_extract(arch, params, 1.0 - nn.DEFAULT_DROPOUT,
                                                 rngmod.stream(0, 99))
     out.append((f"cifar10 m{len(schedule.models)} fd", sub_arch, sub_params))
     return out
