@@ -124,6 +124,13 @@ def save_idx_dataset(directory, train, test) -> None:
             fh.write(np.asarray(y, dtype=np.uint8).tobytes())
 
 
+# Noise elements ``make_synthetic`` draws at a time. It then holds the
+# float32 result plus one chunk's float64 draw, not a float64 draw twice
+# the result's size and two float32 copies. ``Generator.normal`` draws
+# element by element, so the chunks give the stream of one whole draw.
+_SYNTHETIC_CHUNK = 1 << 18
+
+
 def make_synthetic(classes: int, dims: tuple[int, int, int], per_class: int,
                    rng: np.random.Generator, sigma: float = 0.1,
                    separation: float = 6.0):
@@ -135,11 +142,17 @@ def make_synthetic(classes: int, dims: tuple[int, int, int], per_class: int,
     labels) with samples float32 of shape (classes * per_class, *dims).
     Class means depend only on (classes, dims, sigma, separation), so
     independently generated train/test splits share them.
+
+    Rows are built in chunks of about ``_SYNTHETIC_CHUNK`` elements (at
+    least one row) into one float32 result, with the bits of one
+    whole-array draw; the peak is about the result plus one chunk.
     """
     if classes < 2:
         raise ConfigError("synthetic dataset needs at least 2 classes")
     if per_class < 1:
         raise ConfigError("synthetic dataset needs per_class >= 1")
+    if sigma < 0:
+        raise ConfigError(f"synthetic sigma must be >= 0, got {sigma}")
     flat = int(np.prod(dims))
     if classes > flat:
         raise ConfigError(f"{classes} classes do not fit {flat} pixels")
@@ -152,8 +165,14 @@ def make_synthetic(classes: int, dims: tuple[int, int, int], per_class: int,
         means[c, c * block:(c + 1) * block] += amplitude
 
     n = classes * per_class
-    labels = np.repeat(np.arange(classes), per_class)
+    labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
     labels = labels[rng.permutation(n)]
-    noise = rng.normal(0.0, sigma, size=(n, flat)).astype(np.float32)
-    samples = np.clip(means[labels] + noise, 0.0, 1.0)
-    return samples.reshape((n,) + tuple(dims)).astype(np.float32), labels.astype(np.int64)
+    samples = np.empty((n,) + tuple(dims), dtype=np.float32)
+    rows = samples.reshape(n, flat)
+    step = max(1, _SYNTHETIC_CHUNK // flat)
+    for start in range(0, n, step):
+        out = rows[start:start + step]
+        out[...] = rng.normal(0.0, sigma, size=out.shape)
+        out += means[labels[start:start + step]]
+        np.clip(out, 0.0, 1.0, out=out)
+    return samples, labels

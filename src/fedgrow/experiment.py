@@ -17,6 +17,8 @@ import typing
 from dataclasses import MISSING, asdict, astuple, dataclass, field, fields
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from . import datasets, fedsim, growth, nn, rng as rngmod
 from .errors import ConfigError, FedgrowError
@@ -106,8 +108,13 @@ class ExperimentConfig(fedsim.RunSettings):
             problems.append("eval_every must be >= 0")
         if self.max_train_samples < 0:
             problems.append("max_train_samples must be >= 0")
-        if self.synthetic.sigma < 0:
-            problems.append(f"synthetic sigma must be >= 0, got {self.synthetic.sigma}")
+        syn = self.synthetic
+        for name, value, least in (("classes", syn.classes, 2), ("per_class", syn.per_class, 1),
+                                   ("test_per_class", syn.test_per_class, 0)):
+            if value < least:
+                problems.append(f"synthetic {name} must be >= {least}, got {value}")
+        if syn.sigma < 0:
+            problems.append(f"synthetic sigma must be >= 0, got {syn.sigma}")
         if self.init_scheme not in nn.INIT_SCHEMES:
             problems.append(f"unknown init scheme {self.init_scheme!r}; expected one "
                             f"of {nn.INIT_SCHEMES}")
@@ -218,10 +225,14 @@ def build_dataset(config: ExperimentConfig):
             syn.classes, syn.dims, syn.per_class,
             rngmod.stream(config.master_seed, rngmod.DATA, 1),
             syn.sigma, syn.separation)
-        test_x, test_y = datasets.make_synthetic(
-            syn.classes, syn.dims, syn.test_per_class,
-            rngmod.stream(config.master_seed, rngmod.DATA, 2),
-            syn.sigma, syn.separation)
+        if syn.test_per_class:
+            test_x, test_y = datasets.make_synthetic(
+                syn.classes, syn.dims, syn.test_per_class,
+                rngmod.stream(config.master_seed, rngmod.DATA, 2),
+                syn.sigma, syn.separation)
+        else:  # no test split, and nothing drawn from its stream
+            test_x = np.empty((0, *syn.dims), dtype=np.float32)
+            test_y = np.empty(0, dtype=np.int64)
     else:
         (train_x, train_y), (test_x, test_y) = datasets.load_idx_dataset(config.data_dir)
     if config.max_train_samples and config.max_train_samples < train_x.shape[0]:
@@ -295,6 +306,9 @@ def run(config: ExperimentConfig) -> Path:
             raise ConfigError(f"{split} has {n_classes} classes but the schedule "
                               f"classifier has {first.num_classes}")
     shards = fedsim.partition(train_x, train_y, config.partition)
+    # The shards copy every training sample: drop the corpus before the
+    # pool forks, so no worker maps a second copy.
+    del train_x, train_y
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(config.to_dict(), indent=2) + "\n")

@@ -95,6 +95,40 @@ def test_synthetic_validation():
         datasets.make_synthetic(1, (28, 28, 1), 10, stream(0, 0))
     with pytest.raises(ConfigError):
         datasets.make_synthetic(3, (28, 28, 1), 0, stream(0, 0))
+    with pytest.raises(ConfigError, match="sigma must be >= 0, got -0.1"):
+        datasets.make_synthetic(3, (28, 28, 1), 10, stream(0, 0), sigma=-0.1)
+
+
+def _whole_draw_synthetic(classes, dims, per_class, rng, sigma, separation):
+    """``make_synthetic`` as one whole-array draw: the reference bits."""
+    flat = int(np.prod(dims))
+    block = flat // classes
+    means = np.full((classes, flat), 0.35, dtype=np.float32)
+    for c in range(classes):
+        means[c, c * block:(c + 1) * block] += separation * sigma / np.sqrt(2 * block)
+    n = classes * per_class
+    labels = np.repeat(np.arange(classes), per_class)
+    labels = labels[rng.permutation(n)]
+    noise = rng.normal(0.0, sigma, size=(n, flat)).astype(np.float32)
+    samples = np.clip(means[labels] + noise, 0.0, 1.0)
+    return samples.reshape((n,) + tuple(dims)).astype(np.float32), labels.astype(np.int64)
+
+
+@pytest.mark.parametrize("chunk, classes, dims, per_class", [
+    (None, 10, (32, 32, 3), 100),  # fd-cifar10's shape, 85 rows a chunk
+    (32, 3, (8, 8, 1), 5),         # an image larger than one chunk: a row a chunk
+    (4 * 64, 3, (8, 8, 1), 3),     # 9 rows: one past two 4-row chunks
+    (None, 7, (28, 28, 1), 1),     # one sample per class
+], ids=["cifar10-shape", "row-over-chunk", "one-past-chunks", "one-per-class"])
+def test_synthetic_chunks_have_the_bits_of_one_whole_draw(monkeypatch, chunk, classes,
+                                                          dims, per_class):
+    if chunk is not None:
+        monkeypatch.setattr(datasets, "_SYNTHETIC_CHUNK", chunk)
+    x, y = datasets.make_synthetic(classes, dims, per_class, stream(4, 1), 0.3, 5.0)
+    ref_x, ref_y = _whole_draw_synthetic(classes, dims, per_class, stream(4, 1), 0.3, 5.0)
+    assert x.dtype == np.float32 and y.dtype == np.int64
+    assert x.flags.c_contiguous and x.flags.owndata and x.shape == ref_x.shape
+    assert x.tobytes() == ref_x.tobytes() and y.tobytes() == ref_y.tobytes()
 
 
 def test_synthetic_splits_share_class_means():
@@ -190,3 +224,14 @@ def test_image_ingest_holds_about_one_float_copy(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * images.nbytes + datasets._INGEST_CHUNK
+
+
+def test_synthetic_generator_holds_about_one_result_plus_one_chunk():
+    tracemalloc.start()
+    try:
+        x, y = datasets.make_synthetic(10, (32, 32, 3), 100, stream(6, 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A chunk is drawn in float64: 8 bytes an element.
+    assert peak < 1.25 * (x.nbytes + y.nbytes) + 8 * datasets._SYNTHETIC_CHUNK

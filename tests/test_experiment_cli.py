@@ -1,8 +1,10 @@
 """Experiment orchestration and CLI tests."""
 
 import csv
+import gc
 import json
 import os
+import weakref
 from pathlib import Path
 
 import pytest
@@ -328,6 +330,11 @@ def test_cli_seed_override_keeps_the_configured_partition(tmp_path):
     # fnn-fd first crops it after the switch, rounds into the run.
     ({"method": "fnn-fd", "fd_exempt_prefix": 1, "fd_keep_fraction": 0.2},
      "fd_keep_fraction on model 2: layer 0: keep fraction 0.2 keeps zero of 4 units"),
+    ({"synthetic": {"classes": 1, "dims": [8, 8, 1]}}, "synthetic classes must be >= 2, got 1"),
+    ({"synthetic": {"classes": 3, "per_class": 0, "dims": [8, 8, 1]}},
+     "synthetic per_class must be >= 1, got 0"),
+    ({"synthetic": {"classes": 3, "test_per_class": -1, "dims": [8, 8, 1]}},
+     "synthetic test_per_class must be >= 0, got -1"),
 ])
 def test_cli_rejects_malformed_config_before_any_output(tmp_path, capsys, override,
                                                         fragment):
@@ -458,6 +465,48 @@ def test_an_empty_test_split_runs_without_evaluations(tmp_path):
     assert cli.main(_idx_run(tmp_path, _TRAIN, (_TEST[0][:0], _TEST[1][:0]), rounds=10)) == 0
     rows = list(csv.DictReader(open(tmp_path / "out" / "metrics.csv")))
     assert len(rows) == 10 and all(row["test_accuracy"] == "" for row in rows)
+
+
+def test_a_synthetic_test_split_of_zero_runs_without_evaluations(tmp_path, monkeypatch):
+    cfg = tiny_config(tmp_path, rounds=10)
+    cfg.synthetic.test_per_class = 0
+    make, sizes = datasets.make_synthetic, []
+
+    def counted(classes, dims, per_class, *args):
+        sizes.append(per_class)
+        return make(classes, dims, per_class, *args)
+
+    monkeypatch.setattr(datasets, "make_synthetic", counted)
+    out = experiment.run(cfg)
+    assert sizes == [cfg.synthetic.per_class]  # the test split's stream is never drawn
+    rows = list(csv.DictReader(open(out / "metrics.csv")))
+    assert len(rows) == 10 and all(row["test_accuracy"] == "" for row in rows)
+
+
+@pytest.mark.parametrize("source", ["synthetic", "idx"])
+def test_the_run_drops_its_training_corpus_before_the_round_loop(tmp_path, monkeypatch,
+                                                                  source):
+    # The client shards copy every training sample; the loaded corpus
+    # must be gone before the pool forks, so no process holds it twice.
+    corpus = []
+    build, run_experiment = experiment.build_dataset, fedsim.run_experiment
+
+    def watched(config):
+        train_x, train_y, test_x, test_y = build(config)
+        corpus.extend([weakref.ref(train_x), weakref.ref(train_y)])
+        return train_x, train_y, test_x, test_y
+
+    def checked(*args):
+        gc.collect()
+        assert len(corpus) == 2 and all(ref() is None for ref in corpus)
+        return run_experiment(*args)
+
+    monkeypatch.setattr(experiment, "build_dataset", watched)
+    monkeypatch.setattr(fedsim, "run_experiment", checked)
+    if source == "synthetic":
+        experiment.run(tiny_config(tmp_path, rounds=2))
+    else:
+        assert cli.main(_idx_run(tmp_path, _TRAIN, _TEST, rounds=2)) == 0
 
 
 @pytest.mark.parametrize("name, digest", [
