@@ -87,6 +87,9 @@ def main(argv=None) -> int:
     except FedgrowError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # before or after a run's rounds
+        print("error: interrupted", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -30,8 +30,9 @@ def _open_maybe_gz(path: Path):
     raise DataFormatError(f"missing dataset file {path} (or {gz.name})")
 
 
-# Pixel bytes read and converted at a time. The loader then holds the
-# float32 images plus one chunk, not the raw bytes and two float copies.
+# Pixel bytes read at a time, in whole rows (at least one). The loader
+# then holds the kept float32 images plus about one chunk, not the raw
+# bytes and two float copies of every image.
 _INGEST_CHUNK = 1 << 20
 
 
@@ -46,11 +47,14 @@ def _read_exact(fh, count: int, what: str, path, done: int = 0, total: int = 0) 
     return data
 
 
-def load_idx_images(path) -> np.ndarray:
+def load_idx_images(path, keep=None) -> np.ndarray:
     """Big-endian IDX3 images as float32 in [0, 1], shape (n, rows, cols, 1).
 
-    Pixels convert ``_INGEST_CHUNK`` bytes at a time into one float32
-    result, with the bits of ``uint8.astype(float32) / 255``.
+    ``keep`` (optional) maps the header's image count n to the sorted,
+    distinct rows to return, or to None for all of them. The pixel
+    section is read to its end in chunks of whole rows, about
+    ``_INGEST_CHUNK`` bytes each, and only the kept rows are converted,
+    into one float32 result with the bits of ``uint8.astype(float32) / 255``.
     """
     path = Path(path)
     with _open_maybe_gz(path) as fh:
@@ -64,13 +68,27 @@ def load_idx_images(path) -> np.ndarray:
         if n * rows * cols > room:
             raise DataFormatError(f"{path}: header declares {n}x{rows}x{cols} pixels: "
                                   f"truncated file ({room} of {n * rows * cols} bytes)")
-        images = np.empty((n, rows, cols, 1), dtype=np.float32)
-        flat = images.reshape(-1)
-        for start in range(0, flat.size, _INGEST_CHUNK):
-            stop = min(start + _INGEST_CHUNK, flat.size)
-            raw = _read_exact(fh, stop - start, "pixel data", path, start, flat.size)
-            np.divide(np.frombuffer(raw, dtype=np.uint8), np.float32(255),
-                      out=flat[start:stop], dtype=np.float32)
+        kept = keep(n) if keep is not None else None
+        if kept is not None:
+            kept = np.asarray(kept, dtype=np.int64)
+            if kept.size and (kept[0] < 0 or kept[-1] >= n or np.any(np.diff(kept) <= 0)):
+                raise ValueError(f"rows to keep of {n} images must be sorted, distinct "
+                                 f"and in range")
+        pixels = rows * cols
+        images = np.empty((n if kept is None else kept.size, rows, cols, 1), dtype=np.float32)
+        out = images.reshape(images.shape[0], pixels)
+        step = max(1, _INGEST_CHUNK // max(1, pixels))  # images a chunk
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            raw = np.frombuffer(_read_exact(fh, (stop - start) * pixels, "pixel data", path,
+                                            start * pixels, n * pixels), dtype=np.uint8)
+            raw = raw.reshape(stop - start, pixels)
+            if kept is None:
+                lo, hi = start, stop
+            else:
+                lo, hi = np.searchsorted(kept, (start, stop))
+                raw = raw[kept[lo:hi] - start]
+            np.divide(raw, np.float32(255), out=out[lo:hi], dtype=np.float32)
     return images
 
 
@@ -86,25 +104,35 @@ def load_idx_labels(path) -> np.ndarray:
     return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
 
 
-def load_idx_dataset(directory):
+def _load_idx_split(directory: Path, images: str, labels: str, split: str, keep=None):
+    """(x, y) of one split; ``keep`` as in ``load_idx_images``, called once
+    the image count matches the label count."""
+    y = load_idx_labels(directory / labels)
+    kept = None
+
+    def rows(n):
+        nonlocal kept
+        if n != y.shape[0]:
+            raise DataFormatError(f"{directory}: {n} {split} images vs {y.shape[0]} labels")
+        kept = keep(n) if keep is not None else None
+        return kept
+
+    x = load_idx_images(directory / images, rows)
+    return x, (y if kept is None else y[kept])
+
+
+def load_idx_dataset(directory, keep_train=None):
     """Load the four standard IDX files from ``directory``.
 
     Returns ((train_x, train_y), (test_x, test_y)); raises
     DataFormatError on missing/corrupt files or image/label count
-    mismatches.
+    mismatches. ``keep_train`` (optional) maps the training count to the
+    sorted, distinct training rows to keep, or to None for all; only
+    those images are converted.
     """
     directory = Path(directory)
-    train_x = load_idx_images(directory / TRAIN_IMAGES)
-    train_y = load_idx_labels(directory / TRAIN_LABELS)
-    test_x = load_idx_images(directory / TEST_IMAGES)
-    test_y = load_idx_labels(directory / TEST_LABELS)
-    if train_x.shape[0] != train_y.shape[0]:
-        raise DataFormatError(f"{directory}: {train_x.shape[0]} train images vs "
-                              f"{train_y.shape[0]} labels")
-    if test_x.shape[0] != test_y.shape[0]:
-        raise DataFormatError(f"{directory}: {test_x.shape[0]} test images vs "
-                              f"{test_y.shape[0]} labels")
-    return (train_x, train_y), (test_x, test_y)
+    return (_load_idx_split(directory, TRAIN_IMAGES, TRAIN_LABELS, "train", keep_train),
+            _load_idx_split(directory, TEST_IMAGES, TEST_LABELS, "test"))
 
 
 def save_idx_dataset(directory, train, test) -> None:

@@ -217,8 +217,20 @@ def _from_fields(cls, data: dict, where: str):
 # Dataset assembly
 
 
+def _kept_rows(config: ExperimentConfig, n: int):
+    """The sorted rows of ``n`` training samples that ``max_train_samples``
+    keeps, or None for all of them."""
+    if not config.max_train_samples or config.max_train_samples >= n:
+        return None
+    keep = rngmod.stream(config.master_seed, rngmod.DATA, 3).choice(
+        n, size=config.max_train_samples, replace=False)
+    keep.sort()
+    return keep
+
+
 def build_dataset(config: ExperimentConfig):
-    """Returns (train_x, train_y, test_x, test_y) for the configured dataset."""
+    """Returns (train_x, train_y, test_x, test_y) for the configured dataset.
+    IDX files convert only the training rows the run keeps."""
     if config.dataset == "synthetic":
         syn = config.synthetic
         train_x, train_y = datasets.make_synthetic(
@@ -233,13 +245,12 @@ def build_dataset(config: ExperimentConfig):
         else:  # no test split, and nothing drawn from its stream
             test_x = np.empty((0, *syn.dims), dtype=np.float32)
             test_y = np.empty(0, dtype=np.int64)
+        keep = _kept_rows(config, train_x.shape[0])
+        if keep is not None:
+            train_x, train_y = train_x[keep], train_y[keep]
     else:
-        (train_x, train_y), (test_x, test_y) = datasets.load_idx_dataset(config.data_dir)
-    if config.max_train_samples and config.max_train_samples < train_x.shape[0]:
-        keep = rngmod.stream(config.master_seed, rngmod.DATA, 3).choice(
-            train_x.shape[0], size=config.max_train_samples, replace=False)
-        keep.sort()
-        train_x, train_y = train_x[keep], train_y[keep]
+        (train_x, train_y), (test_x, test_y) = datasets.load_idx_dataset(
+            config.data_dir, keep_train=lambda n: _kept_rows(config, n))
     return train_x, train_y, test_x, test_y
 
 
@@ -275,8 +286,9 @@ def run(config: ExperimentConfig) -> Path:
 
     A config that does not fit its schedule or dataset fails before any
     output is written. Metrics stream to disk as rounds complete, so a
-    failed run keeps its partial metrics; the manifest then carries the
-    error.
+    failed or interrupted (SIGINT) run keeps its partial metrics; the
+    manifest then carries the error, for an interrupt "interrupted at
+    round r" with r the first round without a row.
     """
     config.validate()
     schedule = build_schedule(config)
@@ -334,12 +346,15 @@ def run(config: ExperimentConfig) -> Path:
 
     error = None
     result = None
+    rows_written = 0
     with open(out / "metrics.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRICS_COLUMNS)
 
         def on_round(row: fedsim.RoundMetrics):
+            nonlocal rows_written
             writer.writerow([_fmt(v) for v in astuple(row)])
+            rows_written += 1
             fh.flush()
 
         try:
@@ -347,6 +362,8 @@ def run(config: ExperimentConfig) -> Path:
                                            test_x, test_y, config, on_round)
         except FedgrowError as e:
             error = f"{type(e).__name__}: {e}"
+        except KeyboardInterrupt:
+            error = f"interrupted at round {rows_written}"
 
     if result is not None:
         manifest["switch_events"] = [asdict(ev) for ev in result.events]

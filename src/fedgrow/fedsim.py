@@ -30,6 +30,7 @@ import math
 import mmap
 import multiprocessing
 import os
+import signal
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -538,6 +539,8 @@ def _start_worker(slots: np.ndarray, shards: list[ClientShard]) -> None:
     # Lowest priority, so the parent's evaluation, which overlaps the
     # training, is not starved by the workers.
     os.nice(19)
+    # An interrupt is the parent's to handle; its pool.close() reaps the workers.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     _worker.update(slots=slots, shards=shards)
 
 

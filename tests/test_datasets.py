@@ -235,3 +235,110 @@ def test_synthetic_generator_holds_about_one_result_plus_one_chunk():
         tracemalloc.stop()
     # A chunk is drawn in float64: 8 bytes an element.
     assert peak < 1.25 * (x.nbytes + y.nbytes) + 8 * datasets._SYNTHETIC_CHUNK
+
+
+def _gzip_in_place(path):
+    with open(path, "rb") as fh, gzip.open(path.with_name(path.name + ".gz"), "wb") as out:
+        shutil.copyfileobj(fh, out)
+    path.unlink()
+
+
+# 20 rows of 64 bytes; a 200-byte chunk reads 3 whole rows, a 50-byte one 1.
+@pytest.mark.parametrize("rows", [[0, 19], [7], list(range(20)), [2, 3, 5, 6, 8, 9, 17]],
+                         ids=["first-and-last", "one-row", "every-row", "chunk-edges"])
+@pytest.mark.parametrize("chunk", [200, 50])
+@pytest.mark.parametrize("gz", [False, True])
+def test_kept_rows_load_to_the_whole_array_formula(tmp_path, monkeypatch, rows, chunk, gz):
+    monkeypatch.setattr(datasets, "_INGEST_CHUNK", chunk)
+    pixels = stream(5, 5).permutation(np.tile(np.arange(256), 5)).reshape(20, 8, 8)
+    path = tmp_path / "images"
+    _write_idx_images(path, pixels)
+    if gz:
+        _gzip_in_place(path)
+    counts = []
+    images = datasets.load_idx_images(path, lambda n: counts.append(n) or np.array(rows))
+    whole = pixels.astype(np.uint8).astype(np.float32).reshape(20, 8, 8, 1) / 255.0
+    expect = whole[np.array(rows)]
+    assert counts == [20]
+    assert images.dtype == expect.dtype and images.shape == expect.shape
+    assert images.flags.c_contiguous and images.tobytes() == expect.tobytes()
+
+
+def test_keeping_no_rows_converts_every_image(tmp_path):
+    pixels = stream(5, 6).integers(0, 256, (9, 4, 4))
+    _write_idx_images(tmp_path / "images", pixels)
+    whole = datasets.load_idx_images(tmp_path / "images")
+    assert datasets.load_idx_images(tmp_path / "images", lambda n: None).tobytes() == \
+        whole.tobytes()
+    assert datasets.load_idx_images(tmp_path / "images", lambda n: []).shape == (0, 4, 4, 1)
+
+
+@pytest.mark.parametrize("keep", [None, lambda n: [1]])
+def test_images_of_no_pixels_load_empty(tmp_path, keep):
+    (tmp_path / "images").write_bytes(struct.pack(">IIII", datasets.IDX_IMAGE_MAGIC, 3, 0, 5))
+    images = datasets.load_idx_images(tmp_path / "images", keep)
+    assert images.shape == (3 if keep is None else 1, 0, 5, 1)
+
+
+@pytest.mark.parametrize("rows", [[3, 3], [4, 2], [-1], [9]])
+def test_rows_to_keep_must_be_sorted_distinct_and_in_range(tmp_path, rows):
+    _write_idx_images(tmp_path / "images", np.zeros((9, 4, 4)))
+    with pytest.raises(ValueError, match="sorted, distinct and in range"):
+        datasets.load_idx_images(tmp_path / "images", lambda n: rows)
+
+
+def test_the_dataset_keeps_the_labels_of_its_kept_images(idx_dir):
+    (all_x, all_y), (all_tx, all_ty) = datasets.load_idx_dataset(idx_dir)
+    rows = np.array([0, 13, 14, 50, 99])
+    (train_x, train_y), (test_x, test_y) = datasets.load_idx_dataset(
+        idx_dir, keep_train=lambda n: rows if n == 100 else None)
+    assert train_x.tobytes() == all_x[rows].tobytes()
+    assert train_y.dtype == np.int64 and train_y.tobytes() == all_y[rows].tobytes()
+    assert test_x.tobytes() == all_tx.tobytes() and test_y.tobytes() == all_ty.tobytes()
+
+
+def test_kept_image_ingest_holds_the_kept_rows_plus_one_chunk(tmp_path):
+    path = tmp_path / "images"
+    _write_idx_images(path, stream(6, 6).integers(0, 256, (3000, 28, 28)))
+    rows = np.sort(stream(6, 7).choice(3000, size=1000, replace=False))
+    tracemalloc.start()
+    try:
+        images = datasets.load_idx_images(path, lambda n: rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert images.shape == (1000, 28, 28, 1)
+    assert peak < 1.25 * images.nbytes + datasets._INGEST_CHUNK
+
+
+@pytest.mark.parametrize("gz", [False, True])
+def test_a_truncated_tail_after_the_last_kept_row_is_rejected(tmp_path, monkeypatch, gz):
+    monkeypatch.setattr(datasets, "_INGEST_CHUNK", 100)
+    path = tmp_path / "images"
+    _write_idx_images(path, np.zeros((4, 16, 16), dtype=np.uint8))
+    path.write_bytes(path.read_bytes()[:16 + 900])
+    if gz:
+        _gzip_in_place(path)
+    with pytest.raises(DataFormatError, match=r"truncated .*\(900 of 1024 bytes\)"):
+        datasets.load_idx_images(path, lambda n: [0, 1])
+
+
+@pytest.mark.parametrize("gz", [False, True])
+def test_a_header_larger_than_its_file_is_rejected_with_rows_kept(tmp_path, gz):
+    path = tmp_path / "images"
+    with (gzip.open(tmp_path / "images.gz", "wb") if gz else open(path, "wb")) as out:
+        out.write(_HUGE_HEADER)
+    with pytest.raises(DataFormatError, match="declares 4294967295x255x255 pixels"):
+        datasets.load_idx_images(path, lambda n: [0])
+
+
+def test_an_image_label_count_mismatch_is_rejected_before_any_row_is_picked(idx_dir):
+    labels = datasets.load_idx_labels(idx_dir / datasets.TRAIN_LABELS)[:-1]
+    with open(idx_dir / datasets.TRAIN_LABELS, "wb") as fh:
+        fh.write(struct.pack(">II", datasets.IDX_LABEL_MAGIC, len(labels)))
+        fh.write(labels.astype(np.uint8).tobytes())
+    picked = []
+    with pytest.raises(DataFormatError, match="100 train images vs 99 labels"):
+        datasets.load_idx_dataset(idx_dir, keep_train=lambda n: picked.append(n) or
+                                  np.arange(0, n, 2))
+    assert picked == []

@@ -4,15 +4,20 @@ import csv
 import gc
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedgrow import cli, datasets, experiment, fedsim, growth
 from fedgrow.errors import ConfigError, FedgrowError, NumericalError
 from fedgrow.experiment import ExperimentConfig, METRICS_COLUMNS
-from fedgrow.rng import CLIENT, SELECT, stream
+from fedgrow.rng import CLIENT, DATA, SELECT, stream
 
 
 def tiny_config(tmp_path, method="fnn", rounds=30, seed=5, name=None):
@@ -615,3 +620,65 @@ def test_failed_evaluation_names_its_own_round(tmp_path, cpus, monkeypatch, work
         experiment.run(cfg)
     rows = list(csv.DictReader(open(Path(cfg.output_dir) / "metrics.csv")))
     assert [int(row["round"]) for row in rows] == list(range(4))
+
+
+def test_an_interrupted_run_writes_its_manifest_and_leaves_no_process(tmp_path):
+    cfg = tiny_config(tmp_path, rounds=1_000_000, name="interrupted")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    out = Path(cfg.output_dir)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    # Its own session, so SIGINT reaches the run and its workers as from a terminal.
+    proc = subprocess.Popen([sys.executable, "-m", "fedgrow.cli", "run", "--config",
+                             str(cfg_path)], env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 120
+        while not (out / "metrics.csv").exists() or \
+                len((out / "metrics.csv").read_text().splitlines()) < 2:
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=120)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode != 0
+    assert "Traceback" not in err
+    rows = list(csv.DictReader(open(out / "metrics.csv")))
+    assert [int(row["round"]) for row in rows] == list(range(len(rows)))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["error"] == f"interrupted at round {len(rows)}"
+    assert err == f"error: interrupted at round {len(rows)}\n"
+    with pytest.raises(ProcessLookupError):  # every worker is gone with the run
+        os.killpg(proc.pid, 0)
+
+
+def test_an_interrupt_before_the_rounds_is_an_error_line(tmp_path, monkeypatch, capsys):
+    def interrupted(config):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(experiment, "build_dataset", interrupted)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(tiny_config(tmp_path).to_dict()))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "error: interrupted\n"
+
+
+@pytest.mark.parametrize("kept", [50, 120])
+def test_an_idx_run_keeps_the_rows_it_draws_of_the_whole_corpus(tmp_path, kept):
+    train = datasets.make_synthetic(3, (8, 8, 1), 40, stream(1, 1))
+    test = datasets.make_synthetic(3, (8, 8, 1), 5, stream(1, 2))
+    datasets.save_idx_dataset(tmp_path / "idx", train, test)
+    cfg = ExperimentConfig(dataset="mnist", data_dir=str(tmp_path / "idx"), master_seed=7,
+                           max_train_samples=kept)
+    train_x, train_y, test_x, test_y = experiment.build_dataset(cfg)
+    (all_x, all_y), (all_tx, all_ty) = datasets.load_idx_dataset(cfg.data_dir)
+    rows = np.arange(120)
+    if kept < 120:  # the draw of the whole-corpus path; a full corpus draws nothing
+        rows = np.sort(stream(7, DATA, 3).choice(120, size=kept, replace=False))
+    assert train_x.tobytes() == all_x[rows].tobytes()
+    assert train_y.tobytes() == all_y[rows].tobytes()
+    assert test_x.tobytes() == all_tx.tobytes() and test_y.tobytes() == all_ty.tobytes()

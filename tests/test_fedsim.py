@@ -1,6 +1,7 @@
 """Federated loop tests: partitioning, aggregation, dropout broadcast, runs."""
 
 import os
+import signal
 import threading
 from dataclasses import replace
 
@@ -719,6 +720,16 @@ def test_pool_workers_run_at_lowest_priority(toy_world):
     pool = fedsim.ClientPool(2, 4, nn.count_params(tiny_schedule().models[-1]), shards)
     try:
         assert pool._executor.submit(os.getpriority, os.PRIO_PROCESS, 0).result() == 19
+    finally:
+        pool.close()
+
+
+def test_pool_workers_leave_an_interrupt_to_the_parent(toy_world):
+    shards, _, _ = toy_world
+    pool = fedsim.ClientPool(2, 4, nn.count_params(tiny_schedule().models[-1]), shards)
+    try:
+        assert pool._executor.submit(signal.getsignal, signal.SIGINT).result() == \
+            signal.SIG_IGN
     finally:
         pool.close()
 

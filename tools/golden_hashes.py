@@ -80,7 +80,7 @@ VARIANTS = {
         "thresholds_override": NEVER_SWITCH_EARLY,
         "synthetic": {"classes": 10, "per_class": 100, "test_per_class": 60,
                       "dims": [28, 28, 1], "sigma": 0.1, "separation": 20.0}},
-    # The only variant that loads IDX files (written by ``write_idx``).
+    # Loads IDX files (written by ``write_idx``), as the next two do.
     # Its 1000 test images make two evaluation batches, 512 and 488;
     # in each, the second conv of mnist models 3 to 6 ends in a partial
     # row block, and every stage is evaluated.
@@ -93,21 +93,29 @@ VARIANTS = {
     "idx-no-test-set": {
         "dataset": "mnist", "switch_window": 3, "switch_lag": 5, "rounds": 24,
         "eval_every": 4, "thresholds_override": NEVER_SWITCH_EARLY},
+    # The only run that keeps a subset of its training images: 1000 of
+    # 3000, which the loader converts alone. Switches at rounds 7 and 15,
+    # both evaluation rounds.
+    "idx-max-train-samples": {
+        "dataset": "mnist", "max_train_samples": 1000, "switch_window": 3,
+        "switch_lag": 5, "rounds": 16, "eval_every": 4,
+        "thresholds_override": NEVER_SWITCH_EARLY},
 }
-IDX_IMAGES = 1000  # per split
-# Test images of the IDX variants that have fewer than IDX_IMAGES.
+IDX_IMAGES = 1000  # per split, unless named below
+IDX_TRAIN_IMAGES = {"idx-max-train-samples": 3000}
 IDX_TEST_IMAGES = {"idx-no-test-set": 0}
 IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC = 2051, 2049
 
 
-def write_idx(directory: Path, test_images: int = IDX_IMAGES) -> Path:
+def write_idx(directory: Path, train_images: int = IDX_IMAGES,
+              test_images: int = IDX_IMAGES) -> Path:
     """The four standard IDX files of a 10-class 28x28 image set, drawn
     with numpy alone, so that no change to fedgrow changes them: class c
     brightens the c-th tenth of the pixels of a noisy grey image. The
     training split is drawn first, so it does not depend on ``test_images``."""
     directory.mkdir(exist_ok=True)
     rng = np.random.default_rng(12)
-    for prefix, count in (("train", IDX_IMAGES), ("t10k", test_images)):
+    for prefix, count in (("train", train_images), ("t10k", test_images)):
         labels = rng.integers(0, 10, count)
         pixels = 64 + rng.integers(-48, 49, (count, 28 * 28))
         for c in range(10):
@@ -134,8 +142,8 @@ def golden_run(name: str, overrides: dict, work: Path, one_cpu: bool):
         schedule_path.write_text(json.dumps(config["schedule"]))
         config["schedule"] = str(schedule_path)
     if config["dataset"] == "mnist":
-        test_images = IDX_TEST_IMAGES.get(name, IDX_IMAGES)
-        config["data_dir"] = str(write_idx(work / f"idx-{test_images}", test_images))
+        counts = IDX_TRAIN_IMAGES.get(name, IDX_IMAGES), IDX_TEST_IMAGES.get(name, IDX_IMAGES)
+        config["data_dir"] = str(write_idx(work / "idx-{}-{}".format(*counts), *counts))
     name = f"{name}-{'one-cpu' if one_cpu else 'all-cpus'}"
     config_path = work / f"{name}.json"
     config_path.write_text(json.dumps(config))
