@@ -89,6 +89,7 @@ def load_idx_images(path, keep=None) -> np.ndarray:
                 lo, hi = np.searchsorted(kept, (start, stop))
                 raw = raw[kept[lo:hi] - start]
             np.divide(raw, np.float32(255), out=out[lo:hi], dtype=np.float32)
+            del raw  # before the next chunk is read
     return images
 
 

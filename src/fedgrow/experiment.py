@@ -256,10 +256,8 @@ def build_dataset(config: ExperimentConfig):
 
 def build_schedule(config: ExperimentConfig) -> growth.GrowthSchedule:
     ref = config.resolved_schedule_ref()
-    if ref in growth.THRESHOLDS:
-        schedule = growth.builtin_schedule(ref, config.train.dropout_rate)
-    else:
-        schedule = growth.load_schedule(ref)
+    schedule = (growth.builtin_schedule(ref) if ref in growth.THRESHOLDS
+                else growth.load_schedule(ref))
     if config.thresholds_override is not None:
         schedule = growth.GrowthSchedule(schedule.dataset, schedule.models,
                                          tuple(config.thresholds_override))
@@ -292,15 +290,7 @@ def run(config: ExperimentConfig) -> Path:
     """
     config.validate()
     schedule = build_schedule(config)
-    # Every model federated dropout crops: the final one under fd, all
-    # past the exempt prefix under fnn-fd.
-    cropped = {"fd": schedule.num_models - 1, "fnn-fd": config.fd_exempt_prefix}
-    for k in range(cropped.get(config.method, schedule.num_models), schedule.num_models):
-        try:
-            fedsim.fd_kept_units(schedule.models[k], config.fd_keep_fraction,
-                                 config.train.dropout_rate)
-        except ConfigError as e:
-            raise ConfigError(f"fd_keep_fraction on model {k + 1}: {e}") from e
+    fedsim.fd_plan(config.method, schedule, config)
     first = schedule.models[0]
     dims = tuple(config.synthetic.dims)
     if config.dataset == "synthetic" and dims != tuple(first.input_shape):
@@ -408,18 +398,19 @@ def _write_ledger_summary(path, config, result, final_acc):
 # Cross-run comparison
 
 
-def _load_run(run_dir: Path):
-    manifest = json.loads((Path(run_dir) / "manifest.json").read_text())
-    rows = []
-    with open(Path(run_dir) / "metrics.csv") as fh:
-        for rec in csv.DictReader(fh):
-            rows.append({
-                "round": int(rec["round"]),
-                "accuracy": float(rec["test_accuracy"]) if rec["test_accuracy"] else None,
-                "round_bytes": int(rec["download_bytes"]) + int(rec["upload_bytes"]),
-                "cumulative_bytes": int(rec["cumulative_bytes"]),
-            })
-    return manifest, rows
+def _load_run(run_dir):
+    """(dataset, method, metrics rows) of a run directory; ConfigError if unreadable."""
+    try:
+        manifest = json.loads((Path(run_dir) / "manifest.json").read_text())
+        with open(Path(run_dir) / "metrics.csv", newline="") as fh:
+            rows = [{"round": int(rec["round"]),
+                     "accuracy": float(rec["test_accuracy"]) if rec["test_accuracy"] else None,
+                     "round_bytes": int(rec["download_bytes"]) + int(rec["upload_bytes"]),
+                     "cumulative_bytes": int(rec["cumulative_bytes"])}
+                    for rec in csv.DictReader(fh)]
+        return manifest["dataset"], manifest["method"], rows
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise ConfigError(f"cannot read run {run_dir}: {type(e).__name__}: {e}") from e
 
 
 def _first_reaching(rows, level):
@@ -440,14 +431,13 @@ def compare(run_dirs, out_path) -> list[dict]:
     """
     if len(run_dirs) < 2:
         raise ConfigError("compare needs at least two run directories")
-    subj_manifest, subj_rows = _load_run(run_dirs[0])
+    subj_dataset, _, subj_rows = _load_run(run_dirs[0])
     out_rows = []
     for base_dir in run_dirs[1:]:
-        base_manifest, base_rows = _load_run(base_dir)
-        if base_manifest["dataset"] != subj_manifest["dataset"]:
+        base_dataset, base_method, base_rows = _load_run(base_dir)
+        if base_dataset != subj_dataset:
             raise ConfigError(
-                f"dataset mismatch: {subj_manifest['dataset']!r} vs "
-                f"{base_manifest['dataset']!r} ({base_dir})")
+                f"dataset mismatch: {subj_dataset!r} vs {base_dataset!r} ({base_dir})")
         accs = sorted({r["accuracy"] for r in subj_rows + base_rows
                        if r["accuracy"] is not None})
         for level in accs:
@@ -456,7 +446,7 @@ def compare(run_dirs, out_path) -> list[dict]:
             if s is None or b is None:
                 continue
             out_rows.append({
-                "baseline": base_manifest["method"],
+                "baseline": base_method,
                 "accuracy_level": level,
                 "subject_round": s["round"],
                 "baseline_round": b["round"],

@@ -3,8 +3,8 @@
 ``run_experiment`` steps a ``RunState`` (arch, params, switching policy,
 metrics rows, switch events) round by round. A round has three phases.
 ``start_round``: select (``select_clients``), broadcast (``broadcast``:
-the full model, or a random sub-network cut by ``fd_extract`` under
-federated dropout) and submit the clients' local SGD to the run's
+the full model, or a random sub-network cut by ``fd_extract`` where
+``fd_plan`` crops) and submit the clients' local SGD to the run's
 ``ClientPool``. ``finish_round``: train (``collect`` from the pool),
 merge (``aggregate``, or ``fd_merge`` under federated dropout), record
 the loss in the policy and switch (staged methods: ``switch`` grows the
@@ -263,7 +263,6 @@ class DropoutMask:
     """
 
     kept: dict[int, np.ndarray]
-    keep_fraction: float
 
 
 def _in_index(arch: nn.ModelArch, layer: int, kept: dict[int, np.ndarray],
@@ -291,15 +290,14 @@ def _prev_trainable_map(arch: nn.ModelArch) -> dict[int, int]:
     return prev_map
 
 
-def fd_kept_units(arch: nn.ModelArch, keep_fraction: float | None,
-                  dropout_rate: float | None = None) -> tuple[float, dict[int, int]]:
+def fd_kept_units(arch: nn.ModelArch, keep_fraction: float | None):
     """Federated dropout's keep fraction on ``arch`` and the units it keeps
     of each hidden trainable layer, floor(width * keep fraction); the
-    classifier keeps all. A ``keep_fraction`` of None resolves to
-    1 - ``dropout_rate``. Raises ConfigError when the fraction is outside
-    (0, 1] or keeps zero units of a layer."""
+    classifier keeps all. A ``keep_fraction`` of None resolves to 1 minus
+    the model's dropout rate. Raises ConfigError when the fraction is
+    outside (0, 1] or keeps zero units of a layer."""
     if keep_fraction is None:
-        keep_fraction = 1.0 - dropout_rate
+        keep_fraction = 1.0 - nn.dropout_rate(arch)
     if not 0.0 < keep_fraction <= 1.0:
         raise ConfigError(f"keep fraction must be in (0, 1], got {keep_fraction}")
     counts = {}
@@ -328,7 +326,7 @@ def fd_extract(arch: nn.ModelArch, params: nn.Params, keep_fraction: float,
             kept[i] = np.arange(width)
         else:
             kept[i] = np.sort(rng.choice(width, size=count, replace=False))
-    mask = DropoutMask(kept, keep_fraction)
+    mask = DropoutMask(kept)
     sub_arch, sub_params = _crop_model(arch, params, mask)
     return sub_arch, sub_params, mask
 
@@ -473,7 +471,7 @@ class RunSettings:
     eval_every: int = 50
     switch_window: int = DEFAULT_WINDOW
     switch_lag: int = DEFAULT_LAG
-    fd_keep_fraction: float | None = None  # None -> 1 - dropout rate
+    fd_keep_fraction: float | None = None  # None -> 1 - the model's dropout rate
     fd_exempt_prefix: int = 2
     init_scheme: str = "truncnorm"
 
@@ -536,11 +534,12 @@ _worker: dict = {}  # in a forked worker: the pool's slots and the shards
 
 
 def _start_worker(slots: np.ndarray, shards: list[ClientShard]) -> None:
+    # An interrupt is the parent's to handle; its pool.close() reaps the
+    # workers. SIGINT stays blocked, as at the fork (see submit), and ignored.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     # Lowest priority, so the parent's evaluation, which overlaps the
     # training, is not starved by the workers.
     os.nice(19)
-    # An interrupt is the parent's to handle; its pool.close() reaps the workers.
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
     _worker.update(slots=slots, shards=shards)
 
 
@@ -604,9 +603,15 @@ class ClientPool:
             return [functools.partial(_train_slice, self.slots, self._shards,
                                       arch, sel, 1, r, settings)]
         bounds = [len(sel) * w // self.workers for w in range(self.workers + 1)]
-        return [self._executor.submit(_train_in_worker, arch, sel[lo:hi], lo + 1, r,
-                                      settings).result
-                for lo, hi in zip(bounds, bounds[1:])]
+        # The executor forks every worker at its first submit, so no worker
+        # runs Python with SIGINT unblocked before it ignores it.
+        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            return [self._executor.submit(_train_in_worker, arch, sel[lo:hi], lo + 1, r,
+                                          settings).result
+                    for lo, hi in zip(bounds, bounds[1:])]
+        finally:  # an interrupt that came meanwhile is raised here
+            signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
 
     def collect(self, arch: nn.ModelArch,
                 slices: list[Callable[[], list]]) -> list[tuple[nn.Params, float, int]]:
@@ -630,15 +635,30 @@ class ClientPool:
             pass
 
 
-def broadcast(state: RunState, r: int, use_fd: bool, settings: RunSettings):
-    """(arch, params, mask) sent to round ``r``'s clients; mask None is the full model."""
-    if use_fd:
-        keep, _ = fd_kept_units(state.arch, settings.fd_keep_fraction,
-                                settings.train.dropout_rate)
-        if keep < 1.0:
-            return fd_extract(state.arch, state.params, keep,
-                              rngmod.stream(settings.master_seed, rngmod.FD_MASK, r))
-    return state.arch, state.params, None
+def fd_plan(method: str, schedule: GrowthSchedule, settings: RunSettings) -> list:
+    """Per model of ``schedule``, the keep fraction federated dropout crops
+    it at under ``method``, or None to broadcast it in full (fedavg, fnn, a
+    keep of 1, fnn-fd's first ``fd_exempt_prefix`` models, all but fd's
+    last). Raises ConfigError naming a model the keep fraction does not fit."""
+    n = schedule.num_models
+    plan = [None] * n
+    for k in range({"fd": n - 1, "fnn-fd": settings.fd_exempt_prefix}.get(method, n), n):
+        try:
+            keep, _ = fd_kept_units(schedule.models[k], settings.fd_keep_fraction)
+        except ConfigError as e:
+            raise ConfigError(f"fd_keep_fraction on model {k + 1}: {e}") from e
+        plan[k] = None if keep == 1.0 else keep
+    return plan
+
+
+def broadcast(state: RunState, r: int, plan: list, settings: RunSettings):
+    """(arch, params, mask) sent to round ``r``'s clients: the model cut at
+    its ``fd_plan`` keep fraction, or in full with mask None."""
+    keep = plan[state.model_index]
+    if keep is None:
+        return state.arch, state.params, None
+    return fd_extract(state.arch, state.params, keep,
+                      rngmod.stream(settings.master_seed, rngmod.FD_MASK, r))
 
 
 # A model whose test accuracy is owed: (arch, params, targets), where each
@@ -684,16 +704,15 @@ class Sent:
     train: Callable[[], list]
 
 
-def start_round(state: RunState, r: int, method: str, shards: list[ClientShard],
+def start_round(state: RunState, r: int, plan: list, shards: list[ClientShard],
                 settings: RunSettings, pool: ClientPool) -> Sent:
-    """Select and broadcast round ``r``'s clients and submit them to
-    ``pool``; ``finish_round`` collects their updates."""
+    """Select and broadcast round ``r``'s clients as ``plan`` (``fd_plan``)
+    says and submit them to ``pool``; ``finish_round`` collects their updates."""
     index = state.model_index
     with _in_round(r):
         sel = select_clients(rngmod.stream(settings.master_seed, rngmod.SELECT, r),
                              len(shards), settings.clients_per_round)
-        use_fd = method == "fd" or (method == "fnn-fd" and index >= settings.fd_exempt_prefix)
-        arch, params, mask = broadcast(state, r, use_fd, settings)
+        arch, params, mask = broadcast(state, r, plan, settings)
         train = functools.partial(pool.collect, arch,
                                   pool.submit(arch, params, sel, r, settings))
     return Sent(r, index, sel, arch, mask, train)
@@ -775,6 +794,7 @@ def run_experiment(method: str, schedule: GrowthSchedule,
     if settings.clients_per_round > len(shards):
         raise ConfigError(f"clients per round {settings.clients_per_round} exceeds "
                           f"population {len(shards)}")
+    plan = fd_plan(method, schedule, settings)
     staged = method in ("fnn", "fnn-fd")
     diffs = schedule_diffs(schedule) if staged else None
     index = 0 if staged else schedule.num_models - 1
@@ -797,7 +817,7 @@ def run_experiment(method: str, schedule: GrowthSchedule,
     try:
         for r in range(settings.rounds):
             try:
-                sent = start_round(state, r, method, shards, settings, pool)
+                sent = start_round(state, r, plan, shards, settings, pool)
             finally:  # the previous row is written even when this round fails
                 settle()
             owed = finish_round(state, sent, schedule, diffs, settings)

@@ -163,8 +163,8 @@ def _cifar_tokens():
     ]
 
 
-def builtin_schedule(dataset: str, dropout_rate: float = nn.DEFAULT_DROPOUT) -> GrowthSchedule:
-    """The six-model growth schedule for a builtin dataset tag."""
+def builtin_schedule(dataset: str) -> GrowthSchedule:
+    """The six-model schedule of a builtin dataset tag, at ``nn.DEFAULT_DROPOUT``."""
     if dataset == "emnist":
         rows = _mnist_family_tokens(62, (512, 512, 512, 512, 1024, 2048))
         shape = (28, 28, 1)
@@ -177,7 +177,7 @@ def builtin_schedule(dataset: str, dropout_rate: float = nn.DEFAULT_DROPOUT) -> 
     else:
         raise ConfigError(f"unknown dataset tag {dataset!r}")
     models = tuple(
-        build_arch(shape, row, dropout_rate, name=f"{dataset}-model-{i + 1}")
+        build_arch(shape, row, name=f"{dataset}-model-{i + 1}")
         for i, row in enumerate(rows))
     schedule = GrowthSchedule(dataset, models, THRESHOLDS[dataset])
     validate_schedule(schedule)
@@ -239,7 +239,7 @@ def insert_identity_arch(arch: nn.ModelArch, layer: int,
         raise TransformError(
             f"insert-identity at layer {layer}: insertion point may carry negative "
             "activations (no preceding relu)")
-    block = (spec, nn.relu(), nn.dropout(_nearest_dropout_rate(arch)))
+    block = (spec, nn.relu(), nn.dropout(nn.dropout_rate(arch)))
     new_arch = arch.with_layers(arch.layers[:layer] + block + arch.layers[layer:])
     nn.validate_arch(new_arch)
     return new_arch
@@ -296,13 +296,6 @@ def apply_step_to_arch(arch: nn.ModelArch, step: TransformStep) -> nn.ModelArch:
 
 # ---------------------------------------------------------------------------
 # Structural diffing
-
-
-def _nearest_dropout_rate(arch: nn.ModelArch) -> float:
-    for spec in arch.layers:
-        if spec.kind == "dropout":
-            return spec.rate
-    return nn.DEFAULT_DROPOUT
 
 
 def _structurally_same(a: nn.LayerSpec, b: nn.LayerSpec) -> bool:
@@ -444,7 +437,7 @@ def schedule_to_dict(schedule: GrowthSchedule) -> dict:
     """The JSON form of ``schedule``. Raises ScheduleError, naming the model
     and the layer, when the tokens would load back as other layers."""
     first = schedule.models[0]
-    rate = _nearest_dropout_rate(first)
+    rate = nn.dropout_rate(first)
     rows = [_arch_to_tokens(m) for m in schedule.models]
     for mi, (model, tokens) in enumerate(zip(schedule.models, rows)):
         rebuilt = build_arch(first.input_shape, [_token(t) for t in tokens], rate).layers

@@ -40,7 +40,7 @@ from .errors import ConfigError, NumericalError
 
 DTYPE = np.float32
 
-# Dropout rate of the builtin schedules and of ``TrainConfig``.
+# Dropout rate of the builtin schedules and of a model without dropout layers.
 DEFAULT_DROPOUT = 0.125
 
 TRAINABLE_KINDS = ("conv2d", "dense")
@@ -188,15 +188,12 @@ class TrainConfig:
     learning_rate: float
     batch_size: int = 10
     local_epochs: int = 1
-    dropout_rate: float = DEFAULT_DROPOUT
 
     def __post_init__(self):
         if self.learning_rate < 0:
             raise ConfigError("learning rate must be >= 0")
         if self.batch_size < 1 or self.local_epochs < 1:
             raise ConfigError("batch size and local epochs must be >= 1")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError("dropout rate must be in [0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +277,11 @@ def shape_before(arch: ModelArch, index: int) -> tuple[int, ...]:
 
 def trainable_indices(arch: ModelArch) -> list[int]:
     return [i for i, s in enumerate(arch.layers) if s.kind in TRAINABLE_KINDS]
+
+
+def dropout_rate(arch: ModelArch) -> float:
+    """The rate of the model's first dropout layer; ``DEFAULT_DROPOUT`` if none."""
+    return next((s.rate for s in arch.layers if s.kind == "dropout"), DEFAULT_DROPOUT)
 
 
 def next_trainable(arch: ModelArch, index: int) -> int | None:
@@ -622,19 +624,11 @@ def _run_layers(arch, params, x, rng, upto, tape):
     return a
 
 
-def forward(arch: ModelArch, params: Params, batch: np.ndarray,
-            mode: str = "eval", rng: np.random.Generator | None = None) -> np.ndarray:
-    """Per-class probabilities for a batch.
-
-    In eval mode dropout is the identity and the result is a pure
-    function of (arch, params, batch). Train mode is an SGD step's taped
-    pass (the tape is dropped): it also consumes dropout masks from ``rng``.
-    """
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"unknown forward mode {mode!r}")
-    x = _check_batch(arch, batch)
-    return _run_layers(arch, params, x, rng, len(arch.layers),
-                       [] if mode == "train" else None)
+def forward(arch: ModelArch, params: Params, batch: np.ndarray) -> np.ndarray:
+    """Per-class probabilities for a batch, in eval mode: dropout is the
+    identity and the result is a pure function of (arch, params, batch).
+    Only an SGD step's taped pass (``gradients``) draws dropout masks."""
+    return _run_layers(arch, params, _check_batch(arch, batch), None, len(arch.layers), None)
 
 
 def gradients(arch: ModelArch, params: Params, batch: np.ndarray, labels: np.ndarray,

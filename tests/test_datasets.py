@@ -146,7 +146,7 @@ def test_one_layer_model_separates_six_sigma_blobs():
     x, y = datasets.make_synthetic(2, (28, 28, 1), 200, stream(0, 1))
     arch = nn.ModelArch((28, 28, 1), (nn.flatten(), nn.dense(784, 2), nn.softmax()))
     params = nn.init_params(arch, stream(0, 2))
-    cfg = nn.TrainConfig(learning_rate=1.0, batch_size=10, dropout_rate=0.0)
+    cfg = nn.TrainConfig(learning_rate=1.0, batch_size=10)
     r = stream(0, 3)
     for _ in range(200):
         idx = r.integers(0, x.shape[0], 10)
@@ -224,6 +224,24 @@ def test_image_ingest_holds_about_one_float_copy(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1.25 * images.nbytes + datasets._INGEST_CHUNK
+
+
+def test_a_full_image_ingest_holds_the_result_plus_one_chunk(tmp_path, monkeypatch):
+    # 2000 images of 784 bytes are three chunks: each is dropped before
+    # the next one is read.
+    monkeypatch.setattr(datasets, "_INGEST_CHUNK", 1 << 19)
+    pixels = stream(6, 8).integers(0, 256, (2000, 28, 28)).astype(np.uint8)
+    path = tmp_path / "images"
+    _write_idx_images(path, pixels)
+    tracemalloc.start()
+    try:
+        images = datasets.load_idx_images(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = pixels.astype(np.float32) / np.float32(255)
+    assert images.tobytes() == want.tobytes()
+    assert peak < images.nbytes + 1.25 * datasets._INGEST_CHUNK
 
 
 def test_synthetic_generator_holds_about_one_result_plus_one_chunk():

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fedgrow import cli, datasets, experiment, fedsim, growth
+from fedgrow import cli, datasets, experiment, fedsim, growth, nn
 from fedgrow.errors import ConfigError, FedgrowError, NumericalError
 from fedgrow.experiment import ExperimentConfig, METRICS_COLUMNS
 from fedgrow.rng import CLIENT, DATA, SELECT, stream
@@ -281,6 +281,16 @@ def test_cli_error_paths(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_compare_names_a_run_it_cannot_read(tmp_path, capsys):
+    good = experiment.run(tiny_config(tmp_path, rounds=2, name="readable"))
+    missing = tmp_path / "never-run"
+    assert cli.main(["compare", str(good), str(missing),
+                     "--output", str(tmp_path / "red.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read run {missing}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_seed_override_keeps_the_configured_partition(tmp_path):
     cfg = tiny_config(tmp_path, name="seeded")
     cfg.partition = fedsim.PartitionSpec(scheme="label-shard-non-iid",
@@ -340,6 +350,9 @@ def test_cli_seed_override_keeps_the_configured_partition(tmp_path):
      "synthetic per_class must be >= 1, got 0"),
     ({"synthetic": {"classes": 3, "test_per_class": -1, "dims": [8, 8, 1]}},
      "synthetic test_per_class must be >= 0, got -1"),
+    # The schedule sets the model's dropout; training has no rate of its own.
+    ({"train": {"learning_rate": 0.05, "dropout_rate": 0.5}},
+     "unknown train keys: ['dropout_rate']"),
 ])
 def test_cli_rejects_malformed_config_before_any_output(tmp_path, capsys, override,
                                                         fragment):
@@ -433,6 +446,22 @@ def test_fd_keep_fraction_is_checked_on_the_cropped_models_only(tmp_path):
         experiment.run(cfg)
 
 
+def test_a_schedule_files_dropout_sets_the_fd_default_keep(tmp_path):
+    # At dropout 0.25 federated dropout keeps floor(8 * 0.75) == 6 of the
+    # 8 filters and 8 hidden units, not floor(8 * 0.875) == 7.
+    cfg = tiny_config(tmp_path, method="fd", rounds=1)
+    rows = [("conv", 8, 3), ("pool", 2), ("dense", 8), ("dense", 3)]
+    growth.save_schedule(growth.GrowthSchedule(
+        "synthetic", (growth.build_arch((8, 8, 1), rows, 0.25),), ()), cfg.schedule)
+    out = experiment.run(cfg)
+    with open(out / "metrics.csv") as fh:
+        row = next(csv.DictReader(fh))
+    cropped = growth.build_arch((8, 8, 1), [("conv", 6, 3), ("pool", 2), ("dense", 6),
+                                            ("dense", 3)])
+    assert int(row["download_bytes"]) == \
+        nn.count_params(cropped) * cfg.clients_per_round * fedsim.BYTES_PER_SCALAR
+
+
 def _idx_run(tmp_path, train, test, rounds=6):
     """`fedgrow run` arguments of a fedavg run of ``tiny_config`` on IDX
     files holding ``train`` and ``test``."""
@@ -515,9 +544,9 @@ def test_the_run_drops_its_training_corpus_before_the_round_loop(tmp_path, monke
 
 
 @pytest.mark.parametrize("name, digest", [
-    ("mnist-fedavg", "3d66d06a278a62e0"),
-    ("mnist-fnn", "ebab3be290cbe36e"),
-    ("synthetic-fnn", "691c167bb8c4adad"),
+    ("mnist-fedavg", "702b30735dd4fa8b"),
+    ("mnist-fnn", "8e0370a9a0a36e16"),
+    ("synthetic-fnn", "82032a8a7282aab7"),
 ])
 def test_shipped_config_hashes_are_pinned(name, digest):
     path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
@@ -652,6 +681,63 @@ def test_an_interrupted_run_writes_its_manifest_and_leaves_no_process(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["error"] == f"interrupted at round {len(rows)}"
     assert err == f"error: interrupted at round {len(rows)}\n"
+    with pytest.raises(ProcessLookupError):  # every worker is gone with the run
+        os.killpg(proc.pid, 0)
+
+
+# `fedgrow run` ARGS... with two workers, each of which waits in its
+# initializer's os.nice until the file "release" exists in MARKS, after
+# creating its own file there.
+_WORKERS_WAIT_IN_NICE = """
+import os, sys, time
+from pathlib import Path
+from fedgrow import cli, fedsim
+
+marks, nice = Path(sys.argv[1]), os.nice
+
+
+def waiting_nice(increment):
+    (marks / f"worker-{os.getpid()}").touch()
+    deadline = time.monotonic() + 120
+    while not (marks / "release").exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return nice(increment)
+
+
+os.nice, fedsim._cpus = waiting_nice, lambda: 2
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_an_interrupt_while_the_workers_start_is_one_error_line(tmp_path):
+    cfg = tiny_config(tmp_path, rounds=5, name="interrupted-start")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    marks = tmp_path / "marks"
+    marks.mkdir()
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.Popen([sys.executable, "-c", _WORKERS_WAIT_IN_NICE, str(marks), "run",
+                             "--config", str(cfg_path)], env=env, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        deadline = time.monotonic() + 120
+        while len(list(marks.glob("worker-*"))) < 2:
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        os.killpg(proc.pid, signal.SIGINT)  # both workers are inside their initializer
+        time.sleep(0.2)
+        (marks / "release").touch()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        (marks / "release").touch()
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert err == "error: interrupted at round 0\n"
+    assert proc.returncode == 1
+    manifest = json.loads((Path(cfg.output_dir) / "manifest.json").read_text())
+    assert manifest["error"] == "interrupted at round 0"
     with pytest.raises(ProcessLookupError):  # every worker is gone with the run
         os.killpg(proc.pid, 0)
 

@@ -110,7 +110,7 @@ def test_local_train_zero_lr_returns_input_params():
     params = random_params(arch, 1)
     x, y = toy_dataset(20, classes=3, seed=1)
     shard = ClientShard(0, x, y)
-    cfg = nn.TrainConfig(learning_rate=0.0, dropout_rate=0.0)
+    cfg = nn.TrainConfig(learning_rate=0.0)
     out, loss, n = local_train(arch, params, shard, cfg, stream(0, 2))
     assert n == 20
     for i in params:
@@ -123,7 +123,7 @@ def test_local_train_loss_decreases_over_epochs():
     params = random_params(arch, 2)
     x, y = toy_dataset(40, classes=3, seed=2)
     shard = ClientShard(0, x, y)
-    cfg = nn.TrainConfig(learning_rate=0.1, dropout_rate=0.0)
+    cfg = nn.TrainConfig(learning_rate=0.1)
     losses = []
     cur = params
     for epoch in range(20):
@@ -223,7 +223,7 @@ def test_sgd_step_and_local_train_leave_callers_params_unchanged():
     params = random_params(arch, 4)
     before = {i: (p.w.tobytes(), p.b.tobytes()) for i, p in params.items()}
     x, y = toy_dataset(20, classes=3, seed=4)
-    cfg = nn.TrainConfig(learning_rate=0.5, dropout_rate=0.125)
+    cfg = nn.TrainConfig(learning_rate=0.5)
 
     stepped, _ = nn.backward_and_step(arch, params, x[:10], y[:10], cfg, stream(0, 5))
     trained, _, _ = local_train(arch, params, ClientShard(0, x, y), cfg, stream(0, 6))
@@ -296,14 +296,14 @@ def test_fd_merge_differing_masks_rejected():
     arch = nn.ModelArch((4,), (nn.dense(4, 4), nn.relu(), nn.dropout(0.1),
                                nn.dense(4, 2), nn.softmax()))
     params = random_params(arch, 12)
-    mask_a = fedsim.DropoutMask({0: np.array([0, 1])}, 0.5)
-    mask_b = fedsim.DropoutMask({0: np.array([2, 3])}, 0.5)
+    mask_a = fedsim.DropoutMask({0: np.array([0, 1])})
+    mask_b = fedsim.DropoutMask({0: np.array([2, 3])})
     _, sub_a = fedsim._crop_model(arch, params, mask_a)
     _, sub_b = fedsim._crop_model(arch, params, mask_b)
     with pytest.raises(ConfigError, match="different masks"):
         fd_merge(arch, params, [(sub_a, mask_a, 1), (sub_b, mask_b, 1)])
     # An equal mask held in another object is the same mask.
-    same_a = fedsim.DropoutMask({0: np.array([0, 1])}, 0.5)
+    same_a = fedsim.DropoutMask({0: np.array([0, 1])})
     merged = fd_merge(arch, params, [(sub_a, mask_a, 1), (sub_a, same_a, 2)])
     assert np.array_equal(merged[0].w, params[0].w)
 
@@ -332,7 +332,7 @@ def test_fd_merge_uncovered_positions_keep_global_values():
     arch = nn.ModelArch((4,), (nn.dense(4, 4), nn.relu(), nn.dropout(0.1),
                                nn.dense(4, 2), nn.softmax()))
     params = random_params(arch, 14)
-    mask = fedsim.DropoutMask({0: np.array([1])}, 0.25)
+    mask = fedsim.DropoutMask({0: np.array([1])})
     _, sub = fedsim._crop_model(arch, params, mask)
     sub[0].w += 5.0
     merged = fd_merge(arch, params, [(sub, mask, 2)])
@@ -424,8 +424,7 @@ def test_fd_merge_mask_shape_inconsistency_rejected():
     params = random_params(arch, 15)
     _, sub_params, mask = fd_extract(arch, params, 0.5, stream(0, 11))
     wrong_mask = fedsim.DropoutMask(
-        {i: np.arange(max(1, len(k) - 1)) for i, k in mask.kept.items()},
-        mask.keep_fraction)
+        {i: np.arange(max(1, len(k) - 1)) for i, k in mask.kept.items()})
     with pytest.raises(ConfigError, match="inconsistent"):
         fd_merge(arch, params, [(sub_params, wrong_mask, 1)])
 
@@ -500,6 +499,21 @@ def test_fd_keep_fraction_one_equals_fedavg(toy_world):
     b = run_experiment("fd", tiny_schedule(), shards, tx, ty,
                        _settings(8, fd_keep_fraction=1.0))
     assert a.metrics == b.metrics
+
+
+def test_a_keep_fraction_that_does_not_fit_fails_before_round_0(toy_world, monkeypatch):
+    # floor(4 * 0.2) == 0 filters of model 2's conv, which fnn-fd first
+    # crops after the switch, rounds into the run.
+    def started(*args):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(fedsim, "ClientPool", started)
+    monkeypatch.setattr(fedsim, "select_clients", started)
+    shards, tx, ty = toy_world
+    with pytest.raises(ConfigError, match="^fd_keep_fraction on model 2: layer 0: keep "
+                                          "fraction 0.2 keeps zero of 4 units$"):
+        run_experiment("fnn-fd", tiny_schedule(), shards, tx, ty,
+                       _settings(30, fd_keep_fraction=0.2, fd_exempt_prefix=1))
 
 
 def test_fd_reduces_bytes(toy_world):

@@ -378,7 +378,7 @@ def test_dropout_alone_drives_replica_divergence():
             train_arch = new_arch.with_layers(layers)
         else:
             train_arch = new_arch
-        cfg = nn.TrainConfig(learning_rate=0.05, dropout_rate=rate)
+        cfg = nn.TrainConfig(learning_rate=0.05)
         cur = new_params
         r = stream(10, 0)
         for _ in range(3):

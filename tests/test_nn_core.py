@@ -41,12 +41,11 @@ def test_train_forward_deterministic_under_seeded_rng():
     arch = tiny_conv_arch(dropout_rate=0.5)
     params = random_params(arch, 6)
     x = stream(0, 1).random((4, 8, 8, 2), dtype=np.float32)
-    out1 = nn.forward(arch, params, x, mode="train", rng=stream(3, 3))
-    out2 = nn.forward(arch, params, x, mode="train", rng=stream(3, 3))
-    assert np.array_equal(out1, out2)
-    # Train mode is the taped pass of an SGD step, which the forward drops.
-    taped = nn._run_layers(arch, params, x, stream(3, 3), len(arch.layers), [])
-    assert np.array_equal(_bits(out1), _bits(taped))
+    # Train mode is the taped pass of an SGD step; forward is eval-only.
+    out1, out2 = (nn._run_layers(arch, params, x, stream(3, 3), len(arch.layers), [])
+                  for _ in range(2))
+    assert np.array_equal(_bits(out1), _bits(out2))
+    assert not np.array_equal(out1, nn.forward(arch, params, x))  # masks were drawn
 
 
 def test_softmax_rows_sum_to_one():
@@ -158,7 +157,7 @@ def test_zero_learning_rate_keeps_params_and_returns_forward_loss():
     params = random_params(arch, 8)
     x = stream(0, 1).random((6, 6), dtype=np.float32)
     y = stream(0, 2).integers(0, 3, 6)
-    cfg = nn.TrainConfig(learning_rate=0.0, dropout_rate=0.0)
+    cfg = nn.TrainConfig(learning_rate=0.0)
     new_params, loss = nn.backward_and_step(arch, params, x, y, cfg, stream(0, 3))
     for i in params:
         assert np.array_equal(new_params[i].w, params[i].w)

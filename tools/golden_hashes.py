@@ -65,6 +65,18 @@ VARIANTS = {
                           {"dense": 10}],
                          [{"conv": 16, "kernel": 5}, {"pool": 4}, {"dense": 128},
                           {"dense": 128}, {"dense": 10}]]}},
+    # The same rows at dropout 0.25 under fnn-fd, cropping model 2 from its
+    # switch at round 7 on: the only model dropout other than 0.125, and the
+    # only federated-dropout run through a schedule file.
+    "schedule-dropout-fnn-fd": {
+        "method": "fnn-fd", "fd_exempt_prefix": 1, "fd_keep_fraction": 0.75,
+        "switch_window": 3, "switch_lag": 5, "rounds": 20,
+        "schedule": {"dataset": "synthetic", "input_shape": [28, 28, 1],
+                     "dropout_rate": 0.25, "thresholds": [1e9], "models": [
+                         [{"conv": 16, "kernel": 5}, {"pool": 4}, {"dense": 128},
+                          {"dense": 10}],
+                         [{"conv": 16, "kernel": 5}, {"pool": 4}, {"dense": 128},
+                          {"dense": 128}, {"dense": 10}]]}},
     # Two local epochs on label-sharded clients: no other variant trains
     # more than one epoch or uses the non-IID partition.
     "multi-epoch-non-iid": {
