@@ -169,13 +169,14 @@ def _is_list_of(v, item_ok, length=None) -> bool:
 _SECTIONS = (nn.TrainConfig, fedsim.PartitionSpec, SyntheticSpec)
 
 # What the value of a field of each type must be. JSON booleans count as
-# neither integers nor numbers; a config section is a JSON object.
+# neither integers nor numbers, nor do the NaN and Infinity that Python's
+# json reads; a config section is a JSON object.
 _FIELD_TYPES = {
     str: ("a string", lambda v: type(v) is str),
     int: ("an integer", lambda v: type(v) is int),
-    float: ("a number", lambda v: type(v) in (int, float)),
+    float: ("a number", growth.is_finite_number),
     tuple[float, ...]: ("a list of numbers",
-                        lambda v: _is_list_of(v, lambda x: type(x) in (int, float))),
+                        lambda v: _is_list_of(v, growth.is_finite_number)),
     tuple[int, int, int]: ("three positive integers",
                            lambda v: _is_list_of(v, lambda x: type(x) is int and x > 0, 3)),
     **{section: ("a JSON object", lambda v: type(v) is dict) for section in _SECTIONS},

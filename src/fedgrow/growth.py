@@ -18,6 +18,7 @@ edits and then only moves trained parameters, so a diff that
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -465,9 +466,14 @@ def _positive_int(value, what: str) -> int:
     return value
 
 
+def is_finite_number(value) -> bool:
+    """Whether a JSON value is a finite number: not a boolean, a string,
+    or the NaN and Infinity that Python's json reads."""
+    return type(value) is int or type(value) is float and math.isfinite(value)
+
+
 def _number(value, what: str) -> float:
-    # JSON booleans and strings are not numbers here.
-    if type(value) not in (int, float):
+    if not is_finite_number(value):
         raise ValueError(f"{what} must be a number, got {value!r}")
     return float(value)
 

@@ -14,11 +14,15 @@ weight, then its bias, in layer order, with no padding. ``forward`` and
 ``gradients`` read any mapping of LayerParams; an SGD step returns a
 plain dict whose arrays are the memory of the step's gradients.
 
-Convolutions are patch-matrix GEMMs. In train mode a layer's patch
-matrix covers the whole batch, since the backward pass reads it. In eval
-mode a conv runs in row blocks of about ``_EVAL_ROWS`` output positions
-and never builds a batch's full patch matrix (on the builtin schedules
-with the bits of one whole-batch GEMM).
+Convolutions are patch-matrix GEMMs, one per ``_conv_forward`` call. In
+train mode the call covers the whole batch, since the backward pass
+reads its patch matrix. In eval mode ``_eval_conv`` makes one call per
+row block of about ``_EVAL_ROWS`` output positions and carries the block
+through the relu and dropout layers after the conv and the maxpool that
+follows them, if any, before writing it into the batch output. A batch's
+full patch matrix is never built, and a conv's full-resolution output is
+held only where no maxpool follows. On the builtin schedules the blocks
+give the bits of one whole-batch GEMM.
 
 ReLU and dropout overwrite their input when the forward pass allocated
 it and no tape entry holds it: the output of conv2d, dense, relu,
@@ -406,54 +410,38 @@ _EVAL_ROWS = 1024
 
 
 def _conv_forward(x, w, b, stride, padding, *, key=None):
-    """Patch-matrix convolution, in blocks of samples.
+    """Patch-matrix convolution of ``x`` as one GEMM.
 
     Returns (output, saved) where saved carries the materialized patch
     matrix so the backward pass reuses it for the weight gradient
     instead of re-extracting windows. With a ``key`` (the layer index in
-    train mode) the whole batch is one block, whose padded input and
-    patch matrix live in that layer's scratch buffers. Without one (eval
-    mode) each block holds ``_EVAL_ROWS`` output rows' worth of samples,
-    so no buffer grows with the batch; saved then carries the last
-    block's patch matrix only.
+    train mode) the padded input and patch matrix live in that layer's
+    scratch buffers; without one (eval mode, one row block of samples at
+    a time, see ``_eval_conv``) they are fresh.
     """
     kh, kw, ci, co = w.shape
     n, h, wd, _ = x.shape
     ph_lo, ph_hi, oh = _pad_spec(h, kh, stride, padding)
     pw_lo, pw_hi, ow = _pad_spec(wd, kw, stride, padding)
-    pointwise = kh == 1 and kw == 1 and stride == 1
-    rows = oh * ow
-    # A pointwise conv reads its input as the patch matrix: nothing to bound.
-    step = max(1, n if key is not None or pointwise else min(n, _EVAL_ROWS // rows))
     xp_shape = (n, h + ph_lo + ph_hi, wd + pw_lo + pw_hi, ci)
     if ph_lo or ph_hi or pw_lo or pw_hi:
-        xp_block = _scratch(key, "xp", (step, *xp_shape[1:]), x.dtype)
+        xp = _scratch(key, "xp", xp_shape, x.dtype)
         # Borders are zeroed on every call: a reused buffer may hold
-        # another geometry's interior there. Blocks write only interiors.
-        xp_block[:, :ph_lo] = xp_block[:, ph_lo + h:] = 0
-        xp_block[:, :, :pw_lo] = xp_block[:, :, pw_lo + wd:] = 0
+        # another geometry's interior there.
+        xp[:, :ph_lo] = xp[:, ph_lo + h:] = 0
+        xp[:, :, :pw_lo] = xp[:, :, pw_lo + wd:] = 0
+        xp[:, ph_lo:ph_lo + h, pw_lo:pw_lo + wd] = x
     else:
-        xp_block = None
-    if not pointwise:
-        cols_block = _scratch(key, "cols", (step * rows, kh * kw * ci), x.dtype)
-    w2 = w.reshape(-1, co)
-    out = np.empty((n * rows, co), dtype=np.result_type(x.dtype, w.dtype))
-    for start in range(0, max(n, 1), step):  # an empty batch is one empty block
-        m = min(step, n - start)
-        if xp_block is None:
-            xp = x[start:start + m]
-        else:
-            xp = xp_block[:m]
-            xp[:, ph_lo:ph_lo + h, pw_lo:pw_lo + wd] = x[start:start + m]
-        if pointwise:
-            cols = xp.reshape(m * rows, ci)  # no patch copy
-        else:
-            win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-            # (m, oh, ow, ci, kh, kw) -> rows ordered (kh, kw, ci) to match
-            # w.reshape(kh*kw*ci, co).
-            cols = cols_block[:m * rows]
-            np.copyto(cols.reshape(m, oh, ow, kh, kw, ci), win.transpose(0, 1, 2, 4, 5, 3))
-        np.matmul(cols, w2, out=out[start * rows:(start + m) * rows])
+        xp = x
+    if kh == 1 and kw == 1 and stride == 1:
+        cols = xp.reshape(n * oh * ow, ci)  # pointwise: no patch copy
+    else:
+        win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+        # (n, oh, ow, ci, kh, kw) -> rows ordered (kh, kw, ci) to match
+        # w.reshape(kh*kw*ci, co).
+        cols = _scratch(key, "cols", (n * oh * ow, kh * kw * ci), x.dtype)
+        np.copyto(cols.reshape(n, oh, ow, kh, kw, ci), win.transpose(0, 1, 2, 4, 5, 3))
+    out = cols @ w.reshape(-1, co)
     out += b
     saved = (xp_shape, cols, (ph_lo, pw_lo), (oh, ow), key)
     return out.reshape(n, oh, ow, co), saved
@@ -557,16 +545,58 @@ def _check_batch(arch, x):
     return x
 
 
+def _eval_conv(arch, params, x, first, upto):
+    """Eval-mode conv ``arch.layers[first]`` together with the relu and
+    dropout layers after it and, when one follows them, the maxpool.
+
+    Each row block of about ``_EVAL_ROWS`` output positions' worth of
+    samples is convolved, rectified in place and pooled, then written
+    into the batch output, so the conv's full-resolution output exists
+    only a block at a time when a pool follows. A pointwise conv reads its
+    input as the patch matrix and runs as one block. Returns (output,
+    index of the first layer not run)."""
+    spec, p = arch.layers[first], params[first]
+    kh, kw = p.w.shape[:2]
+    end = first + 1
+    while end < upto and arch.layers[end].kind in ("relu", "dropout"):
+        end += 1
+    relus = sum(arch.layers[j].kind == "relu" for j in range(first + 1, end))
+    window = 0
+    if end < upto and arch.layers[end].kind == "maxpool":
+        window = arch.layers[end].window
+        end += 1
+    n = x.shape[0]
+    rows = math.prod(_conv_out(size, k, spec.stride, spec.padding)
+                     for size, k in zip(x.shape[1:3], (kh, kw)))
+    pointwise = kh == 1 and kw == 1 and spec.stride == 1
+    step = max(1, n if pointwise else min(n, _EVAL_ROWS // rows))
+    out = None
+    for start in range(0, max(n, 1), step):  # an empty batch is one empty block
+        a, _ = _conv_forward(x[start:start + step], p.w, p.b, spec.stride, spec.padding)
+        for _ in range(relus):
+            np.maximum(a, 0, out=a)
+        if window:
+            a = _maxpool_forward(a, window)
+        if step >= n:
+            return a, end
+        if out is None:
+            out = np.empty((n, *a.shape[1:]), dtype=a.dtype)
+        out[start:start + step] = a
+    return out, end
+
+
 def _run_layers(arch, params, x, rng, upto, tape):
     """Forward through layers [0, upto). A pass with a tape is in train
     mode (dropout masks from ``rng``) and appends one entry per layer:
-    what its backward reads. Without a tape dropout is the identity.
+    what its backward reads. Without a tape dropout is the identity and
+    each conv runs in row blocks through the layers ``_eval_conv`` takes.
 
     ``fresh`` says whether ``a`` may be overwritten: this pass allocated
     it and no tape entry holds it (see the module docstring)."""
     a = x
     fresh = False
-    for i in range(upto):
+    i = 0
+    while i < upto:
         spec = arch.layers[i]
         kind = spec.kind
         saved = None
@@ -575,9 +605,12 @@ def _run_layers(arch, params, x, rng, upto, tape):
             if a.ndim != p.w.ndim or a.shape[-1] != p.w.shape[-2]:
                 raise ConfigError(f"layer {i}: {kind} expects {p.w.shape[-2]} input "
                                   f"channels, got shape {a.shape[1:]}")
+        if kind == "conv2d" and tape is None:
+            a, i = _eval_conv(arch, params, a, i, upto)
+            fresh = True
+            continue
         if kind == "conv2d":
-            out, conv_saved = _conv_forward(a, p.w, p.b, spec.stride, spec.padding,
-                                            key=None if tape is None else i)
+            out, conv_saved = _conv_forward(a, p.w, p.b, spec.stride, spec.padding, key=i)
             saved = (a.shape, conv_saved)
             a = out
             fresh = True
@@ -621,6 +654,7 @@ def _run_layers(arch, params, x, rng, upto, tape):
             raise ConfigError(f"layer {i}: unknown layer kind {kind!r}")
         if tape is not None:
             tape.append(saved)
+        i += 1
     return a
 
 

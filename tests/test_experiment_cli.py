@@ -353,6 +353,19 @@ def test_cli_seed_override_keeps_the_configured_partition(tmp_path):
     # The schedule sets the model's dropout; training has no rate of its own.
     ({"train": {"learning_rate": 0.05, "dropout_rate": 0.5}},
      "unknown train keys: ['dropout_rate']"),
+    # Python's json reads NaN and Infinity; neither is a number of a config.
+    ({"train": {"learning_rate": float("nan")}}, "'learning_rate' must be a number, got nan"),
+    ({"train": {"learning_rate": float("inf")}}, "'learning_rate' must be a number, got inf"),
+    ({"synthetic": {"classes": 3, "dims": [8, 8, 1], "sigma": float("nan")}},
+     "'sigma' must be a number, got nan"),
+    ({"synthetic": {"classes": 3, "dims": [8, 8, 1], "separation": float("nan")}},
+     "'separation' must be a number, got nan"),
+    ({"thresholds_override": [float("nan")]},
+     "'thresholds_override' must be a list of numbers, got [nan]"),
+    ({"thresholds_override": [float("inf")]},
+     "'thresholds_override' must be a list of numbers, got [inf]"),
+    ({"method": "fd", "fd_keep_fraction": float("nan")},
+     "'fd_keep_fraction' must be a number, got nan"),
 ])
 def test_cli_rejects_malformed_config_before_any_output(tmp_path, capsys, override,
                                                         fragment):
@@ -415,11 +428,18 @@ _SCHEDULE_HEAD = '{"dataset": "mnist", "input_shape": [8, 8, 1], "thresholds": [
      "dropout_rate must be a number, got '0.5'"),
     (None, _SCHEDULE_HEAD + '"models": [[{"conv": 2}], [{"conv": 3}]]}',
      "model 1: final layer must be softmax"),
+    (None, _SCHEDULE_HEAD.replace("[]", "[NaN]") + '"models": [[{"dense": 3}]]}',
+     "threshold must be a number, got nan"),
+    (None, _SCHEDULE_HEAD.replace("[]", "[Infinity]") + '"models": [[{"dense": 3}]]}',
+     "threshold must be a number, got inf"),
+    (None, _SCHEDULE_HEAD + '"dropout_rate": NaN, "models": [[{"dense": 3}]]}',
+     "dropout_rate must be a number, got nan"),
 ], ids=["config-not-json", "config-not-object", "schedule-not-json",
         "token-not-object", "token-not-integer", "token-float", "token-string-digits",
         "token-bool", "token-misspelled-kernel", "token-two-kinds",
         "input-shape-string", "input-shape-float", "threshold-string", "threshold-bool",
-        "dropout-rate-string", "row-without-classifier"])
+        "dropout-rate-string", "row-without-classifier", "threshold-nan",
+        "threshold-infinity", "dropout-rate-nan"])
 def test_cli_rejects_unreadable_files_before_any_output(tmp_path, capsys, config_text,
                                                          schedule_text, fragment):
     cfg = tiny_config(tmp_path)

@@ -512,6 +512,7 @@ def test_eval_conv_blocks_equal_the_train_mode_batch(monkeypatch, shape, weight_
     rows = math.prod(nn._conv_out(size, k, stride, padding)
                      for size, k in zip(shape, weight_shape))
     step = max(1, eval_rows // rows)
+    arch = nn.ModelArch(shape, (nn.LayerSpec("conv2d", weight_shape, padding, stride),))
     r = stream(51, *weight_shape)
     w = r.normal(0.0, 0.1, weight_shape).astype(np.float32)
     b = r.normal(0.0, 0.1, weight_shape[-1]).astype(np.float32)
@@ -520,8 +521,25 @@ def test_eval_conv_blocks_equal_the_train_mode_batch(monkeypatch, shape, weight_
     for n in (1, 2 * step + max(1, step // 2)):
         x = r.random((n,) + shape, dtype=np.float32)
         expect, _ = nn._conv_forward(x, w, b, stride, padding, key=0)
-        got, _ = nn._conv_forward(x, w, b, stride, padding)
-        assert got.tobytes() == expect.tobytes(), n
+        got, end = nn._eval_conv(arch, {0: nn.LayerParams(w, b)}, x, 0, 1)
+        assert end == 1 and got.tobytes() == expect.tobytes(), n
+
+
+_BUILTIN_MODELS = {f"{dataset} m{k + 1}": arch for dataset in ("mnist", "emnist", "cifar10")
+                   for k, arch in enumerate(growth.builtin_schedule(dataset).models)}
+
+
+@pytest.mark.parametrize("n", [7, 13])
+@pytest.mark.parametrize("name", sorted(_BUILTIN_MODELS))
+def test_eval_row_blocks_equal_one_block_on_every_builtin_model(monkeypatch, name, n):
+    # Every builtin first conv holds one sample a block, so the batch is n
+    # first-conv blocks; the later convs get a partial tail block.
+    arch = _BUILTIN_MODELS[name]
+    params = random_params(arch, 52)
+    x = stream(52, n).random((n,) + arch.input_shape, dtype=np.float32)
+    blocked = nn.forward(arch, params, x)
+    monkeypatch.setattr(nn, "_EVAL_ROWS", n * math.prod(arch.input_shape[:2]))
+    assert nn.forward(arch, params, x).tobytes() == blocked.tobytes()
 
 
 def test_evaluate_memory_stays_bounded_on_mnist_model6():
@@ -539,6 +557,23 @@ def test_evaluate_memory_stays_bounded_on_mnist_model6():
     finally:
         tracemalloc.stop()
     assert peak < 128 * 2**20
+
+
+def test_evaluate_holds_the_pooled_batch_not_the_conv_output():
+    # At 512 images model 6's first conv writes 51 MB and its max-pool's
+    # row maxima 26 MB more. Pooled a row block at a time, the batch holds
+    # the pooled 12.8 MB and 6.4 MB instead.
+    arch = growth.builtin_schedule("mnist").models[5]
+    params = nn.init_params(arch, stream(0, 0))
+    x = stream(0, 1).random((512,) + arch.input_shape, dtype=np.float32)
+    y = stream(0, 2).integers(0, arch.num_classes, 512)
+    tracemalloc.start()
+    try:
+        fedsim.evaluate(arch, params, x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 @pytest.mark.parametrize("layers", [(nn.relu(), nn.flatten()), (nn.flatten(), nn.relu())])

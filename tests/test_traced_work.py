@@ -1,11 +1,13 @@
-"""Guard for the bench tracer: the names it wraps exist, and the work it
-records for the parameter-moving calls is 4 bytes per parameter.
+"""Guard for the bench tracer: the names it wraps exist, the work it
+records for the parameter-moving calls is 4 bytes per parameter, and the
+conv FLOPs it records over an evaluation are the forward conv FLOPs.
 
 ``bench/spans.py`` is loaded from its file and not changed; its own
 tests live outside this suite.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -77,3 +79,28 @@ def test_traced_parameter_work_is_four_bytes_a_parameter(spans, monkeypatch):
     for _, _, name, _ in RECEIVERS:
         recorded = [work for *_, span_name, _, _, work in tracer.spans if span_name == name]
         assert expected[name] and recorded == expected[name], name
+
+
+def test_traced_conv_flops_of_an_evaluation_are_the_forward_conv_share(spans):
+    # cifar10 model 2 has a pooled and an unpooled 3x3 conv at each
+    # resolution, then a pointwise one. At 32x32 a row block holds one
+    # sample, at 10x10 ten, and the pointwise conv runs as one block.
+    arch = growth.builtin_schedule("cifar10").models[1]
+    params = nn.init_params(arch, stream(41, 0))
+    n = 3
+    x = stream(41, 1).random((n,) + arch.input_shape, dtype=np.float32)
+    y = stream(41, 2).integers(0, arch.num_classes, n)
+    shapes = nn.infer_shapes(arch)
+    conv_flops = 2 * sum(math.prod(shapes[i][:-1]) * math.prod(spec.weight_shape)
+                         for i, spec in enumerate(arch.layers) if spec.kind == "conv2d")
+
+    tracer = spans.Tracer("guard")
+    with tracer.install(MODULES):
+        fedsim.evaluate(arch, params, x, y)
+    table = spans.layer_table(tracer.spans)
+    assert conv_flops < nn.forward_flops(arch)
+    assert table["nn._conv_forward"]["work"] == n * conv_flops
+    # One call per row block: n + n + 1 + 1 + 1 convs; pools after the
+    # second (n blocks) and fourth (one block) conv.
+    assert table["nn._conv_forward"]["calls"] == 2 * n + 3
+    assert table["nn._maxpool_forward"]["calls"] == n + 1

@@ -2,8 +2,9 @@
 
     python3 tools/step_profile.py [--root DIR] [--models 'mnist m6,cifar10 m6 fd']
 
-For the smallest and largest builtin model of each schedule, and for the
-cifar10 final model as federated dropout crops it, this times
+For the smallest and largest builtin model of each schedule (or any
+builtin model ``--models`` names), and for the cifar10 final model as
+federated dropout crops it, this times
 ``nn.backward_and_step`` on a batch of 10, ``fedsim.evaluate`` on 300
 images, one evaluation batch, and ``fedsim.aggregate`` of 10 updates at
 the process's CPU count (``fedsim._cpus``), which sets how many threads
@@ -21,8 +22,9 @@ the median over ``STEPS`` steps, ``EVALS`` evaluations or ``MERGES``
 merges; the warm-up calls before them are discarded.
 BLAS runs at one thread. Each model also reports the analytic FLOPs
 (``nn.fwd_bwd_flops`` per step, ``nn.forward_flops`` per evaluation),
-the achieved GFLOP/s, the float32 bytes a merge reads and its GB/s, and
-the minor page faults per call.
+the achieved GFLOP/s, the float32 bytes a merge reads and its GB/s, the
+minor page faults per call and, for an evaluation, the tracemalloc peak
+of one more call (MiB).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import resource  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -103,14 +106,28 @@ def measure(call, warmup: int, repeats: int, tracer: spans.Tracer) -> dict:
     }
 
 
-def models(growth, fedsim, nn, rngmod):
-    """(name, arch, params) of every profiled model."""
+def traced_peak(call) -> float:
+    """The tracemalloc peak of one more ``call``, in MiB, apart from the
+    timed ones since tracing slows every allocation."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def models(growth, fedsim, nn, rngmod, only):
+    """(name, arch, params) of the smallest and largest builtin model of
+    each schedule, of any other builtin model ``only`` names, and of the
+    cifar10 final model as federated dropout crops it."""
     out = []
     for tag in ("mnist", "emnist", "cifar10"):
         schedule = growth.builtin_schedule(tag)
-        for k in (0, len(schedule.models) - 1):
-            arch = schedule.models[k]
-            out.append((f"{tag} m{k + 1}", arch, nn.init_params(arch, rngmod.stream(0, k))))
+        for k, arch in enumerate(schedule.models):
+            name = f"{tag} m{k + 1}"
+            if k in (0, len(schedule.models) - 1) or name in (only or ()):
+                out.append((name, arch, nn.init_params(arch, rngmod.stream(0, k))))
     _, arch, params = out[-1]
     sub_arch, sub_params, _ = fedsim.fd_extract(arch, params, 1.0 - nn.DEFAULT_DROPOUT,
                                                 rngmod.stream(0, 99))
@@ -125,7 +142,7 @@ def profile(root: Path, only) -> None:
 
     tracer = spans.Tracer("step_profile")
     install(tracer, {"nn": nn, "fedsim": fedsim})
-    for name, arch, params in models(growth, fedsim, nn, rngmod):
+    for name, arch, params in models(growth, fedsim, nn, rngmod, only):
         if only and name not in only:
             continue
         data = rngmod.stream(1, 0)
@@ -157,6 +174,7 @@ def profile(root: Path, only) -> None:
         step_row["gflop"] = nn.fwd_bwd_flops(arch) * BATCH / 1e9
         eval_row = measure(evaluate, EVAL_WARMUP, EVALS, tracer)
         eval_row["gflop"] = nn.forward_flops(arch) * EVAL_SAMPLES / 1e9
+        eval_row["peak_mib"] = traced_peak(evaluate)
         merge_row = measure(aggregate, MERGE_WARMUP, MERGES, tracer)
         merge_row["mb"] = UPDATES * size * np.dtype(nn.DTYPE).itemsize / 1e6
         report(name, step_row, eval_row, merge_row, fedsim._cpus())
@@ -168,7 +186,8 @@ def report(name: str, step_row: dict, eval_row: dict, merge_row: dict,
         gflops = row["gflop"] / (row["wall_ms"] / 1e3)
         print(f"{name} {what} ({n} samples): {row['wall_ms']:.2f} ms, "
               f"{row['gflop']:.3f} GFLOP, {gflops:.2f} GFLOP/s, "
-              f"{row['minor_faults']:g} minor faults")
+              f"{row['minor_faults']:g} minor faults"
+              + (f", {row['peak_mib']:.1f} MiB peak" if "peak_mib" in row else ""))
         print_self_ms(row)
     gbps = merge_row["mb"] / merge_row["wall_ms"]
     print(f"{name} aggregate ({UPDATES} updates, {cpus} CPUs): "
