@@ -407,6 +407,8 @@ EVAL_BATCH = 512
 def evaluate(arch: nn.ModelArch, params: nn.Params, samples: np.ndarray,
              labels: np.ndarray) -> float:
     """Top-1 accuracy in eval mode; deterministic for fixed inputs."""
+    if samples.shape[0] == 0:
+        raise ConfigError("cannot evaluate: the test split is empty")
     hits = 0
     for start in range(0, samples.shape[0], EVAL_BATCH):
         probs = nn.forward(arch, params, samples[start:start + EVAL_BATCH])

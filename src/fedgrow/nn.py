@@ -16,13 +16,18 @@ plain dict whose arrays are the memory of the step's gradients.
 
 Convolutions are patch-matrix GEMMs, one per ``_conv_forward`` call. In
 train mode the call covers the whole batch, since the backward pass
-reads its patch matrix. In eval mode ``_eval_conv`` makes one call per
-row block of about ``_EVAL_ROWS`` output positions and carries the block
-through the relu and dropout layers after the conv and the maxpool that
-follows them, if any, before writing it into the batch output. A batch's
-full patch matrix is never built, and a conv's full-resolution output is
-held only where no maxpool follows. On the builtin schedules the blocks
-give the bits of one whole-batch GEMM.
+reads its patch matrix. In eval mode a conv makes one call per row block
+of about ``_EVAL_ROWS`` output positions' worth of samples
+(``_eval_block``), and the conv stack, the layers before the first
+flatten, gap or dense layer, runs a group of samples at a time: each
+group goes through a chain of convs, relus, dropouts and maxpools
+(``_eval_chains``) before it is written into the batch the next chain or
+the first flatten, gap or dense layer reads. A group's size is a common
+multiple of its convs' blocks, so every conv makes the same calls, of
+the same samples, as over the whole batch, and a pool bounds what a
+group holds. A batch's full patch matrix is never built, and a conv's
+full-resolution output is held a group at a time. On the builtin
+schedules the blocks give the bits of one whole-batch GEMM.
 
 ReLU and dropout overwrite their input when the forward pass allocated
 it and no tape entry holds it: the output of conv2d, dense, relu,
@@ -417,7 +422,7 @@ def _conv_forward(x, w, b, stride, padding, *, key=None):
     instead of re-extracting windows. With a ``key`` (the layer index in
     train mode) the padded input and patch matrix live in that layer's
     scratch buffers; without one (eval mode, one row block of samples at
-    a time, see ``_eval_conv``) they are fresh.
+    a time, see ``_eval_block``) they are fresh.
     """
     kh, kw, ci, co = w.shape
     n, h, wd, _ = x.shape
@@ -545,116 +550,162 @@ def _check_batch(arch, x):
     return x
 
 
-def _eval_conv(arch, params, x, first, upto):
-    """Eval-mode conv ``arch.layers[first]`` together with the relu and
-    dropout layers after it and, when one follows them, the maxpool.
-
-    Each row block of about ``_EVAL_ROWS`` output positions' worth of
-    samples is convolved, rectified in place and pooled, then written
-    into the batch output, so the conv's full-resolution output exists
-    only a block at a time when a pool follows. A pointwise conv reads its
-    input as the patch matrix and runs as one block. Returns (output,
-    index of the first layer not run)."""
-    spec, p = arch.layers[first], params[first]
-    kh, kw = p.w.shape[:2]
-    end = first + 1
-    while end < upto and arch.layers[end].kind in ("relu", "dropout"):
-        end += 1
-    relus = sum(arch.layers[j].kind == "relu" for j in range(first + 1, end))
-    window = 0
-    if end < upto and arch.layers[end].kind == "maxpool":
-        window = arch.layers[end].window
-        end += 1
-    n = x.shape[0]
+def _eval_block(spec, hw, n):
+    """Samples per ``_conv_forward`` call of eval-mode conv ``spec`` on an
+    ``hw`` input in a batch of ``n``: about ``_EVAL_ROWS`` output
+    positions' worth, and the whole batch for a pointwise conv, which
+    reads its input as the patch matrix."""
+    kh, kw = spec.weight_shape[:2]
+    if kh == kw == 1 and spec.stride == 1:
+        return max(1, n)
     rows = math.prod(_conv_out(size, k, spec.stride, spec.padding)
-                     for size, k in zip(x.shape[1:3], (kh, kw)))
-    pointwise = kh == 1 and kw == 1 and spec.stride == 1
-    step = max(1, n if pointwise else min(n, _EVAL_ROWS // rows))
+                     for size, k in zip(hw, (kh, kw)))
+    return max(1, min(n, _EVAL_ROWS // rows))
+
+
+def _eval_chains(arch, n, upto):
+    """Cut the eval-mode conv stack of a batch of ``n`` into chains.
+
+    The stack is layers [0, end), up to the first layer before ``upto``
+    that is not conv2d, relu, dropout or maxpool (the first flatten, gap
+    or dense layer of a valid model). A chain runs ``group`` samples at a
+    time through its layers; ``group`` is the least common multiple of
+    its convs' ``_eval_block`` sizes, so every group starts on a block
+    start of each of them. A chain ends before a conv that would lift
+    that multiple to the batch or past 16 of the chain's first block, so
+    a group's first conv output stays near 16 blocks; a group of ``n`` or
+    more is the whole batch. Returns ([(first, stop, group), ...], end).
+    """
+    shapes = [tuple(arch.input_shape), *infer_shapes(arch)]
+    chains = [[0, n, 0]]  # first layer, group, first block (0: no conv yet)
+    end = 0
+    while end < upto and arch.layers[end].kind in ("conv2d", "relu", "dropout", "maxpool"):
+        spec = arch.layers[end]
+        if spec.kind == "conv2d":
+            block = _eval_block(spec, shapes[end][:2], n)
+            _, group, lead = chains[-1]
+            if not lead:
+                chains[-1][1:] = block, block
+            elif (both := math.lcm(group, block)) < n and both <= 16 * lead:
+                chains[-1][1] = both
+            else:
+                chains.append([end, block, block])
+        end += 1
+    stops = [first for first, _, _ in chains[1:]] + [end]
+    return [(first, stop, group) for (first, group, _), stop in zip(chains, stops)], end
+
+
+def _by_parts(fn, x, step):
+    """``fn`` over ``x`` ``step`` samples at a time, the parts written into
+    one batch output; ``fn(x)`` itself when one part covers ``x``."""
+    n = x.shape[0]
+    if n <= step:
+        return fn(x)
     out = None
-    for start in range(0, max(n, 1), step):  # an empty batch is one empty block
-        a, _ = _conv_forward(x[start:start + step], p.w, p.b, spec.stride, spec.padding)
-        for _ in range(relus):
-            np.maximum(a, 0, out=a)
-        if window:
-            a = _maxpool_forward(a, window)
-        if step >= n:
-            return a, end
+    for start in range(0, n, step):
+        part = fn(x[start:start + step])
         if out is None:
-            out = np.empty((n, *a.shape[1:]), dtype=a.dtype)
-        out[start:start + step] = a
-    return out, end
+            out = np.empty((n, *part.shape[1:]), dtype=part.dtype)
+        out[start:start + step] = part
+    return out
+
+
+def _eval_chain(arch, params, x, first, stop, n):
+    """Eval-mode forward of one group of samples through layers
+    [first, stop) of a batch of ``n``."""
+    a, fresh = x, False
+    for i in range(first, stop):
+        a, fresh = _layer_forward(arch, params, i, a, fresh, None, None, n)
+    return a
+
+
+def _layer_forward(arch, params, i, a, fresh, rng, tape, n):
+    """Forward of ``a`` through ``arch.layers[i]``; returns (output,
+    fresh). ``fresh`` says whether ``a`` may be overwritten: this pass
+    allocated it and no tape entry holds it (see the module docstring).
+    With a tape (train mode) dropout draws its mask from ``rng`` and the
+    layer appends what its backward reads. Without one dropout is the
+    identity and a conv makes one ``_conv_forward`` call per
+    ``_eval_block`` of a batch of ``n``."""
+    spec = arch.layers[i]
+    kind = spec.kind
+    saved = None
+    if kind in TRAINABLE_KINDS:
+        p = params[i]
+        if a.ndim != p.w.ndim or a.shape[-1] != p.w.shape[-2]:
+            raise ConfigError(f"layer {i}: {kind} expects {p.w.shape[-2]} input "
+                              f"channels, got shape {a.shape[1:]}")
+    if kind == "conv2d" and tape is None:
+        a = _by_parts(lambda block: _conv_forward(block, p.w, p.b, spec.stride,
+                                                  spec.padding)[0],
+                      a, _eval_block(spec, a.shape[1:3], n))
+        fresh = True
+    elif kind == "conv2d":
+        out, conv_saved = _conv_forward(a, p.w, p.b, spec.stride, spec.padding, key=i)
+        saved = (a.shape, conv_saved)
+        a = out
+        fresh = True
+    elif kind == "dense":
+        saved = a
+        a = a @ p.w
+        a += p.b
+        fresh = True
+    elif kind == "relu":
+        if tape is not None:
+            saved = a > 0
+        a = np.maximum(a, 0, out=a if fresh else None)
+        fresh = True
+    elif kind == "dropout":
+        if tape is not None and spec.rate > 0.0:
+            if rng is None:
+                raise ConfigError("train-mode forward with dropout requires an rng")
+            keep = rng.random(a.shape, dtype=np.float32) >= spec.rate
+            # Each factor is 0 or the scale, so a * factor has the bits
+            # of (a * keep) * scale, signed zeros and NaNs included.
+            factor = keep.astype(a.dtype)
+            factor *= a.dtype.type(1.0 / (1.0 - spec.rate))
+            saved = factor
+            a = np.multiply(a, factor, out=a if fresh else None)
+            fresh = True
+    elif kind == "maxpool":
+        out = _maxpool_forward(a, spec.window)
+        saved = (a, out)
+        a = out
+        fresh = tape is None  # the maxpool backward reads its output
+    elif kind == "gap":
+        saved = a.shape
+        a = a.mean(axis=(1, 2), dtype=a.dtype)
+        fresh = True
+    elif kind == "flatten":
+        saved = a.shape
+        a = a.reshape(a.shape[0], math.prod(a.shape[1:]))
+    elif kind == "softmax":
+        a = _softmax(a)
+    else:
+        raise ConfigError(f"layer {i}: unknown layer kind {kind!r}")
+    if tape is not None:
+        tape.append(saved)
+    return a, fresh
 
 
 def _run_layers(arch, params, x, rng, upto, tape):
     """Forward through layers [0, upto). A pass with a tape is in train
     mode (dropout masks from ``rng``) and appends one entry per layer:
-    what its backward reads. Without a tape dropout is the identity and
-    each conv runs in row blocks through the layers ``_eval_conv`` takes.
-
-    ``fresh`` says whether ``a`` may be overwritten: this pass allocated
-    it and no tape entry holds it (see the module docstring)."""
-    a = x
-    fresh = False
-    i = 0
-    while i < upto:
-        spec = arch.layers[i]
-        kind = spec.kind
-        saved = None
-        if kind in TRAINABLE_KINDS:
-            p = params[i]
-            if a.ndim != p.w.ndim or a.shape[-1] != p.w.shape[-2]:
-                raise ConfigError(f"layer {i}: {kind} expects {p.w.shape[-2]} input "
-                                  f"channels, got shape {a.shape[1:]}")
-        if kind == "conv2d" and tape is None:
-            a, i = _eval_conv(arch, params, a, i, upto)
-            fresh = True
-            continue
-        if kind == "conv2d":
-            out, conv_saved = _conv_forward(a, p.w, p.b, spec.stride, spec.padding, key=i)
-            saved = (a.shape, conv_saved)
-            a = out
-            fresh = True
-        elif kind == "dense":
-            saved = a
-            a = a @ p.w
-            a += p.b
-            fresh = True
-        elif kind == "relu":
-            if tape is not None:
-                saved = a > 0
-            a = np.maximum(a, 0, out=a if fresh else None)
-            fresh = True
-        elif kind == "dropout":
-            if tape is not None and spec.rate > 0.0:
-                if rng is None:
-                    raise ConfigError("train-mode forward with dropout requires an rng")
-                keep = rng.random(a.shape, dtype=np.float32) >= spec.rate
-                # Each factor is 0 or the scale, so a * factor has the bits
-                # of (a * keep) * scale, signed zeros and NaNs included.
-                factor = keep.astype(a.dtype)
-                factor *= a.dtype.type(1.0 / (1.0 - spec.rate))
-                saved = factor
-                a = np.multiply(a, factor, out=a if fresh else None)
-                fresh = True
-        elif kind == "maxpool":
-            out = _maxpool_forward(a, spec.window)
-            saved = (a, out)
-            a = out
-            fresh = tape is None  # the maxpool backward reads its output
-        elif kind == "gap":
-            saved = a.shape
-            a = a.mean(axis=(1, 2), dtype=a.dtype)
-            fresh = True
-        elif kind == "flatten":
-            saved = a.shape
-            a = a.reshape(a.shape[0], -1)
-        elif kind == "softmax":
-            a = _softmax(a)
-        else:
-            raise ConfigError(f"layer {i}: unknown layer kind {kind!r}")
-        if tape is not None:
-            tape.append(saved)
-        i += 1
+    what its backward reads. Without a tape the conv stack
+    (``_eval_chains``) runs one group of samples at a time, each group
+    through a whole chain of layers, and the layers after it see the
+    whole batch."""
+    n = x.shape[0]
+    a, i = x, 0
+    if tape is None:
+        chains, i = _eval_chains(arch, n, upto)
+        for first, stop, group in chains:
+            a = _by_parts(lambda part: _eval_chain(arch, params, part, first, stop, n),
+                          a, group)
+    # The stack hands back the caller's batch only when it is all dropout.
+    fresh = a is not x
+    for i in range(i, upto):
+        a, fresh = _layer_forward(arch, params, i, a, fresh, rng, tape, n)
     return a
 
 

@@ -521,8 +521,8 @@ def test_eval_conv_blocks_equal_the_train_mode_batch(monkeypatch, shape, weight_
     for n in (1, 2 * step + max(1, step // 2)):
         x = r.random((n,) + shape, dtype=np.float32)
         expect, _ = nn._conv_forward(x, w, b, stride, padding, key=0)
-        got, end = nn._eval_conv(arch, {0: nn.LayerParams(w, b)}, x, 0, 1)
-        assert end == 1 and got.tobytes() == expect.tobytes(), n
+        got = nn.forward(arch, {0: nn.LayerParams(w, b)}, x)
+        assert got.tobytes() == expect.tobytes(), n
 
 
 _BUILTIN_MODELS = {f"{dataset} m{k + 1}": arch for dataset in ("mnist", "emnist", "cifar10")
@@ -540,6 +540,99 @@ def test_eval_row_blocks_equal_one_block_on_every_builtin_model(monkeypatch, nam
     blocked = nn.forward(arch, params, x)
     monkeypatch.setattr(nn, "_EVAL_ROWS", n * math.prod(arch.input_shape[:2]))
     assert nn.forward(arch, params, x).tobytes() == blocked.tobytes()
+
+
+def _custom_conv_archs():
+    """Conv stacks beside the builtin ones: a pooled 3x3 conv, an unpooled
+    strided one, a pointwise one, a 3x3 conv on a 3x3 input and a conv
+    after two pools."""
+    k = nn.KernelShape
+    return {
+        "pooled-unpooled-pointwise": nn.ModelArch((12, 12, 3), (
+            nn.conv2d(k(3, 3, 3, 4)), nn.relu(), nn.maxpool(2),
+            nn.conv2d(k(3, 3, 4, 5), "valid", 2), nn.relu(), nn.dropout(0.5),
+            nn.conv2d(k(1, 1, 5, 6)), nn.relu(), nn.flatten(), nn.dense(24, 3),
+            nn.softmax())),
+        "3x3-on-3x3": nn.ModelArch((3, 3, 2), (
+            nn.conv2d(k(3, 3, 2, 4)), nn.relu(), nn.conv2d(k(3, 3, 4, 4), "valid"),
+            nn.flatten(), nn.dense(4, 3), nn.softmax())),
+        "after-two-pools": nn.ModelArch((20, 20, 1), (
+            nn.conv2d(k(5, 5, 1, 3)), nn.maxpool(2), nn.maxpool(2),
+            nn.conv2d(k(3, 3, 3, 4)), nn.relu(), nn.maxpool(2), nn.global_avg_pool(),
+            nn.dense(4, 3), nn.softmax())),
+    }
+
+
+_STACK_ARCHS = {**_BUILTIN_MODELS, **_custom_conv_archs()}
+
+
+@pytest.mark.parametrize("n", [1, 7, 113, 300, 512])
+@pytest.mark.parametrize("name", sorted(_STACK_ARCHS))
+def test_each_eval_conv_makes_the_whole_batch_row_blocks(monkeypatch, name, n):
+    # Each conv's calls, in order, are the row blocks of the whole batch:
+    # _EVAL_ROWS output positions' worth of samples from sample 0 on (the
+    # whole batch for a pointwise conv), the last block the remainder. A
+    # GEMM of those shapes and rows keeps its bits whatever the geometry.
+    arch = _STACK_ARCHS[name]
+    params = nn.Params(arch)
+    shapes = nn.infer_shapes(arch)
+    expect = {}
+    for i, spec in enumerate(arch.layers):
+        if spec.kind == "conv2d":
+            kh, kw = spec.weight_shape[:2]
+            pointwise = (kh, kw, spec.stride) == (1, 1, 1)
+            step = n if pointwise else max(1, min(n, nn._EVAL_ROWS // math.prod(shapes[i][:2])))
+            expect[id(params[i].w)] = [min(step, n - start) for start in range(0, n, step)]
+    calls = {key: [] for key in expect}
+
+    def conv(x, w, b, stride, padding, **kwargs):
+        calls[id(w)].append(x.shape[0])
+        oh, ow = (nn._conv_out(size, k, stride, padding) for size, k in zip(x.shape[1:3], w.shape))
+        return np.zeros((x.shape[0], oh, ow, w.shape[-1]), dtype=x.dtype), None
+
+    monkeypatch.setattr(nn, "_conv_forward", conv)
+    x = np.zeros((n,) + arch.input_shape, dtype=np.float32)
+    assert nn.forward(arch, params, x).shape == (n, arch.num_classes)
+    assert calls == expect
+
+
+@pytest.mark.parametrize("name", sorted(_BUILTIN_MODELS))
+def test_forward_of_an_empty_batch_is_an_empty_probability_table(name):
+    arch = _BUILTIN_MODELS[name]
+    x = np.zeros((0,) + arch.input_shape, dtype=np.float32)
+    assert nn.forward(arch, nn.Params(arch), x).shape == (0, arch.num_classes)
+
+
+def test_evaluate_rejects_an_empty_test_split():
+    arch = _BUILTIN_MODELS["mnist m1"]
+    x = np.zeros((0,) + arch.input_shape, dtype=np.float32)
+    with pytest.raises(ConfigError, match="test split is empty"):
+        fedsim.evaluate(arch, nn.Params(arch), x, np.zeros(0, dtype=np.int64))
+
+
+def _evaluate_peak(arch, n):
+    params = nn.init_params(arch, stream(0, 0))
+    x = stream(0, 1).random((n,) + arch.input_shape, dtype=np.float32)
+    y = stream(0, 2).integers(0, arch.num_classes, n)
+    tracemalloc.start()
+    try:
+        fedsim.evaluate(arch, params, x, y)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluate_holds_a_group_of_the_first_conv_output_on_cifar10_model6():
+    # At 300 images the first conv writes 118 MB; ten samples a group
+    # carry 3.9 MB of it through both 32x32 convs and the first pool.
+    assert _evaluate_peak(growth.builtin_schedule("cifar10").models[5], 300) < 32 * 2**20
+
+
+def test_evaluate_holds_the_stack_output_on_mnist_model6():
+    # Five samples a group go through both convs and pools, so at 512
+    # images the batch holds the 6.4 MB input of the first dense layer
+    # besides the 1.6 MB of images.
+    assert _evaluate_peak(growth.builtin_schedule("mnist").models[5], 512) < 14 * 2**20
 
 
 def test_evaluate_memory_stays_bounded_on_mnist_model6():

@@ -6,7 +6,9 @@ For the smallest and largest builtin model of each schedule (or any
 builtin model ``--models`` names), and for the cifar10 final model as
 federated dropout crops it, this times
 ``nn.backward_and_step`` on a batch of 10, ``fedsim.evaluate`` on 300
-images, one evaluation batch, and ``fedsim.aggregate`` of 10 updates at
+images (the bench's test set) and on ``fedsim.EVAL_BATCH`` images (one
+whole batch of a larger test set), each one evaluation batch, and
+``fedsim.aggregate`` of 10 updates at
 the process's CPU count (``fedsim._cpus``), which sets how many threads
 the merge folds on. It wraps module attributes from
 outside with this checkout's ``bench/spans.py`` tracer and changes no
@@ -50,7 +52,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 import spans  # noqa: E402
 
 BATCH = 10  # the default batch of nn.TrainConfig
-EVAL_SAMPLES = 300  # one evaluation batch, as in the bench's fnn-mnist-grow
+EVAL_SAMPLES = 300  # the test set of the bench's fnn-mnist-grow
 STEPS, WARMUP = 20, 5  # measured and discarded SGD steps per model
 EVALS, EVAL_WARMUP = 3, 1  # measured and discarded evaluations per model
 UPDATES = 10  # the bench workloads' clients_per_round
@@ -149,8 +151,8 @@ def profile(root: Path, only) -> None:
         shape = tuple(arch.input_shape)
         x = data.random((BATCH, *shape), dtype=np.float32)
         y = data.integers(0, arch.num_classes, BATCH)
-        test_x = data.random((EVAL_SAMPLES, *shape), dtype=np.float32)
-        test_y = data.integers(0, arch.num_classes, EVAL_SAMPLES)
+        test_x = data.random((max(EVAL_SAMPLES, fedsim.EVAL_BATCH), *shape), dtype=np.float32)
+        test_y = data.integers(0, arch.num_classes, test_x.shape[0])
         tag = name.split()[0]
         cfg = nn.TrainConfig(learning_rate=growth.LEARNING_RATES[tag], batch_size=BATCH)
         dropout = rngmod.stream(1, 1)
@@ -159,9 +161,6 @@ def profile(root: Path, only) -> None:
         def step():
             state["params"], _ = nn.backward_and_step(arch, state["params"], x, y, cfg,
                                                       dropout)
-
-        def evaluate():
-            fedsim.evaluate(arch, state["params"], test_x, test_y)
 
         size = nn.count_params(arch)
         updates = [(nn.Params(arch, data.random(size, dtype=np.float32)), k + 1)
@@ -172,17 +171,23 @@ def profile(root: Path, only) -> None:
 
         step_row = measure(step, WARMUP, STEPS, tracer)
         step_row["gflop"] = nn.fwd_bwd_flops(arch) * BATCH / 1e9
-        eval_row = measure(evaluate, EVAL_WARMUP, EVALS, tracer)
-        eval_row["gflop"] = nn.forward_flops(arch) * EVAL_SAMPLES / 1e9
-        eval_row["peak_mib"] = traced_peak(evaluate)
+        eval_rows = {}
+        for n in (EVAL_SAMPLES, fedsim.EVAL_BATCH):
+            def evaluate(n=n):
+                fedsim.evaluate(arch, state["params"], test_x[:n], test_y[:n])
+
+            eval_rows[n] = measure(evaluate, EVAL_WARMUP, EVALS, tracer)
+            eval_rows[n]["gflop"] = nn.forward_flops(arch) * n / 1e9
+            eval_rows[n]["peak_mib"] = traced_peak(evaluate)
         merge_row = measure(aggregate, MERGE_WARMUP, MERGES, tracer)
         merge_row["mb"] = UPDATES * size * np.dtype(nn.DTYPE).itemsize / 1e6
-        report(name, step_row, eval_row, merge_row, fedsim._cpus())
+        report(name, step_row, eval_rows, merge_row, fedsim._cpus())
 
 
-def report(name: str, step_row: dict, eval_row: dict, merge_row: dict,
+def report(name: str, step_row: dict, eval_rows: dict, merge_row: dict,
            cpus: int) -> None:
-    for what, row, n in (("step", step_row, BATCH), ("evaluate", eval_row, EVAL_SAMPLES)):
+    rows = [("step", step_row, BATCH)] + [("evaluate", row, n) for n, row in eval_rows.items()]
+    for what, row, n in rows:
         gflops = row["gflop"] / (row["wall_ms"] / 1e3)
         print(f"{name} {what} ({n} samples): {row['wall_ms']:.2f} ms, "
               f"{row['gflop']:.3f} GFLOP, {gflops:.2f} GFLOP/s, "
