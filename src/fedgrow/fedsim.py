@@ -1,19 +1,19 @@
 """Synchronous federated training loop.
 
 ``run_experiment`` steps a ``RunState`` (arch, params, switching policy,
-metrics rows, switch events) round by round. A round has three phases.
-``start_round``: select (``select_clients``), broadcast (``broadcast``:
-the full model, or a random sub-network cut by ``fd_extract`` where
-``fd_plan`` crops) and submit the clients' local SGD to the run's
-``ClientPool``. ``finish_round``: train (``collect`` from the pool),
-merge (``aggregate``, or ``fd_merge`` under federated dropout), record
-the loss in the policy and switch (staged methods: ``switch`` grows the
-model in place with ``apply_diff`` once the policy fires).
-``settle_round``: evaluate (``evaluate``, every ``eval_every`` rounds and
-around each switch, unless there are no test samples) and complete the
-round's metrics row. ``run_experiment`` settles round r after starting
-round r + 1, so the evaluation overlaps the workers' training. Every
-transmitted scalar is accounted at 4 bytes.
+metrics rows, switch events) round by round in one loop. Each round
+selects its clients (``select_clients``), broadcasts (``broadcast``: the
+full model, or a random sub-network cut by ``fd_extract`` where
+``fd_plan`` crops) and submits their local SGD to the run's
+``ClientPool``; settles the previous round, evaluating (``evaluate``)
+the models it owes, so the evaluation overlaps the workers' training;
+then collects the updates, merges them (``aggregate``, or ``fd_merge``
+under federated dropout), records the loss in the policy, switches
+(staged methods: ``switch`` grows the model in place with
+``apply_diff`` once the policy fires) and builds the round's metrics
+row. A round owes the models before and after its switch, or on every
+``eval_every``-th round the merged model, unless there are no test
+samples. Every transmitted scalar is accounted at 4 bytes.
 
 Methods:
   fedavg  - final model broadcast in full every round
@@ -663,24 +663,16 @@ def broadcast(state: RunState, r: int, plan: list, settings: RunSettings):
                       rngmod.stream(settings.master_seed, rngmod.FD_MASK, r))
 
 
-# A model whose test accuracy is owed: (arch, params, targets), where each
-# target is a (record, field name) that receives the accuracy.
-Evaluation = tuple[nn.ModelArch, nn.Params, list[tuple[object, str]]]
-
-
-def switch(state: RunState, r: int, signal: float, diffs, seed: int,
-           evaluations: list[Evaluation]) -> None:
-    """Grow ``state`` to the next model and record the switch event. The
-    models before and after the switch are appended to ``evaluations``,
-    owing the event's two accuracies."""
+def switch(state: RunState, r: int, signal: float, diffs, seed: int) -> SwitchEvent:
+    """Grow ``state`` to the next model and record the switch event, whose
+    accuracies the round's settle step fills in."""
     index = state.model_index
     event = SwitchEvent(r, index, index + 1, signal, None, None)
-    before = (state.arch, state.params, [(event, "accuracy_before")])
     state.arch, state.params, _ = apply_diff(
         state.arch, state.params, diffs[index], rngmod.stream(seed, rngmod.SWITCH, index))
-    evaluations += [before, (state.arch, state.params, [(event, "accuracy_after")])]
     state.events.append(event)
     state.policy.advance()
+    return event
 
 
 @contextmanager
@@ -690,84 +682,6 @@ def _in_round(r: int):
         yield
     except FedgrowError as e:
         raise type(e)(f"round {r}: {e}") from e
-
-
-@dataclass
-class Sent:
-    """A round between ``start_round`` and ``finish_round``: what was
-    broadcast, and ``train``, the pool's ``collect``, which returns the
-    clients' (update, loss, n)."""
-
-    r: int
-    model_index: int  # the model trained this round, reported pre-switch
-    sel: list[int]
-    arch: nn.ModelArch
-    mask: DropoutMask | None
-    train: Callable[[], list]
-
-
-def start_round(state: RunState, r: int, plan: list, shards: list[ClientShard],
-                settings: RunSettings, pool: ClientPool) -> Sent:
-    """Select and broadcast round ``r``'s clients as ``plan`` (``fd_plan``)
-    says and submit them to ``pool``; ``finish_round`` collects their updates."""
-    index = state.model_index
-    with _in_round(r):
-        sel = select_clients(rngmod.stream(settings.master_seed, rngmod.SELECT, r),
-                             len(shards), settings.clients_per_round)
-        arch, params, mask = broadcast(state, r, plan, settings)
-        train = functools.partial(pool.collect, arch,
-                                  pool.submit(arch, params, sel, r, settings))
-    return Sent(r, index, sel, arch, mask, train)
-
-
-def finish_round(state: RunState, sent: Sent, schedule: GrowthSchedule, diffs,
-                 settings: RunSettings):
-    """Merge round ``sent.r``'s updates into ``state``, step the policy and
-    switch when it fires. Returns the round's row and the evaluations
-    ``settle_round`` owes it."""
-    r, policy = sent.r, state.policy
-    with _in_round(r):
-        updates = sent.train()
-        if sent.mask is None:
-            state.params = aggregate([(p, n) for p, _, n in updates])
-        else:
-            state.params = fd_merge(state.arch, state.params,
-                                    [(p, sent.mask, n) for p, _, n in updates])
-        wloss = weighted_round_loss((loss, n) for _, loss, n in updates)
-        policy.record_round_loss(wloss)
-        signal = policy.progress_signal()
-        switched = diffs is not None and policy.should_switch(schedule)
-        evaluations: list[Evaluation] = []
-        if switched:
-            switch(state, r, signal, diffs, settings.master_seed, evaluations)
-
-        mean_n = sum(n for _, _, n in updates) / len(sent.sel)
-        flops = settings.train.local_epochs * int(nn.fwd_bwd_flops(sent.arch) * mean_n)
-        down = up = nn.count_params(sent.arch) * len(sent.sel) * BYTES_PER_SCALAR
-        row = RoundMetrics(r, sent.model_index, wloss, None, signal, switched,
-                           down, up, state.ledger.total_bytes + down + up, flops)
-    if settings.eval_every > 0 and (r + 1) % settings.eval_every == 0:
-        if not switched:
-            evaluations.append((state.arch, state.params, []))
-        # After a switch the grown model is owed already, for accuracy_after.
-        evaluations[-1][2].append((row, "test_accuracy"))
-    return row, evaluations
-
-
-def settle_round(state: RunState, row: RoundMetrics, evaluations: list[Evaluation],
-                 test_samples, test_labels) -> RoundMetrics:
-    """Evaluate what ``finish_round`` left owed, fill the accuracies in and
-    append the completed row to ``state.metrics``. Without test samples
-    nothing is evaluated and every accuracy stays None."""
-    if test_samples is None or test_samples.shape[0] == 0:
-        evaluations = []
-    with _in_round(row.round):
-        for arch, params, targets in evaluations:
-            accuracy = evaluate(arch, params, test_samples, test_labels)
-            for record, name in targets:
-                setattr(record, name, accuracy)
-    state.metrics.append(row)
-    return row
 
 
 def run_experiment(method: str, schedule: GrowthSchedule,
@@ -781,12 +695,16 @@ def run_experiment(method: str, schedule: GrowthSchedule,
     ``on_round`` (optional) receives each RoundMetrics once its accuracy
     is known, so callers can stream partial results before a failure. A
     ``ClientPool`` of ``worker_count`` workers with a slot for the largest
-    model of the schedule trains the clients. Each round runs
-    ``start_round``; then the previous round's ``settle_round``, whose
-    evaluations overlap this round's training in forked workers (at one
-    worker, precede it); then this round's ``finish_round``. A row that
-    owes no evaluation is settled at once, and any row, with test samples
-    or none, at most one round late. Every completed round's row reaches
+    model of the schedule trains the clients. Each round selects its
+    clients, broadcasts and submits them to the pool; then settles the
+    previous round, whose evaluations overlap this round's training in
+    forked workers (at one worker, precede it); then collects, merges,
+    records the loss, switches if the policy fires and builds the row.
+    A finished round owes the models it still has to evaluate: a switch
+    round the models before and after the switch, another evaluation
+    round the merged model, any other round, or any round of a run
+    without test samples, none. A row that owes none is settled at once,
+    any other one round late. Every completed round's row reaches
     ``on_round`` before a later round's error is raised.
     """
     if method not in METHODS:
@@ -796,6 +714,7 @@ def run_experiment(method: str, schedule: GrowthSchedule,
     if settings.clients_per_round > len(shards):
         raise ConfigError(f"clients per round {settings.clients_per_round} exceeds "
                           f"population {len(shards)}")
+    testing = test_samples is not None and test_samples.shape[0] > 0
     plan = fd_plan(method, schedule, settings)
     staged = method in ("fnn", "fnn-fd")
     diffs = schedule_diffs(schedule) if staged else None
@@ -805,26 +724,76 @@ def run_experiment(method: str, schedule: GrowthSchedule,
     policy = SwitchPolicy(settings.switch_window, settings.switch_lag, model_index=index)
     # No local holds the initial params, so the first merge frees them.
     state = RunState(arch, nn.init_params(arch, init_rng, settings.init_scheme), policy)
-    owed = None  # (row, evaluations) of a finished round not yet settled
+    total_bytes = 0
+    owed = None  # (row, event, models) of a finished round not yet settled
 
-    def settle():
+    def evaluated(r: int) -> bool:
+        return settings.eval_every > 0 and (r + 1) % settings.eval_every == 0
+
+    def write(row: RoundMetrics) -> None:
+        state.metrics.append(row)
+        if on_round is not None:
+            on_round(row)
+
+    def settle() -> None:
+        """Evaluate the models the owed round lists, fill its accuracies in
+        and write its row."""
         nonlocal owed
         if owed is not None:
-            row, owed = settle_round(state, *owed, test_samples, test_labels), None
-            if on_round is not None:
-                on_round(row)
+            (row, event, models), owed = owed, None
+            with _in_round(row.round):
+                accuracies = [evaluate(arch, params, test_samples, test_labels)
+                              for arch, params in models]
+            if event is not None:
+                event.accuracy_before, event.accuracy_after = accuracies
+            if evaluated(row.round):
+                row.test_accuracy = accuracies[-1]
+            write(row)
 
     pool = ClientPool(worker_count(settings), settings.clients_per_round,
                       max(nn.count_params(m) for m in schedule.models), shards)
     try:
         for r in range(settings.rounds):
+            index = state.model_index  # the model trained this round, reported pre-switch
             try:
-                sent = start_round(state, r, plan, shards, settings, pool)
+                with _in_round(r):
+                    sel = select_clients(rngmod.stream(settings.master_seed, rngmod.SELECT, r),
+                                         len(shards), settings.clients_per_round)
+                    arch, params, mask = broadcast(state, r, plan, settings)
+                    slices = pool.submit(arch, params, sel, r, settings)
+                    del params  # the slots hold it now, so the merge frees the old model
             finally:  # the previous row is written even when this round fails
                 settle()
-            owed = finish_round(state, sent, schedule, diffs, settings)
-            if not owed[1]:
-                settle()
+            with _in_round(r):
+                updates = pool.collect(arch, slices)
+                if mask is None:
+                    state.params = aggregate([(p, n) for p, _, n in updates])
+                else:
+                    state.params = fd_merge(state.arch, state.params,
+                                            [(p, mask, n) for p, _, n in updates])
+                wloss = weighted_round_loss((loss, n) for _, loss, n in updates)
+                policy.record_round_loss(wloss)
+                signal = policy.progress_signal()
+                event, models = None, [(state.arch, state.params)]
+                if diffs is not None and policy.should_switch(schedule):
+                    event = switch(state, r, signal, diffs, settings.master_seed)
+                    models.append((state.arch, state.params))
+                elif not evaluated(r):
+                    models = []
+
+                mean_n = sum(n for _, _, n in updates) / len(sel)
+                flops = settings.train.local_epochs * int(nn.fwd_bwd_flops(arch) * mean_n)
+                down = up = nn.count_params(arch) * len(sel) * BYTES_PER_SCALAR
+                total_bytes += down + up
+                row = RoundMetrics(r, index, wloss, None, signal, event is not None,
+                                   down, up, total_bytes, flops)
+            if testing and models:
+                owed = (row, event, models)
+            else:
+                write(row)
+            # owed alone holds the models and the pool its slots, so settling
+            # frees the models and close() unmaps the slots.
+            del models, updates, slices
         settle()
     finally:
         pool.close()

@@ -3,6 +3,7 @@
 import os
 import signal
 import threading
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -752,9 +753,12 @@ def test_pool_workers_leave_an_interrupt_to_the_parent(toy_world):
 def test_switch_on_an_evaluation_round_evaluates_the_grown_model_once(
         toy_world, cpus, monkeypatch, workers):
     # Thresholds no signal reaches make each model train exactly 4 + 8
-    # rounds, so the switches fall on rounds 11 and 23, both evaluation
-    # rounds: two evaluations per switch and none more. Without test
-    # samples the same run evaluates nothing.
+    # rounds, so the switches fall on rounds 11 and 23. At eval_every 12
+    # both are evaluation rounds: two evaluations per switch and none
+    # more. At eval_every 8 only round 23 is; rounds 7 and 15 evaluate the
+    # merged model, and round 11 the models before and after its switch,
+    # leaving its row's accuracy empty. Without test samples the same runs
+    # evaluate nothing.
     shards, tx, ty = toy_world
     calls = []
     evaluate = fedsim.evaluate
@@ -766,20 +770,26 @@ def test_switch_on_an_evaluation_round_evaluates_the_grown_model_once(
     monkeypatch.setattr(fedsim, "evaluate", counted)
     cpus(workers)
     sched = growth.GrowthSchedule("tiny", tiny_schedule().models, (1e9, 1e9))
-    result = run_experiment("fnn", sched, shards, tx, ty, _settings(24, eval_every=12))
-    assert [ev.round for ev in result.events] == [11, 23]
-    assert calls == [nn.count_params(sched.models[k]) for k in (0, 1, 1, 2)]
-    for ev in result.events:
-        assert result.metrics[ev.round].test_accuracy == ev.accuracy_after is not None
-        assert ev.accuracy_before is not None
+    for eval_every, evaluated in ((12, (0, 1, 1, 2)), (8, (0, 0, 1, 1, 1, 2))):
+        calls.clear()
+        result = run_experiment("fnn", sched, shards, tx, ty,
+                                _settings(24, eval_every=eval_every))
+        assert [ev.round for ev in result.events] == [11, 23]
+        assert calls == [nn.count_params(sched.models[k]) for k in evaluated]
+        for ev in result.events:
+            assert ev.accuracy_before is not None and ev.accuracy_after is not None
+            expected = ev.accuracy_after if (ev.round + 1) % eval_every == 0 else None
+            assert result.metrics[ev.round].test_accuracy == expected
+        assert [m.round for m in result.metrics if m.test_accuracy is not None] == \
+            list(range(eval_every - 1, 24, eval_every))
 
-    calls.clear()
-    untested = run_experiment("fnn", sched, shards, tx[:0], ty[:0],
-                              _settings(24, eval_every=12))
-    assert calls == []
-    assert untested.metrics == [replace(m, test_accuracy=None) for m in result.metrics]
-    assert untested.events == [replace(ev, accuracy_before=None, accuracy_after=None)
-                               for ev in result.events]
+        calls.clear()
+        untested = run_experiment("fnn", sched, shards, tx[:0], ty[:0],
+                                  _settings(24, eval_every=eval_every))
+        assert calls == []
+        assert untested.metrics == [replace(m, test_accuracy=None) for m in result.metrics]
+        assert untested.events == [replace(ev, accuracy_before=None, accuracy_after=None)
+                                   for ev in result.events]
 
 
 def _pool_log(monkeypatch):
@@ -818,6 +828,78 @@ def test_evaluation_overlaps_the_next_rounds_training(toy_world, cpus, monkeypat
         expected += [("submit", r)] + (["evaluate"] if r == 5 else []) + ["collect"]
         expected += ["train"] * 4 if workers == 1 else []
     assert log == expected + ["evaluate"]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_run_without_test_samples_writes_each_row_in_its_own_round(
+        toy_world, cpus, monkeypatch, workers):
+    # Such a run owes no evaluation, so even a switch round's row and an
+    # evaluation round's reach on_round before the next round is submitted.
+    shards, tx, ty = toy_world
+    log = _pool_log(monkeypatch)
+    cpus(workers)
+    sched = growth.GrowthSchedule("tiny", tiny_schedule().models, (1e9, 1e9))
+    result = run_experiment("fnn", sched, shards, tx[:0], ty[:0],
+                            _settings(24, eval_every=4),
+                            on_round=lambda row: log.append(("row", row.round)))
+    assert [ev.round for ev in result.events] == [11, 23]
+    expected = []
+    for r in range(24):
+        expected += [("submit", r), "collect"] + (["train"] * 4 if workers == 1 else [])
+        expected += [("row", r)]
+    assert log == expected
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_server_holds_one_model_at_each_merge_and_switch(
+        toy_world, cpus, monkeypatch, workers):
+    # At each merge and each switch the server holds one model, the
+    # current one: the broadcast's reference to an earlier model, and
+    # both models of an evaluated switch, are already dropped, so a
+    # switch costs no memory in the round after it.
+    built, live = [], []
+    aggregate, apply_diff = fedsim.aggregate, fedsim.apply_diff
+
+    def count_live():
+        live.append(sum(ref() is not None for ref in built))
+
+    def merging(*args):
+        count_live()
+        out = aggregate(*args)
+        built.append(weakref.ref(out))
+        return out
+
+    def switching(*args):
+        count_live()
+        out = apply_diff(*args)
+        built.append(weakref.ref(out[1]))
+        return out
+
+    monkeypatch.setattr(fedsim, "aggregate", merging)
+    monkeypatch.setattr(fedsim, "apply_diff", switching)
+    cpus(workers)
+    shards, tx, ty = toy_world
+    sched = growth.GrowthSchedule("tiny", tiny_schedule().models, (1e9, 1e9))
+    result = run_experiment("fnn", sched, shards, tx, ty, _settings(24, eval_every=4))
+    assert [ev.round for ev in result.events] == [11, 23]
+    assert len(live) == 26 and live[0] == 0 and set(live[1:]) == {1}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_finished_run_unmaps_its_pool_slots(toy_world, cpus, monkeypatch, workers):
+    closed = []
+    close = fedsim.ClientPool.close
+
+    def closing(pool):
+        mapping = pool._mapping
+        close(pool)
+        closed.append(mapping.closed)
+
+    monkeypatch.setattr(fedsim.ClientPool, "close", closing)
+    cpus(workers)
+    shards, tx, ty = toy_world
+    run_experiment("fedavg", tiny_schedule(), shards, tx, ty, _settings(3))
+    assert closed == [True]
 
 
 def test_one_worker_forks_nothing(toy_world, cpus, monkeypatch):

@@ -20,8 +20,10 @@ of the wrapped functions it calls. ``_run_layers`` then holds the
 forward of dense, relu, dropout, gap and flatten, ``gradients`` the loss
 and their backward, and ``backward_and_step`` the SGD update. ``other``
 is the call's wall time outside every wrapped function. Each number is
-the median over ``STEPS`` steps, ``EVALS`` evaluations or ``MERGES``
-merges; the warm-up calls before them are discarded.
+the median over ``STEPS`` steps or ``MERGES`` merges, or over as many
+evaluations as add up to ``EVAL_SECONDS`` of wall time, at least
+``EVALS``; each row prints its count of calls, and the warm-up calls
+before them are discarded.
 BLAS runs at one thread. Each model also reports the analytic FLOPs
 (``nn.fwd_bwd_flops`` per step, ``nn.forward_flops`` per evaluation),
 the achieved GFLOP/s, the float32 bytes a merge reads and its GB/s, the
@@ -54,7 +56,11 @@ import spans  # noqa: E402
 BATCH = 10  # the default batch of nn.TrainConfig
 EVAL_SAMPLES = 300  # the test set of the bench's fnn-mnist-grow
 STEPS, WARMUP = 20, 5  # measured and discarded SGD steps per model
-EVALS, EVAL_WARMUP = 3, 1  # measured and discarded evaluations per model
+EVALS, EVAL_WARMUP = 3, 1  # least measured and discarded evaluations per model
+# Wall seconds the measured evaluations of a model add up to at least:
+# mnist m1 evaluates 300 images in about 30 ms, and the median of three
+# such calls read 29.1 to 40.7 ms across runs on a shared 2-vCPU machine.
+EVAL_SECONDS = 1.0
 UPDATES = 10  # the bench workloads' clients_per_round
 MERGES, MERGE_WARMUP = 9, 2  # measured and discarded merges per model
 
@@ -82,25 +88,29 @@ def install(tracer: spans.Tracer, modules: dict) -> None:
         setattr(owner, attr, tracer.wrap(f"{mod_name}.{attr}", getattr(owner, attr)))
 
 
-def measure(call, warmup: int, repeats: int, tracer: spans.Tracer) -> dict:
+def measure(call, warmup: int, repeats: int, tracer: spans.Tracer,
+            seconds: float = 0.0) -> dict:
     """Median wall ms, minor faults and self ms per wrapped function of
-    ``repeats`` calls after ``warmup`` discarded ones."""
+    at least ``repeats`` calls, and of as many more as their wall time
+    takes to reach ``seconds``, after ``warmup`` discarded ones."""
+    for _ in range(warmup):
+        call()
     walls, faults, selfs = [], [], []
-    for k in range(warmup + repeats):
+    while len(walls) < repeats or sum(walls) < seconds:
         tracer.spans.clear()
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = time.perf_counter()
         call()
         wall = time.perf_counter() - start
         after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        if k >= warmup:
-            self_ms = {name: row["self_ms"]
-                       for name, row in spans.layer_table(tracer.spans).items()}
-            walls.append(wall)
-            faults.append(after - before)
-            selfs.append({**self_ms, "other": wall * 1e3 - sum(self_ms.values())})
+        self_ms = {name: row["self_ms"]
+                   for name, row in spans.layer_table(tracer.spans).items()}
+        walls.append(wall)
+        faults.append(after - before)
+        selfs.append({**self_ms, "other": wall * 1e3 - sum(self_ms.values())})
     names = sorted({name for row in selfs for name in row})
     return {
+        "calls": len(walls),
         "wall_ms": statistics.median(walls) * 1e3,
         "minor_faults": statistics.median(faults),
         "self_ms": {name: statistics.median(row.get(name, 0.0) for row in selfs)
@@ -176,7 +186,7 @@ def profile(root: Path, only) -> None:
             def evaluate(n=n):
                 fedsim.evaluate(arch, state["params"], test_x[:n], test_y[:n])
 
-            eval_rows[n] = measure(evaluate, EVAL_WARMUP, EVALS, tracer)
+            eval_rows[n] = measure(evaluate, EVAL_WARMUP, EVALS, tracer, EVAL_SECONDS)
             eval_rows[n]["gflop"] = nn.forward_flops(arch) * n / 1e9
             eval_rows[n]["peak_mib"] = traced_peak(evaluate)
         merge_row = measure(aggregate, MERGE_WARMUP, MERGES, tracer)
@@ -189,14 +199,16 @@ def report(name: str, step_row: dict, eval_rows: dict, merge_row: dict,
     rows = [("step", step_row, BATCH)] + [("evaluate", row, n) for n, row in eval_rows.items()]
     for what, row, n in rows:
         gflops = row["gflop"] / (row["wall_ms"] / 1e3)
-        print(f"{name} {what} ({n} samples): {row['wall_ms']:.2f} ms, "
+        print(f"{name} {what} ({n} samples): {row['wall_ms']:.2f} ms "
+              f"(median of {row['calls']}), "
               f"{row['gflop']:.3f} GFLOP, {gflops:.2f} GFLOP/s, "
               f"{row['minor_faults']:g} minor faults"
               + (f", {row['peak_mib']:.1f} MiB peak" if "peak_mib" in row else ""))
         print_self_ms(row)
     gbps = merge_row["mb"] / merge_row["wall_ms"]
     print(f"{name} aggregate ({UPDATES} updates, {cpus} CPUs): "
-          f"{merge_row['wall_ms']:.2f} ms, {merge_row['mb']:.1f} MB read, "
+          f"{merge_row['wall_ms']:.2f} ms (median of {merge_row['calls']}), "
+          f"{merge_row['mb']:.1f} MB read, "
           f"{gbps:.2f} GB/s, {merge_row['minor_faults']:g} minor faults")
     print_self_ms(merge_row)
     sys.stdout.flush()
