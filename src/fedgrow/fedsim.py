@@ -13,7 +13,9 @@ under federated dropout), records the loss in the policy, switches
 ``apply_diff`` once the policy fires) and builds the round's metrics
 row. A round owes the models before and after its switch, or on every
 ``eval_every``-th round the merged model, unless there are no test
-samples. Every transmitted scalar is accounted at 4 bytes.
+samples. A full broadcast leaves the server's model in the pool's slot
+0, its only copy, and ``aggregate`` writes the merged model over it.
+Every transmitted scalar is accounted at 4 bytes.
 
 Methods:
   fedavg  - final model broadcast in full every round
@@ -197,8 +199,10 @@ def weighted_round_loss(losses_and_counts) -> float:
 _FOLD_BLOCK = 65536
 
 
-def aggregate(updates: list[tuple[nn.Params, int]]) -> nn.Params:
-    """Sample-count-weighted mean of client parameters of one arch.
+def aggregate(updates: list[tuple[nn.Params, int]], *,
+              out: np.ndarray | None = None) -> nn.Params:
+    """Sample-count-weighted mean of client parameters of one arch, as the
+    ``nn.Params`` over ``out`` (a fresh vector when None).
 
     Accumulates in float64 with a fixed (list) order and rounds to
     float32 once, so a single update (or identical updates) comes back
@@ -210,6 +214,8 @@ def aggregate(updates: list[tuple[nn.Params, int]]) -> nn.Params:
     threads (numpy releases the GIL in its ufuncs), the first in the
     calling thread. The threads live only inside the call, so none is
     alive when a ``ClientPool`` forks; the split never changes a bit.
+    ``out`` must be a ``count_params`` float32 vector that shares no
+    memory with any update, or ConfigError is raised before it is written.
     """
     if not updates:
         raise ConfigError("aggregate needs at least one update")
@@ -219,7 +225,9 @@ def aggregate(updates: list[tuple[nn.Params, int]]) -> nn.Params:
     total = float(sum(n for _, n in updates))
     if total <= 0:
         raise ConfigError("aggregate: total sample count must be positive")
-    out = nn.Params(arch)
+    out = nn.Params(arch, out)
+    if any(np.shares_memory(out.flat, p.flat) for p, _ in updates):
+        raise ConfigError("aggregate: out shares memory with an update")
     size = out.flat.size
     blocks = -(-size // _FOLD_BLOCK)
     parts = max(1, min(_cpus(), blocks // 2))
@@ -576,9 +584,11 @@ class ClientPool:
     ``nn.count_params`` of the schedule. A model in a slot is the
     ``nn.Params`` over the slot's first ``count_params(arch)`` elements.
     Slot 0 holds the broadcast model and slot k + 1 the update of the
-    k-th selected client. Each worker trains a contiguous slice of the
-    selection and sends back only (loss, n), so at any worker count every
-    client does the same arithmetic and the updates are the same bits.
+    k-th selected client. A run that broadcasts in full keeps its model
+    in slot 0 and merges into it, so ``submit`` copies nothing then. Each
+    worker trains a contiguous slice of the selection and sends back only
+    (loss, n), so at any worker count every client does the same
+    arithmetic and the updates are the same bits.
     Workers run at niceness 19. While they wait at the round's barrier,
     the parent's ``aggregate`` folds on every CPU; it starts no thread
     that outlives the call, so the fork sees none.
@@ -596,11 +606,14 @@ class ClientPool:
 
     def submit(self, arch: nn.ModelArch, params: nn.Params, sel: list[int], r: int,
                settings: RunSettings) -> list[Callable[[], list]]:
-        """Copy ``params.flat`` to slot 0 and start training ``sel`` across the
-        workers; ``collect`` calls the returned slices, which at one worker
-        train in this process. Every slot is rewritten, so the previous
-        round's updates must be collected and merged first."""
-        self.slots[0, :params.flat.size] = params.flat
+        """Copy ``params.flat`` to slot 0, unless it is slot 0's view, and
+        start training ``sel`` across the workers; ``collect`` calls the
+        returned slices, which at one worker train in this process. Every
+        other slot is rewritten, so the previous round's updates must be
+        collected and merged first."""
+        slot = self.slots[0, :params.flat.size]
+        if (params.flat.ctypes.data, params.flat.strides) != (slot.ctypes.data, slot.strides):
+            slot[...] = params.flat
         if self._executor is None:
             return [functools.partial(_train_slice, self.slots, self._shards,
                                       arch, sel, 1, r, settings)]
@@ -706,6 +719,11 @@ def run_experiment(method: str, schedule: GrowthSchedule,
     without test samples, none. A row that owes none is settled at once,
     any other one round late. Every completed round's row reaches
     ``on_round`` before a later round's error is raised.
+
+    Under a full broadcast ``state.params`` is the view of slot 0 from the
+    submit on, and the merge folds into it. The next submit overwrites
+    slot 0, so a switch round copies out a pre-switch model it owes, and
+    the run copies out its final model before the pool unmaps the slots.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -722,7 +740,7 @@ def run_experiment(method: str, schedule: GrowthSchedule,
     arch = schedule.models[index]
     init_rng = rngmod.stream(settings.master_seed, rngmod.INIT)
     policy = SwitchPolicy(settings.switch_window, settings.switch_lag, model_index=index)
-    # No local holds the initial params, so the first merge frees them.
+    # No local holds the initial params, so the first round frees them.
     state = RunState(arch, nn.init_params(arch, init_rng, settings.init_scheme), policy)
     total_bytes = 0
     owed = None  # (row, event, models) of a finished round not yet settled
@@ -761,13 +779,16 @@ def run_experiment(method: str, schedule: GrowthSchedule,
                                          len(shards), settings.clients_per_round)
                     arch, params, mask = broadcast(state, r, plan, settings)
                     slices = pool.submit(arch, params, sel, r, settings)
-                    del params  # the slots hold it now, so the merge frees the old model
+                    if mask is None:  # slot 0 holds the model now, its only copy
+                        state.params = nn.Params(arch, pool.slots[0, :params.flat.size])
+                    del params  # the slots hold it now, so no earlier model outlives the round
             finally:  # the previous row is written even when this round fails
                 settle()
             with _in_round(r):
                 updates = pool.collect(arch, slices)
                 if mask is None:
-                    state.params = aggregate([(p, n) for p, _, n in updates])
+                    state.params = aggregate([(p, n) for p, _, n in updates],
+                                             out=state.params.flat)
                 else:
                     state.params = fd_merge(state.arch, state.params,
                                             [(p, mask, n) for p, _, n in updates])
@@ -776,6 +797,8 @@ def run_experiment(method: str, schedule: GrowthSchedule,
                 signal = policy.progress_signal()
                 event, models = None, [(state.arch, state.params)]
                 if diffs is not None and policy.should_switch(schedule):
+                    if testing and mask is None:  # the next submit overwrites slot 0
+                        models = [(state.arch, nn.copy_params(state.params))]
                     event = switch(state, r, signal, diffs, settings.master_seed)
                     models.append((state.arch, state.params))
                 elif not evaluated(r):
@@ -795,6 +818,8 @@ def run_experiment(method: str, schedule: GrowthSchedule,
             # frees the models and close() unmaps the slots.
             del models, updates, slices
         settle()
+        if np.shares_memory(state.params.flat, pool.slots):  # the model outlives the slots
+            state.params = nn.copy_params(state.params)
     finally:
         pool.close()
     return state

@@ -574,7 +574,9 @@ def _eval_chains(arch, n, upto):
     start of each of them. A chain ends before a conv that would lift
     that multiple to the batch or past 16 of the chain's first block, so
     a group's first conv output stays near 16 blocks; a group of ``n`` or
-    more is the whole batch. Returns ([(first, stop, group), ...], end).
+    more is the whole batch. A chain whose blocks are one sample each runs
+    16 samples a group when the batch holds more, so its relus and pools
+    do not run once a sample. Returns ([(first, stop, group), ...], end).
     """
     shapes = [tuple(arch.input_shape), *infer_shapes(arch)]
     chains = [[0, n, 0]]  # first layer, group, first block (0: no conv yet)
@@ -592,7 +594,8 @@ def _eval_chains(arch, n, upto):
                 chains.append([end, block, block])
         end += 1
     stops = [first for first, _, _ in chains[1:]] + [end]
-    return [(first, stop, group) for (first, group, _), stop in zip(chains, stops)], end
+    return [(first, stop, 16 if group == 1 and n > 16 else group)
+            for (first, group, _), stop in zip(chains, stops)], end
 
 
 def _by_parts(fn, x, step):

@@ -219,6 +219,54 @@ def test_aggregate_matches_brute_force_per_scalar(cpus, monkeypatch):
                 [True] + [False] * (len(folds) - 1)
 
 
+def _vector_arch(size):
+    """An arch of ``size`` parameters: one dense layer with one output,
+    whose bias alone is the vector when ``size`` is 1."""
+    return nn.ModelArch((size - 1,), (nn.LayerSpec("dense", (size - 1, 1)), nn.softmax()))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_aggregate_into_out_gives_the_bits_of_a_fresh_result(cpus, workers):
+    # Whatever ``out`` holds before, folding into it gives the bits a fresh
+    # result gets, and the result is the Params over ``out`` itself. Zero
+    # counts and -0.0 elements (0 + -0.0 * n is +0.0) are included.
+    block = fedsim._FOLD_BLOCK
+    cpus(workers)
+    rng = stream(6, 0)
+    for size in (1, block - 1, block + 1, 5 * block + 3):
+        arch = _vector_arch(size)
+        for m in range(1, 13):
+            flats = rng.normal(0.0, 1.0, (m, size)).astype(nn.DTYPE)
+            flats[:, ::3] = -0.0
+            flats[rng.random(m) < 0.3, 1::3] = -0.0
+            counts = rng.integers(0, 40, m)
+            counts[rng.integers(m)] += 1
+            updates = [(nn.Params(arch, flat), int(n)) for flat, n in zip(flats, counts)]
+            fresh = aggregate(updates)
+            out = np.full(size, np.nan, dtype=nn.DTYPE)
+            got = aggregate(updates, out=out)
+            assert got.flat is out and got.arch is arch
+            assert out.tobytes() == fresh.flat.tobytes(), (size, m)
+
+
+def test_aggregate_rejects_an_out_it_cannot_fold_into():
+    # A vector of the wrong length or dtype, or one that shares memory
+    # with an update, is rejected before any element is written.
+    arch = tiny_schedule().models[1]
+    size = nn.count_params(arch)
+    for bad in (np.zeros(size + 1, nn.DTYPE), np.zeros(size, np.float64)):
+        with pytest.raises(ConfigError, match="float32 vector"):
+            aggregate([(random_params(arch, 7), 3)], out=bad)
+    memory = stream(7, 1).random(3 * size, dtype=nn.DTYPE)
+    before = memory.tobytes()
+    updates = [(random_params(arch, 8), 2), (nn.Params(arch, memory[size:2 * size]), 5)]
+    for out in (memory[size:2 * size], memory[size // 2:size // 2 + size],
+                memory[2 * size - 1:3 * size - 1]):
+        with pytest.raises(ConfigError, match="shares memory"):
+            aggregate(updates, out=out)
+        assert memory.tobytes() == before
+
+
 def test_sgd_step_and_local_train_leave_callers_params_unchanged():
     arch = tiny_schedule().models[1]
     params = random_params(arch, 4)
@@ -853,36 +901,86 @@ def test_a_run_without_test_samples_writes_each_row_in_its_own_round(
 @pytest.mark.parametrize("workers", [1, 2])
 def test_the_server_holds_one_model_at_each_merge_and_switch(
         toy_world, cpus, monkeypatch, workers):
-    # At each merge and each switch the server holds one model, the
-    # current one: the broadcast's reference to an earlier model, and
-    # both models of an evaluated switch, are already dropped, so a
-    # switch costs no memory in the round after it.
-    built, live = [], []
+    # The server's model lives in pool slot 0: each full-broadcast merge
+    # folds into it, and at each merge and each switch no other merged or
+    # grown model is alive (the broadcast's reference to an earlier model,
+    # and both models of an evaluated switch, are already dropped), so a
+    # merge holds one model and a switch costs none in the round after it.
+    built, merges, switches = [], [], []
+    run = {}
     aggregate, apply_diff = fedsim.aggregate, fedsim.apply_diff
+    broadcast, submit = fedsim.broadcast, fedsim.ClientPool.submit
 
-    def count_live():
-        live.append(sum(ref() is not None for ref in built))
+    def others_alive(model):
+        return sum(ref() is not None and ref() is not model for ref in built)
 
-    def merging(*args):
-        count_live()
-        out = aggregate(*args)
+    def broadcasting(state, *args):
+        run["state"] = state
+        return broadcast(state, *args)
+
+    def submitting(pool, *args):
+        run["slot"] = pool.slots[0]
+        return submit(pool, *args)
+
+    def merging(updates, **kwargs):
+        model = run["state"].params
+        in_slot = np.shares_memory(model.flat, run["slot"])
+        alive = others_alive(model)
+        out = aggregate(updates, **kwargs)
         built.append(weakref.ref(out))
+        merges.append((in_slot, np.shares_memory(out.flat, run["slot"]), alive))
         return out
 
     def switching(*args):
-        count_live()
+        switches.append(others_alive(args[1]))
         out = apply_diff(*args)
         built.append(weakref.ref(out[1]))
         return out
 
     monkeypatch.setattr(fedsim, "aggregate", merging)
     monkeypatch.setattr(fedsim, "apply_diff", switching)
+    monkeypatch.setattr(fedsim, "broadcast", broadcasting)
+    monkeypatch.setattr(fedsim.ClientPool, "submit", submitting)
     cpus(workers)
     shards, tx, ty = toy_world
     sched = growth.GrowthSchedule("tiny", tiny_schedule().models, (1e9, 1e9))
     result = run_experiment("fnn", sched, shards, tx, ty, _settings(24, eval_every=4))
     assert [ev.round for ev in result.events] == [11, 23]
-    assert len(live) == 26 and live[0] == 0 and set(live[1:]) == {1}
+    assert merges == [(True, True, 0)] * 24 and switches == [0, 0]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_switch_round_evaluates_the_model_it_grew_from(
+        toy_world, cpus, monkeypatch, workers):
+    # The next round's submit writes the grown model into slot 0 before
+    # the switch round is settled, so the model before the switch has to
+    # be evaluated from its own copy. Its accuracy cannot tell, since
+    # growing preserves the function; its bytes can. The switches fall on
+    # rounds 11 (not an evaluation round) and 23 (one), and rounds 7 and
+    # 15 evaluate the merged model.
+    evaluated, grown_from, grown = [], [], []
+    evaluate, apply_diff = fedsim.evaluate, fedsim.apply_diff
+
+    def evaluating(arch, params, *args):
+        evaluated.append(params.flat.tobytes())
+        return evaluate(arch, params, *args)
+
+    def switching(*args):
+        grown_from.append(args[1].flat.tobytes())
+        out = apply_diff(*args)
+        grown.append(out[1].flat.tobytes())
+        return out
+
+    monkeypatch.setattr(fedsim, "evaluate", evaluating)
+    monkeypatch.setattr(fedsim, "apply_diff", switching)
+    cpus(workers)
+    shards, tx, ty = toy_world
+    sched = growth.GrowthSchedule("tiny", tiny_schedule().models, (1e9, 1e9))
+    result = run_experiment("fnn", sched, shards, tx, ty, _settings(28, eval_every=8))
+    assert [ev.round for ev in result.events] == [11, 23]
+    assert len(evaluated) == 6
+    assert [evaluated[1], evaluated[4]] == grown_from
+    assert [evaluated[2], evaluated[5]] == grown
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -15,13 +15,15 @@ the two runs of a variant differ, in ``metrics.csv`` or in the manifest's
 switch events (whose accuracies come from evaluations that overlap the
 next round's training), or when the every-CPU run also used one worker:
 both runs then trained in process, and the forked path went unchecked.
-The hashes depend on the numpy/BLAS build, so they are compared between
-checkouts on one machine (the first two fields of each line) and are not
-test assertions.
+The hashes depend on the numpy/BLAS build and on the kernels OpenBLAS
+chose for the CPU, whose name (its "core") the script prints once on
+standard error. They are compared between checkouts on one machine (the
+first two fields of each line) and are not test assertions.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import os
@@ -141,6 +143,23 @@ def write_idx(directory: Path, train_images: int = IDX_IMAGES,
     return directory
 
 
+def openblas_core() -> str:
+    """The name of the kernel set numpy's bundled OpenBLAS chose for this
+    CPU, or that ``OPENBLAS_CORETYPE`` forces; the runs, which inherit this
+    environment, choose the same. "unknown" when the library or its
+    ``scipy_openblas_get_corename64_`` is not found."""
+    package = Path(np.__file__).parent
+    for path in sorted([*package.parent.glob("numpy.libs/*openblas*"),
+                        *package.glob(".dylibs/*openblas*")]):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def _one_cpu() -> None:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
@@ -172,6 +191,7 @@ def golden_run(name: str, overrides: dict, work: Path, one_cpu: bool):
 
 def main() -> int:
     status = 0
+    print(f"OpenBLAS core: {openblas_core()}", file=sys.stderr, flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, overrides in VARIANTS.items():
             (serial, serial_events, serial_workers), (auto, auto_events, auto_workers) = (

@@ -8,12 +8,15 @@ federated dropout crops it, this times
 ``nn.backward_and_step`` on a batch of 10, ``fedsim.evaluate`` on 300
 images (the bench's test set) and on ``fedsim.EVAL_BATCH`` images (one
 whole batch of a larger test set), each one evaluation batch, and
-``fedsim.aggregate`` of 10 updates at
-the process's CPU count (``fedsim._cpus``), which sets how many threads
-the merge folds on. It wraps module attributes from
-outside with this checkout's ``bench/spans.py`` tracer and changes no
-source, so ``--root`` measures another checkout's ``src`` (for example a
-clone of the parent commit) with this same harness.
+``fedsim.aggregate`` of 10 updates at the process's CPU count
+(``fedsim._cpus``), which sets how many threads the merge folds on. As
+in a run's full-broadcast merge, the updates sit in the slots of a
+one-worker ``fedsim.ClientPool`` and the merge folds into slot 0. It
+wraps module attributes from outside with this checkout's
+``bench/spans.py`` tracer and changes no source, so ``--root`` measures
+another checkout's ``src`` (for example a clone of the parent commit)
+with this same harness, if its ``aggregate`` takes ``out``; an older
+checkout is measured with its own copy of this script.
 
 Every row is the self time of a wrapped function: its time minus that
 of the wrapped functions it calls. ``_run_layers`` then holds the
@@ -173,11 +176,14 @@ def profile(root: Path, only) -> None:
                                                       dropout)
 
         size = nn.count_params(arch)
-        updates = [(nn.Params(arch, data.random(size, dtype=np.float32)), k + 1)
-                   for k in range(UPDATES)]
+        pool = fedsim.ClientPool(1, UPDATES, size, [])
+        updates = []
+        for k in range(UPDATES):
+            pool.slots[k + 1] = data.random(size, dtype=np.float32)
+            updates.append((nn.Params(arch, pool.slots[k + 1]), k + 1))
 
         def aggregate():
-            fedsim.aggregate(updates)
+            fedsim.aggregate(updates, out=pool.slots[0])
 
         step_row = measure(step, WARMUP, STEPS, tracer)
         step_row["gflop"] = nn.fwd_bwd_flops(arch) * BATCH / 1e9
@@ -190,6 +196,8 @@ def profile(root: Path, only) -> None:
             eval_rows[n]["gflop"] = nn.forward_flops(arch) * n / 1e9
             eval_rows[n]["peak_mib"] = traced_peak(evaluate)
         merge_row = measure(aggregate, MERGE_WARMUP, MERGES, tracer)
+        del updates
+        pool.close()
         merge_row["mb"] = UPDATES * size * np.dtype(nn.DTYPE).itemsize / 1e6
         report(name, step_row, eval_rows, merge_row, fedsim._cpus())
 
