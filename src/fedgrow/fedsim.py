@@ -273,31 +273,6 @@ class DropoutMask:
     kept: dict[int, np.ndarray]
 
 
-def _in_index(arch: nn.ModelArch, layer: int, kept: dict[int, np.ndarray],
-              prev_map: dict[int, int]):
-    """Input index array of ``layer`` in the full model's input coordinates,
-    or None when the full input is kept."""
-    prev = prev_map.get(layer)
-    if prev is None or prev not in kept:
-        return None
-    prev_width = arch.layers[prev].weight_shape[-1]
-    ratio = arch.layers[layer].weight_shape[-2] // prev_width  # positions across flatten
-    kp = kept[prev]
-    if ratio == 1:
-        return kp
-    return (np.arange(ratio)[:, None] * prev_width + kp[None, :]).ravel()
-
-
-def _prev_trainable_map(arch: nn.ModelArch) -> dict[int, int]:
-    prev_map: dict[int, int] = {}
-    prev = None
-    for i in nn.trainable_indices(arch):
-        if prev is not None:
-            prev_map[i] = prev
-        prev = i
-    return prev_map
-
-
 def fd_kept_units(arch: nn.ModelArch, keep_fraction: float | None):
     """Federated dropout's keep fraction on ``arch`` and the units it keeps
     of each hidden trainable layer, floor(width * keep fraction); the
@@ -323,8 +298,8 @@ def fd_extract(arch: nn.ModelArch, params: nn.Params, keep_fraction: float,
     """Random sub-network for broadcasting.
 
     Keeps the units ``fd_kept_units`` counts, chosen at random, in every
-    hidden trainable layer and crops adjacent weights consistently.
-    Returns (sub_arch, sub_params, mask).
+    hidden trainable layer, with the weights of the next trainable layer
+    that read them (``nn.next_inputs``). Returns (sub_arch, sub_params, mask).
     """
     _, counts = fd_kept_units(arch, keep_fraction)
     kept: dict[int, np.ndarray] = {}
@@ -339,15 +314,23 @@ def fd_extract(arch: nn.ModelArch, params: nn.Params, keep_fraction: float,
     return sub_arch, sub_params, mask
 
 
+def _kept_blocks(arch: nn.ModelArch, mask: DropoutMask) -> dict:
+    """Trainable layer index -> its kept (input, output) indices in the full
+    model's coordinates; None keeps the whole axis."""
+    blocks = {i: (None, mask.kept.get(i)) for i in nn.trainable_indices(arch)}
+    for i, kept in mask.kept.items():
+        j, rows = nn.next_inputs(arch, i, kept)
+        if j is not None:
+            blocks[j] = (rows, blocks[j][1])
+    return blocks
+
+
 def _crop_model(arch: nn.ModelArch, params: nn.Params, mask: DropoutMask):
-    prev_map = _prev_trainable_map(arch)
     layers = list(arch.layers)
     cropped = {}
-    for i in nn.trainable_indices(arch):
+    for i, (in_idx, out_idx) in _kept_blocks(arch, mask).items():
         spec, p = arch.layers[i], params[i]
-        in_idx = _in_index(arch, i, mask.kept, prev_map)
-        out_idx = mask.kept.get(i)
-        w = p.w[_index_expr(spec, in_idx, out_idx)]
+        w = p.w[_index_expr(in_idx, out_idx)]
         cropped[i] = nn.LayerParams(w, p.b if out_idx is None else p.b[out_idx])
         layers[i] = spec.with_widths(*w.shape[-2:])
     sub_arch = arch.with_layers(layers)
@@ -374,28 +357,24 @@ def fd_merge(arch: nn.ModelArch, global_params: nn.Params,
             raise ConfigError("fd_merge: updates carry different masks; "
                               "a round shares one mask")
     mean = aggregate([(sub, n) for sub, _, n in updates])
-    prev_map = _prev_trainable_map(arch)
     merged = nn.copy_params(global_params)
-    for i in nn.trainable_indices(arch):
-        spec = arch.layers[i]
-        *kernel, full_in, full_out = spec.weight_shape
-        in_idx = _in_index(arch, i, mask.kept, prev_map)
-        out_idx = mask.kept.get(i)
+    for i, (in_idx, out_idx) in _kept_blocks(arch, mask).items():
+        *kernel, full_in, full_out = arch.layers[i].weight_shape
         expect_in = len(in_idx) if in_idx is not None else full_in
         expect_out = len(out_idx) if out_idx is not None else full_out
         if mean[i].w.shape != (*kernel, expect_in, expect_out) or \
                 mean[i].b.shape != (expect_out,):
             raise ConfigError(f"fd_merge: layer {i} update shape {mean[i].w.shape} "
                               f"inconsistent with its mask")
-        merged[i].w[_index_expr(spec, in_idx, out_idx)] = mean[i].w
+        merged[i].w[_index_expr(in_idx, out_idx)] = mean[i].w
         merged[i].b[out_idx if out_idx is not None else slice(None)] = mean[i].b
     return merged
 
 
-def _index_expr(spec, in_idx, out_idx):
-    """Index of the kept (input, output) block of ``spec``'s weight array;
-    None keeps the whole axis. Every trainable kind keeps inputs on axis -2
-    and outputs on axis -1, so ``spec`` does not change the expression."""
+def _index_expr(in_idx, out_idx):
+    """Index of the kept (input, output) block of a trainable layer's weight
+    array, inputs on axis -2 and outputs on axis -1; None keeps the whole
+    axis."""
     if in_idx is None:
         return (Ellipsis,) if out_idx is None else (Ellipsis, out_idx)
     if out_idx is None:

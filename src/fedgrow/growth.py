@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import nn
 from .errors import ConfigError, ScheduleError, TransformError
 
@@ -231,10 +233,11 @@ def insert_identity_arch(arch: nn.ModelArch, layer: int,
             f"insert-identity at layer {layer}: an inserted {spec.kind} cannot start "
             f"as the identity without an odd kernel, same padding and stride 1 "
             f"(got kernel {kernel}, {spec.padding} padding, stride {spec.stride})")
-    # Walk back through dropout, pooling and flattening, which keep signs,
-    # to a relu.
+    # Walk back to a relu through pass-through layers (dropout, pooling and
+    # flattening), which keep signs.
     j = layer - 1
-    while j >= 0 and arch.layers[j].kind in ("dropout", "maxpool", "flatten", "gap"):
+    while j >= 0 and arch.layers[j].kind in nn.PASS_THROUGH_KINDS \
+            and arch.layers[j].kind != "relu":
         j -= 1
     if j < 0 or arch.layers[j].kind != "relu":
         raise TransformError(
@@ -258,18 +261,13 @@ def widen_arch(arch: nn.ModelArch, layer: int, width: int) -> nn.ModelArch:
     if width < old_width:
         raise TransformError(f"widen at layer {layer}: cannot shrink "
                              f"{old_width} -> {width}")
-    nxt = nn.next_trainable(arch, layer)
+    nxt, rows = nn.next_inputs(arch, layer, np.arange(width))
     if nxt is None:
         raise TransformError(
             f"widen at layer {layer}: no trainable layer follows; widening the "
             "final classification layer is unsupported")
     layers[layer] = spec.with_widths(in_width, width)
-    # The receiving layer sees `ratio` inputs per channel of the widened
-    # layer: 1 when directly adjacent or across gap, H*W across flatten.
-    nspec = layers[nxt]
-    next_in_old, next_out = nspec.weight_shape[-2:]
-    ratio = next_in_old // old_width
-    layers[nxt] = nspec.with_widths(ratio * width, next_out)
+    layers[nxt] = layers[nxt].with_widths(len(rows), layers[nxt].weight_shape[-1])
     new_arch = arch.with_layers(layers)
     nn.validate_arch(new_arch)
     return new_arch

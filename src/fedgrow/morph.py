@@ -11,6 +11,7 @@ outputs on axis -1):
   ``g`` (identity on the original channels), and the next layer's
   incoming weights for a channel replicated ``c`` times are divided by
   ``c`` so every replica group contributes exactly the original amount.
+  The next layer's rows for ``g`` come from ``nn.next_inputs``.
 * ``deepen`` (insert-identity) inserts an identity-initialized layer
   (a one at the centre of every kernel axis times the identity on the
   in/out axes) followed by a relu, which is exact because the insertion
@@ -57,7 +58,8 @@ class WidenMapping:
         old = len(self.counts)
         if not np.array_equal(self.mapping[:old], np.arange(old)):
             raise TransformError("widen mapping must be the identity on existing channels")
-        if self.counts.sum() != len(self.mapping) or (self.counts < 1).any():
+        if self.mapping.min(initial=0) < 0 or not np.array_equal(
+                self.counts, np.bincount(self.mapping, minlength=old)):
             raise TransformError("widen mapping replication counts are inconsistent")
 
 
@@ -81,8 +83,7 @@ def _widened_params(arch: nn.ModelArch, new_arch: nn.ModelArch, params: nn.Param
     """``params`` with the outputs of ``mapping.layer`` and the inputs of
     the next trainable layer replicated through ``mapping``."""
     layer, g = mapping.layer, mapping.mapping
-    old_width, new_width = arch.layers[layer].weight_shape[-1], len(g)
-    nxt = nn.next_trainable(arch, layer)
+    nxt, rows = nn.next_inputs(arch, layer, g)
     div = mapping.counts.astype(nn.DTYPE)[g]
 
     new_params = dict(params)
@@ -92,13 +93,7 @@ def _widened_params(arch: nn.ModelArch, new_arch: nn.ModelArch, params: nn.Param
     # Incoming weights of the next trainable layer: replicated inputs are
     # divided by their replication count so each group sums to the original.
     q = params[nxt]
-    *kernel, next_in, next_out = q.w.shape
-    # Spatial positions per channel: H*W across a flatten, else 1. Row-major
-    # flatten puts spatial position p, channel c at input p * channels + c.
-    ratio = next_in // old_width
-    per_pos = q.w.reshape(*kernel, ratio, old_width, next_out)
-    new_w = (per_pos[..., g, :] / div[:, None]).reshape(
-        *kernel, ratio * new_width, next_out)
+    new_w = q.w[..., rows, :] / np.tile(div, len(rows) // len(g))[:, None]
     new_params[nxt] = nn.LayerParams(new_w, q.b)
     return nn.pack(new_arch, new_params)
 

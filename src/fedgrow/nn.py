@@ -8,6 +8,12 @@ put input channels on axis -2 and output channels on axis -1, for conv2d
 (kh, kw, in, out) and dense (in, out) alike. Plain SGD with sparse
 categorical cross-entropy is the only optimizer/loss pair.
 
+One channel-index rule joins a trainable layer to the next one (a widen
+copies its channels, federated dropout crops them): the next trainable
+layer reads ``ratio`` inputs per output channel, H*W across a flatten and
+1 when adjacent or across gap, and row-major flattening puts position p
+of channel c at input p * C + c. ``next_inputs`` is that rule.
+
 A model's parameters have one layout: ``Params`` views one float32
 vector of ``count_params(arch)`` elements as each trainable layer's
 weight, then its bias, in layer order, with no padding. ``forward`` and
@@ -303,6 +309,18 @@ def next_trainable(arch: ModelArch, index: int) -> int | None:
         if kind not in PASS_THROUGH_KINDS:
             return None
     return None
+
+
+def next_inputs(arch: ModelArch, layer: int, channels: np.ndarray):
+    """The next trainable layer j after ``layer`` and j's input rows that
+    read ``channels`` of ``layer``'s outputs, position-major; (None, None)
+    when no trainable layer follows."""
+    j = next_trainable(arch, layer)
+    if j is None:
+        return None, None
+    width = arch.layers[layer].weight_shape[-1]
+    ratio = arch.layers[j].weight_shape[-2] // width
+    return j, (np.arange(ratio)[:, None] * width + channels).ravel()
 
 
 # ---------------------------------------------------------------------------

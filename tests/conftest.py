@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from fedgrow import nn
+from fedgrow import growth, nn
 from fedgrow.rng import stream
+
+
+# The 18 models of the builtin schedules, by "<dataset> m<k>".
+BUILTIN_MODELS = {f"{dataset} m{k + 1}": arch for dataset in ("mnist", "emnist", "cifar10")
+                  for k, arch in enumerate(growth.builtin_schedule(dataset).models)}
 
 
 def tiny_conv_arch(dropout_rate=0.0):

@@ -235,11 +235,10 @@ def test_criterion_5_aggregation_oracle():
         subs.append((sub, k + 2))
     merged = fedsim.fd_merge(arch, params, [(s, mask, n) for s, n in subs])
     plain = fedsim.aggregate(subs)
-    prev_map = fedsim._prev_trainable_map(arch)
+    blocks = fedsim._kept_blocks(arch, mask)
     fd_exact = True
     for i in plain:
-        in_idx = fedsim._in_index(arch, i, mask.kept, prev_map)
-        sel = fedsim._index_expr(arch.layers[i], in_idx, mask.kept.get(i))
+        sel = fedsim._index_expr(*blocks[i])
         fd_exact &= bool(np.array_equal(merged[i].w[sel], plain[i].w))
     _report(5, worst < 1e-6 and fd_exact,
             f"100 randomized instances: max |aggregate - brute force| "

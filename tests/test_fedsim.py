@@ -17,7 +17,7 @@ from fedgrow.fedsim import (ClientShard, PartitionSpec, RunSettings, aggregate,
 from fedgrow.rng import CLIENT, SELECT, stream
 from fedgrow.switching import DEFAULT_LAG, DEFAULT_WINDOW
 
-from conftest import random_params
+from conftest import BUILTIN_MODELS, random_params
 
 
 def toy_dataset(n, classes=4, seed=0):
@@ -341,6 +341,23 @@ def test_fd_sub_model_forward_runs():
     assert np.abs(probs.sum(axis=1) - 1).max() < 1e-5
 
 
+@pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
+def test_fd_sub_model_computes_the_full_model_with_dropped_units_zeroed(name):
+    # Checked without the crop's index code: a unit whose output weights
+    # and bias are zero outputs zero, so the layers after it never see it.
+    arch = BUILTIN_MODELS[name]
+    params = random_params(arch, 15)
+    sub_arch, sub_params, mask = fd_extract(arch, params, 0.5, stream(0, 15))
+    zeroed = nn.copy_params(params)
+    for i, kept in mask.kept.items():
+        dropped = np.setdiff1d(np.arange(arch.layers[i].weight_shape[-1]), kept)
+        zeroed[i].w[..., dropped] = 0.0
+        zeroed[i].b[dropped] = 0.0
+    x = stream(1, 15).random((3,) + arch.input_shape, dtype=np.float32)
+    got = nn.forward(sub_arch, sub_params, x)
+    assert np.abs(got - nn.forward(arch, zeroed, x)).max() < 1e-6
+
+
 def test_fd_merge_differing_masks_rejected():
     arch = nn.ModelArch((4,), (nn.dense(4, 4), nn.relu(), nn.dropout(0.1),
                                nn.dense(4, 2), nn.softmax()))
@@ -369,11 +386,9 @@ def test_fd_merge_shared_mask_equals_aggregate_on_submatrix():
         subs.append((sub, int(1 + k)))
     merged = fd_merge(arch, params, [(s, mask, n) for s, n in subs])
     plain = aggregate(subs)
-    prev_map = fedsim._prev_trainable_map(arch)
+    blocks = fedsim._kept_blocks(arch, mask)
     for i in plain:
-        in_idx = fedsim._in_index(arch, i, mask.kept, prev_map)
-        out_idx = mask.kept.get(i)
-        sel = fedsim._index_expr(arch.layers[i], in_idx, out_idx)
+        sel = fedsim._index_expr(*blocks[i])
         assert np.array_equal(merged[i].w[sel], plain[i].w)
 
 

@@ -114,8 +114,14 @@ def test_widen_final_classifier_rejected():
 
 
 def test_widen_mapping_prefix_identity_validated():
-    with pytest.raises(TransformError, match="identity"):
-        morph.WidenMapping(0, np.array([1, 0, 0]), np.array([2, 1]))
+    for mapping, counts, match in [
+        ([1, 0, 0], [2, 1], "identity"),
+        # The right total, but channel 0 has two copies and channel 1 one.
+        ([0, 1, 0], [1, 2], "inconsistent"),
+        ([0, 1, -1], [1, 2], "inconsistent"),
+    ]:
+        with pytest.raises(TransformError, match=match):
+            morph.WidenMapping(0, np.array(mapping), np.array(counts))
 
 
 @settings(max_examples=30, deadline=None)

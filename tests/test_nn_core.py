@@ -10,8 +10,8 @@ from fedgrow import fedsim, growth, nn
 from fedgrow.errors import ConfigError, NumericalError
 from fedgrow.rng import stream
 
-from conftest import (dense_arch, finite_difference_check, params_to_f64,
-                      random_params, tiny_conv_arch)
+from conftest import (BUILTIN_MODELS, dense_arch, finite_difference_check,
+                      params_to_f64, random_params, tiny_conv_arch)
 
 
 def test_zero_weight_model_is_uniform():
@@ -525,16 +525,12 @@ def test_eval_conv_blocks_equal_the_train_mode_batch(monkeypatch, shape, weight_
         assert got.tobytes() == expect.tobytes(), n
 
 
-_BUILTIN_MODELS = {f"{dataset} m{k + 1}": arch for dataset in ("mnist", "emnist", "cifar10")
-                   for k, arch in enumerate(growth.builtin_schedule(dataset).models)}
-
-
 @pytest.mark.parametrize("n", [7, 13])
-@pytest.mark.parametrize("name", sorted(_BUILTIN_MODELS))
+@pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
 def test_eval_row_blocks_equal_one_block_on_every_builtin_model(monkeypatch, name, n):
     # Every builtin first conv holds one sample a block, so the batch is n
     # first-conv blocks; the later convs get a partial tail block.
-    arch = _BUILTIN_MODELS[name]
+    arch = BUILTIN_MODELS[name]
     params = random_params(arch, 52)
     x = stream(52, n).random((n,) + arch.input_shape, dtype=np.float32)
     blocked = nn.forward(arch, params, x)
@@ -563,7 +559,7 @@ def _custom_conv_archs():
     }
 
 
-_STACK_ARCHS = {**_BUILTIN_MODELS, **_custom_conv_archs()}
+_STACK_ARCHS = {**BUILTIN_MODELS, **_custom_conv_archs()}
 
 
 @pytest.mark.parametrize("n", [1, 7, 113, 300, 512])
@@ -596,15 +592,41 @@ def test_each_eval_conv_makes_the_whole_batch_row_blocks(monkeypatch, name, n):
     assert calls == expect
 
 
-@pytest.mark.parametrize("name", sorted(_BUILTIN_MODELS))
+@pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
 def test_forward_of_an_empty_batch_is_an_empty_probability_table(name):
-    arch = _BUILTIN_MODELS[name]
+    arch = BUILTIN_MODELS[name]
     x = np.zeros((0,) + arch.input_shape, dtype=np.float32)
     assert nn.forward(arch, nn.Params(arch), x).shape == (0, arch.num_classes)
 
 
+@pytest.mark.parametrize("arch, layer, channels, expect", [
+    (nn.ModelArch((6,), (nn.dense(6, 4), nn.relu(), nn.dense(4, 3), nn.softmax())),
+     0, [1, 3], (2, [1, 3])),
+    (nn.ModelArch((4, 4, 2), (nn.conv2d(nn.KernelShape(3, 3, 2, 5)), nn.relu(),
+                              nn.global_avg_pool(), nn.dense(5, 3), nn.softmax())),
+     0, [0, 4], (3, [0, 4])),
+    # Four channels over 2x2 positions: position p of channel c is input 4p + c.
+    (nn.ModelArch((4, 4, 1), (nn.conv2d(nn.KernelShape(3, 3, 1, 4)), nn.relu(), nn.maxpool(2),
+                              nn.flatten(), nn.dense(16, 3), nn.softmax())),
+     0, [1, 3], (4, [1, 3, 5, 7, 9, 11, 13, 15])),
+    (nn.ModelArch((6,), (nn.dense(6, 4), nn.relu(), nn.dense(4, 3), nn.softmax())),
+     2, [0, 1, 2], (None, None)),
+], ids=["dense-dense", "conv-gap-dense", "conv-pool-flatten-dense", "classifier"])
+def test_next_inputs_on_hand_computed_cases(arch, layer, channels, expect):
+    j, rows = nn.next_inputs(arch, layer, np.array(channels))
+    assert (j, None if rows is None else rows.tolist()) == expect
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_MODELS))
+def test_next_inputs_of_every_channel_are_all_the_next_layers_inputs(name):
+    arch = BUILTIN_MODELS[name]
+    for i in nn.trainable_indices(arch)[:-1]:
+        j, rows = nn.next_inputs(arch, i, np.arange(arch.layers[i].weight_shape[-1]))
+        assert np.array_equal(rows, np.arange(arch.layers[j].weight_shape[-2]))
+
+
 def test_evaluate_rejects_an_empty_test_split():
-    arch = _BUILTIN_MODELS["mnist m1"]
+    arch = BUILTIN_MODELS["mnist m1"]
     x = np.zeros((0,) + arch.input_shape, dtype=np.float32)
     with pytest.raises(ConfigError, match="test split is empty"):
         fedsim.evaluate(arch, nn.Params(arch), x, np.zeros(0, dtype=np.int64))
