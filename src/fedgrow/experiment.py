@@ -260,9 +260,7 @@ def build_schedule(config: ExperimentConfig) -> growth.GrowthSchedule:
     schedule = (growth.builtin_schedule(ref) if ref in growth.THRESHOLDS
                 else growth.load_schedule(ref))
     if config.thresholds_override is not None:
-        schedule = growth.GrowthSchedule(schedule.dataset, schedule.models,
-                                         tuple(config.thresholds_override))
-        growth.validate_schedule(schedule)
+        schedule = growth.with_thresholds(schedule, config.thresholds_override)
     return schedule
 
 
@@ -309,8 +307,9 @@ def run(config: ExperimentConfig) -> Path:
             raise ConfigError(f"{split} has {n_classes} classes but the schedule "
                               f"classifier has {first.num_classes}")
     shards = fedsim.partition(train_x, train_y, config.partition)
-    # The shards copy every training sample: drop the corpus before the
-    # pool forks, so no worker maps a second copy.
+    # The shards are views of one client-ordered copy of the training
+    # samples: drop the corpus before the pool forks, so no worker maps a
+    # second copy.
     del train_x, train_y
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)

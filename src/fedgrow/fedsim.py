@@ -58,7 +58,8 @@ METHODS = ("fedavg", "fd", "fnn", "fnn-fd")
 
 @dataclass
 class ClientShard:
-    """One client's private samples; ``n`` is its aggregation weight."""
+    """One client's private samples; ``n`` is its aggregation weight. The
+    shards of a ``partition`` are views of one client-ordered array."""
 
     client_id: int
     samples: np.ndarray
@@ -96,7 +97,10 @@ class PartitionSpec:
 
 def partition(samples: np.ndarray, labels: np.ndarray,
               spec: PartitionSpec) -> list[ClientShard]:
-    """Split a dataset into disjoint, exhaustive client shards."""
+    """Split a dataset into disjoint, exhaustive client shards.
+
+    The samples and labels are gathered into client order once; each
+    shard is a view of its clients' slice of those two arrays."""
     n = samples.shape[0]
     if n == 0:
         raise ConfigError("cannot partition an empty dataset")
@@ -108,9 +112,11 @@ def partition(samples: np.ndarray, labels: np.ndarray,
         pieces = np.array_split(order, spec.client_count)
     else:
         pieces = _label_shard_pieces(labels, spec, rng)
-    shards = [ClientShard(cid, samples[idx], labels[idx])
-              for cid, idx in enumerate(pieces)]
-    return shards
+    order = np.concatenate(pieces)
+    samples, labels = samples[order], labels[order]
+    bounds = np.cumsum([0] + [len(idx) for idx in pieces]).tolist()
+    return [ClientShard(cid, samples[a:b], labels[a:b])
+            for cid, (a, b) in enumerate(zip(bounds, bounds[1:]))]
 
 
 def _label_shard_pieces(labels, spec, rng):

@@ -380,16 +380,9 @@ def diff_models(a: nn.ModelArch, b: nn.ModelArch) -> tuple[TransformStep, ...]:
 def validate_schedule(schedule: GrowthSchedule):
     """Check arity, growth and reachability; raise ScheduleError with every
     violation found."""
-    problems = []
     n = len(schedule.models)
-    if n < 1:
-        problems.append("schedule has no models")
-    if len(schedule.thresholds) != max(n - 1, 0):
-        problems.append(
-            f"threshold arity: {len(schedule.thresholds)} thresholds for {n} models "
-            f"(expected {max(n - 1, 0)})")
-    if any(t <= 0 for t in schedule.thresholds):
-        problems.append("thresholds must be positive")
+    problems = ["schedule has no models"] if n < 1 else []
+    problems += _threshold_problems(schedule)
     for mi, model in enumerate(schedule.models):
         try:
             nn.validate_arch(model)
@@ -407,6 +400,28 @@ def validate_schedule(schedule: GrowthSchedule):
             problems.append(f"models {mi + 1} -> {mi + 2} not reachable: {e}")
     if problems:
         raise ScheduleError(problems)
+
+
+def _threshold_problems(schedule: GrowthSchedule) -> list[str]:
+    n = len(schedule.models)
+    problems = []
+    if len(schedule.thresholds) != max(n - 1, 0):
+        problems.append(
+            f"threshold arity: {len(schedule.thresholds)} thresholds for {n} models "
+            f"(expected {max(n - 1, 0)})")
+    if any(t <= 0 for t in schedule.thresholds):
+        problems.append("thresholds must be positive")
+    return problems
+
+
+def with_thresholds(schedule: GrowthSchedule, thresholds) -> GrowthSchedule:
+    """``schedule``, already validated, with other ``thresholds``: only
+    their count and sign are checked (ScheduleError)."""
+    schedule = GrowthSchedule(schedule.dataset, schedule.models, tuple(thresholds))
+    problems = _threshold_problems(schedule)
+    if problems:
+        raise ScheduleError(problems)
+    return schedule
 
 
 def schedule_diffs(schedule: GrowthSchedule) -> list[tuple[TransformStep, ...]]:

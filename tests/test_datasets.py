@@ -2,6 +2,7 @@
 
 import gzip
 import json
+import os
 import shutil
 import struct
 import tracemalloc
@@ -261,9 +262,30 @@ def _gzip_in_place(path):
     path.unlink()
 
 
+def _count_reads(monkeypatch) -> list[int]:
+    """The byte counts the image loader asks of its file, one a read call,
+    in order; filled as it reads."""
+    sizes = []
+    read_exact, preadv = datasets._read_exact, os.preadv
+
+    def counted_read_exact(fh, count, *args):
+        sizes.append(count)
+        return read_exact(fh, count, *args)
+
+    def counted_preadv(fd, buffers, offset):
+        sizes.append(sum(len(b) for b in buffers))
+        return preadv(fd, buffers, offset)
+
+    monkeypatch.setattr(datasets, "_read_exact", counted_read_exact)
+    monkeypatch.setattr(os, "preadv", counted_preadv)
+    return sizes
+
+
 # 20 rows of 64 bytes; a 200-byte chunk reads 3 whole rows, a 50-byte one 1.
-@pytest.mark.parametrize("rows", [[0, 19], [7], list(range(20)), [2, 3, 5, 6, 8, 9, 17]],
-                         ids=["first-and-last", "one-row", "every-row", "chunk-edges"])
+@pytest.mark.parametrize("rows", [[0, 19], [7], list(range(20)), [2, 3, 5, 6, 8, 9, 17],
+                                  [1, 5, 11, 18], [*range(2, 9), *range(12, 20)]],
+                         ids=["first-and-last", "one-row", "every-row", "chunk-edges",
+                              "sparse", "long-runs"])
 @pytest.mark.parametrize("chunk", [200, 50])
 @pytest.mark.parametrize("gz", [False, True])
 def test_kept_rows_load_to_the_whole_array_formula(tmp_path, monkeypatch, rows, chunk, gz):
@@ -280,6 +302,27 @@ def test_kept_rows_load_to_the_whole_array_formula(tmp_path, monkeypatch, rows, 
     assert counts == [20]
     assert images.dtype == expect.dtype and images.shape == expect.shape
     assert images.flags.c_contiguous and images.tobytes() == expect.tobytes()
+    if not gz:
+        # With no gap worth reading, the header and the kept rows are all
+        # that is read of an uncompressed file.
+        monkeypatch.setattr(datasets, "_READ_GAP", 0)
+        sizes = _count_reads(monkeypatch)
+        assert datasets.load_idx_images(path, lambda n: rows).tobytes() == expect.tobytes()
+        assert sizes[0] == 16 and sum(sizes) == 16 + 64 * len(rows)
+
+
+def test_a_kept_load_reads_short_gaps_and_skips_long_ones(tmp_path, monkeypatch):
+    # Rows of 784 bytes: a gap of 2 rows (1568 bytes) is read with its
+    # neighbours, gaps of 15 and 17 rows are skipped.
+    pixels = stream(5, 7).integers(0, 256, (40, 28, 28))
+    path = tmp_path / "images"
+    _write_idx_images(path, pixels)
+    rows = [0, 1, 4, 20, 21, 39]
+    sizes = _count_reads(monkeypatch)
+    images = datasets.load_idx_images(path, lambda n: rows)
+    assert sizes == [16, 5 * 784, 2 * 784, 784]
+    want = pixels[rows].astype(np.uint8).astype(np.float32).reshape(6, 28, 28, 1) / 255.0
+    assert images.tobytes() == want.tobytes()
 
 
 def test_keeping_no_rows_converts_every_image(tmp_path):

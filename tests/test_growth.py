@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from fedgrow import growth, morph, nn
+from fedgrow import experiment, growth, morph, nn
 from fedgrow.errors import ConfigError, ScheduleError
 from fedgrow.rng import stream
 
@@ -155,6 +155,23 @@ def test_validate_reports_threshold_arity():
     with pytest.raises(ScheduleError) as exc:
         growth.validate_schedule(bad)
     assert any("threshold arity" in v for v in exc.value.violations)
+
+
+def test_a_thresholds_override_checks_only_the_thresholds(monkeypatch):
+    validated = []
+    validate = growth.validate_schedule
+    monkeypatch.setattr(growth, "validate_schedule",
+                        lambda schedule: validated.append(schedule) or validate(schedule))
+    config = experiment.ExperimentConfig(schedule="mnist",
+                                         thresholds_override=(1e9,) * 5)
+    schedule = experiment.build_schedule(config)
+    assert schedule.thresholds == (1e9,) * 5 and len(validated) == 1  # the builtin's own
+    assert schedule.models == validated[0].models
+    with pytest.raises(ScheduleError, match=r"threshold arity: 2 thresholds for 6 models "
+                                            r"\(expected 5\)"):
+        growth.with_thresholds(schedule, (0.5, 0.5))
+    with pytest.raises(ScheduleError, match="thresholds must be positive"):
+        growth.with_thresholds(schedule, (1.0, 1.0, 0.0, 1.0, 1.0))
 
 
 def test_validate_collects_multiple_violations():

@@ -632,6 +632,21 @@ def test_evaluate_rejects_an_empty_test_split():
         fedsim.evaluate(arch, nn.Params(arch), x, np.zeros(0, dtype=np.int64))
 
 
+def test_init_params_holds_one_float64_draw_of_the_largest_layer():
+    # cifar10 model 6: 3.8 MB of float32 parameters, the largest layer
+    # 331,776 weights. The draw is float64 (8 bytes an element) plus its
+    # boolean masks; the scaled and float32 copies of the draw are gone.
+    arch = growth.builtin_schedule("cifar10").models[5]
+    largest = max(math.prod(arch.layers[i].weight_shape) for i in nn.trainable_indices(arch))
+    tracemalloc.start()
+    try:
+        params = nn.init_params(arch, stream(11, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < params.flat.nbytes + 12 * largest
+
+
 def _evaluate_peak(arch, n):
     params = nn.init_params(arch, stream(0, 0))
     x = stream(0, 1).random((n,) + arch.input_shape, dtype=np.float32)

@@ -15,6 +15,9 @@ the two runs of a variant differ, in ``metrics.csv`` or in the manifest's
 switch events (whose accuracies come from evaluations that overlap the
 next round's training), or when the every-CPU run also used one worker:
 both runs then trained in process, and the forked path went unchecked.
+It also exits 1 when a variant of ``IDX_GZIP`` does not print the hash
+of the variant it names: gzipped IDX files must give the bits of the
+same files uncompressed.
 The hashes depend on the numpy/BLAS build and on the kernels OpenBLAS
 chose for the CPU, whose name (its "core") the script prints once on
 standard error. They are compared between checkouts on one machine (the
@@ -24,6 +27,7 @@ first two fields of each line) and are not test assertions.
 from __future__ import annotations
 
 import ctypes
+import gzip
 import hashlib
 import json
 import os
@@ -38,6 +42,10 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 BASE_CONFIG = ROOT / "configs" / "synthetic-fnn.json"
 NEVER_SWITCH_EARLY = [1e9] * 5  # every stage lasts exactly window + lag rounds
+
+IDX_MAX_TRAIN_SAMPLES = {
+    "dataset": "mnist", "max_train_samples": 1000, "switch_window": 3, "switch_lag": 5,
+    "rounds": 16, "eval_every": 4, "thresholds_override": NEVER_SWITCH_EARLY}
 
 # Overrides of configs/synthetic-fnn.json, one per variant.
 VARIANTS = {
@@ -107,37 +115,41 @@ VARIANTS = {
     "idx-no-test-set": {
         "dataset": "mnist", "switch_window": 3, "switch_lag": 5, "rounds": 24,
         "eval_every": 4, "thresholds_override": NEVER_SWITCH_EARLY},
-    # The only run that keeps a subset of its training images: 1000 of
-    # 3000, which the loader converts alone. Switches at rounds 7 and 15,
-    # both evaluation rounds.
-    "idx-max-train-samples": {
-        "dataset": "mnist", "max_train_samples": 1000, "switch_window": 3,
-        "switch_lag": 5, "rounds": 16, "eval_every": 4,
-        "thresholds_override": NEVER_SWITCH_EARLY},
+    # The runs that keep a subset of their training images: 1000 of 3000.
+    # The loader reads only the kept rows (and short gaps) of uncompressed
+    # files and streams gzip files whole, so the two must agree. Switches
+    # at rounds 7 and 15, both evaluation rounds.
+    "idx-max-train-samples": IDX_MAX_TRAIN_SAMPLES,
+    "idx-gz-max-train-samples": IDX_MAX_TRAIN_SAMPLES,
 }
 IDX_IMAGES = 1000  # per split, unless named below
-IDX_TRAIN_IMAGES = {"idx-max-train-samples": 3000}
+IDX_TRAIN_IMAGES = {"idx-max-train-samples": 3000, "idx-gz-max-train-samples": 3000}
 IDX_TEST_IMAGES = {"idx-no-test-set": 0}
+# Variants whose four IDX files are gzipped, each with the variant of the
+# same files uncompressed, whose hash it must print.
+IDX_GZIP = {"idx-gz-max-train-samples": "idx-max-train-samples"}
 IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC = 2051, 2049
 
 
 def write_idx(directory: Path, train_images: int = IDX_IMAGES,
-              test_images: int = IDX_IMAGES) -> Path:
+              test_images: int = IDX_IMAGES, gz: bool = False) -> Path:
     """The four standard IDX files of a 10-class 28x28 image set, drawn
     with numpy alone, so that no change to fedgrow changes them: class c
     brightens the c-th tenth of the pixels of a noisy grey image. The
-    training split is drawn first, so it does not depend on ``test_images``."""
+    training split is drawn first, so it does not depend on ``test_images``.
+    With ``gz`` the files are gzipped, with the same bytes inside."""
     directory.mkdir(exist_ok=True)
+    opener, suffix = (gzip.open, ".gz") if gz else (open, "")
     rng = np.random.default_rng(12)
     for prefix, count in (("train", train_images), ("t10k", test_images)):
         labels = rng.integers(0, 10, count)
         pixels = 64 + rng.integers(-48, 49, (count, 28 * 28))
         for c in range(10):
             pixels[labels == c, c * 78:(c + 1) * 78] += 96
-        with open(directory / f"{prefix}-images-idx3-ubyte", "wb") as fh:
+        with opener(directory / f"{prefix}-images-idx3-ubyte{suffix}", "wb") as fh:
             fh.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, count, 28, 28))
             fh.write(pixels.astype(np.uint8).tobytes())
-        with open(directory / f"{prefix}-labels-idx1-ubyte", "wb") as fh:
+        with opener(directory / f"{prefix}-labels-idx1-ubyte{suffix}", "wb") as fh:
             fh.write(struct.pack(">II", IDX_LABEL_MAGIC, count))
             fh.write(labels.astype(np.uint8).tobytes())
     return directory
@@ -174,7 +186,9 @@ def golden_run(name: str, overrides: dict, work: Path, one_cpu: bool):
         config["schedule"] = str(schedule_path)
     if config["dataset"] == "mnist":
         counts = IDX_TRAIN_IMAGES.get(name, IDX_IMAGES), IDX_TEST_IMAGES.get(name, IDX_IMAGES)
-        config["data_dir"] = str(write_idx(work / "idx-{}-{}".format(*counts), *counts))
+        gz = name in IDX_GZIP
+        directory = work / "idx-{}-{}{}".format(*counts, "-gz" if gz else "")
+        config["data_dir"] = str(write_idx(directory, *counts, gz))
     name = f"{name}-{'one-cpu' if one_cpu else 'all-cpus'}"
     config_path = work / f"{name}.json"
     config_path.write_text(json.dumps(config))
@@ -191,6 +205,7 @@ def golden_run(name: str, overrides: dict, work: Path, one_cpu: bool):
 
 def main() -> int:
     status = 0
+    hashes = {}
     print(f"OpenBLAS core: {openblas_core()}", file=sys.stderr, flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, overrides in VARIANTS.items():
@@ -209,6 +224,12 @@ def main() -> int:
                 print(f"{name}: switch events differ between one CPU and every CPU",
                       file=sys.stderr)
                 status = 1
+            other = IDX_GZIP.get(name)
+            if other is not None and hashes.get(other) != serial:
+                print(f"{name}: gives {serial}, {other} gives {hashes.get(other)}",
+                      file=sys.stderr)
+                status = 1
+            hashes[name] = serial
             print(f"{serial}  {name}  workers {serial_workers}, {auto_workers}", flush=True)
     return status
 
