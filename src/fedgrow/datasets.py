@@ -31,8 +31,9 @@ def _open_maybe_gz(path: Path):
 
 
 # Pixel bytes read at a time, in whole rows (at least one). The loader
-# then holds the kept float32 images plus about one chunk, not the raw
-# bytes and two float copies of every image.
+# then holds the kept float32 images plus one chunk, or two when it picks
+# kept rows out of a chunk it read, not the raw bytes and two float
+# copies of every image.
 _INGEST_CHUNK = 1 << 20
 
 
@@ -101,7 +102,9 @@ def load_idx_images(path, keep=None) -> np.ndarray:
     ``keep`` (optional) maps the header's image count n to the sorted,
     distinct rows to return, or to None for all of them. The result is one
     float32 array with the bits of ``uint8.astype(float32) / 255``, filled
-    about ``_INGEST_CHUNK`` bytes of whole rows at a time. An uncompressed
+    about ``_INGEST_CHUNK`` bytes of whole rows at a time; besides it the
+    load holds one chunk of pixel bytes, and a copy of the kept rows
+    picked out of it when rows between them were read. An uncompressed
     file, already checked by its size, has only its kept rows read, and the
     gaps of at most ``_READ_GAP`` bytes between them; a gzip file, or a
     load of every row, reads the pixel section to its end.

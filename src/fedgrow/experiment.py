@@ -307,9 +307,8 @@ def run(config: ExperimentConfig) -> Path:
             raise ConfigError(f"{split} has {n_classes} classes but the schedule "
                               f"classifier has {first.num_classes}")
     shards = fedsim.partition(train_x, train_y, config.partition)
-    # The shards are views of one client-ordered copy of the training
-    # samples: drop the corpus before the pool forks, so no worker maps a
-    # second copy.
+    # The shards copy every training sample: drop the corpus before the
+    # pool forks, so no worker maps a second copy.
     del train_x, train_y
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)

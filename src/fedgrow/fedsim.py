@@ -58,8 +58,7 @@ METHODS = ("fedavg", "fd", "fnn", "fnn-fd")
 
 @dataclass
 class ClientShard:
-    """One client's private samples; ``n`` is its aggregation weight. The
-    shards of a ``partition`` are views of one client-ordered array."""
+    """One client's private samples; ``n`` is its aggregation weight."""
 
     client_id: int
     samples: np.ndarray
@@ -97,10 +96,7 @@ class PartitionSpec:
 
 def partition(samples: np.ndarray, labels: np.ndarray,
               spec: PartitionSpec) -> list[ClientShard]:
-    """Split a dataset into disjoint, exhaustive client shards.
-
-    The samples and labels are gathered into client order once; each
-    shard is a view of its clients' slice of those two arrays."""
+    """Split a dataset into disjoint, exhaustive client shards."""
     n = samples.shape[0]
     if n == 0:
         raise ConfigError("cannot partition an empty dataset")
@@ -112,11 +108,9 @@ def partition(samples: np.ndarray, labels: np.ndarray,
         pieces = np.array_split(order, spec.client_count)
     else:
         pieces = _label_shard_pieces(labels, spec, rng)
-    order = np.concatenate(pieces)
-    samples, labels = samples[order], labels[order]
-    bounds = np.cumsum([0] + [len(idx) for idx in pieces]).tolist()
-    return [ClientShard(cid, samples[a:b], labels[a:b])
-            for cid, (a, b) in enumerate(zip(bounds, bounds[1:]))]
+    shards = [ClientShard(cid, samples[idx], labels[idx])
+              for cid, idx in enumerate(pieces)]
+    return shards
 
 
 def _label_shard_pieces(labels, spec, rng):

@@ -329,20 +329,19 @@ def next_inputs(arch: ModelArch, layer: int, channels: np.ndarray):
 INIT_SCHEMES = ("fanin_truncnorm", "truncnorm", "he")
 
 
-def _truncated_normal(rng: np.random.Generator, shape, std: float,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """Normal draws of scale ``std`` as float32, written into ``out`` when
-    given. Draws beyond two standard deviations are resampled, not clipped.
-    Holds one float64 draw of ``shape`` and its masks."""
-    out = np.empty(shape, dtype=DTYPE) if out is None else out
-    draw = rng.standard_normal(shape)
-    bad = (draw > 2.0) | (draw < -2.0)
+def _truncated_normal(rng: np.random.Generator, std: float, out: np.ndarray) -> None:
+    """Fill ``out`` with normal draws of scale ``std``. Draws beyond two
+    standard deviations are resampled, not clipped. Holds one float64
+    draw of ``out``'s shape, its mask and one comparison."""
+    draw = rng.standard_normal(out.shape)
+    bad = draw > 2.0
+    bad |= draw < -2.0
     while bad.any():
         draw[bad] = rng.standard_normal(int(bad.sum()))
-        bad = (draw > 2.0) | (draw < -2.0)
+        np.greater(draw, 2.0, out=bad)
+        bad |= draw < -2.0
     draw *= std
     out[...] = draw
-    return out
 
 
 def _init_std(scheme: str, fan_in: int) -> float:
@@ -361,7 +360,7 @@ def init_params(arch: ModelArch, rng: np.random.Generator,
     params = Params(arch)
     for p in params.values():
         std = _init_std(scheme, math.prod(p.w.shape[:-1]))
-        _truncated_normal(rng, p.w.shape, std, out=p.w)
+        _truncated_normal(rng, std, p.w)
     return params
 
 

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedgrow import fedsim, growth, nn, rng as rngmod
+from fedgrow import fedsim, growth, nn
 from fedgrow.errors import ConfigError, NumericalError
 from fedgrow.fedsim import (ClientShard, PartitionSpec, RunSettings, aggregate,
                             fd_extract, fd_merge, local_train, partition,
@@ -80,29 +80,6 @@ def test_label_shard_partition_limits_labels_per_client():
     shards = partition(x, y, spec)
     assert all(len(np.unique(s.labels)) <= 2 for s in shards)
     assert sum(s.n for s in shards) == 600
-
-
-@pytest.mark.parametrize("spec", [
-    PartitionSpec(client_count=7, seed=5),
-    PartitionSpec(scheme="label-shard-non-iid", client_count=30, shards_per_client=2, seed=4),
-], ids=["iid-uniform", "label-shard-non-iid"])
-def test_shards_are_views_of_one_client_ordered_array(spec):
-    x, y = toy_dataset(600, classes=10, seed=4)
-    shards = partition(x, y, spec)
-    # The pieces each client gathered on its own, in the same draw order.
-    rng = stream(spec.seed, rngmod.DATA)
-    pieces = (np.array_split(rng.permutation(600), spec.client_count)
-              if spec.scheme == "iid-uniform" else fedsim._label_shard_pieces(y, spec, rng))
-    samples, labels = shards[0].samples.base, shards[0].labels.base
-    assert samples.shape == x.shape and labels.shape == y.shape
-    start = 0
-    for shard, idx in zip(shards, pieces, strict=True):
-        assert shard.samples.base is samples and shard.labels.base is labels
-        assert shard.samples.tobytes() == x[idx].tobytes()
-        assert shard.labels.tobytes() == y[idx].tobytes()
-        assert np.shares_memory(shard.samples, samples[start:start + len(idx)])
-        start += len(idx)
-    assert start == 600
 
 
 def test_more_clients_than_samples_rejected():
