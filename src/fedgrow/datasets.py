@@ -1,4 +1,9 @@
-"""Dataset ingestion: IDX image files and a synthetic stand-in generator."""
+"""Dataset ingestion: IDX image files and a synthetic stand-in generator.
+
+Both can return their rows in any requested order, such as the client
+order of ``fedsim.client_order``: each row is written straight into its
+place in the one result array, so no reordered copy is made.
+"""
 
 from __future__ import annotations
 
@@ -54,19 +59,23 @@ def _read_exact(fh, count: int, what: str, path, done: int = 0, total: int = 0) 
 _READ_GAP = 1 << 12
 
 
-def _convert(raw, out, done: int) -> int:
-    """Write uint8 rows ``raw`` as float32 / 255 into ``out`` from row
-    ``done``; returns the row after them."""
-    np.divide(raw, np.float32(255), out=out[done:done + len(raw)], dtype=np.float32)
-    return done + len(raw)
+def _place(raw, out, dest, done: int) -> int:
+    """Write uint8 rows ``raw``, kept rows ``done`` on in file order, into
+    float32 ``out``: kept row i goes to row ``dest[i]`` (row i when
+    ``dest`` is None). The values are exact; the loader divides by 255
+    once every row is placed. Returns the kept row after them."""
+    stop = done + len(raw)
+    out[slice(done, stop) if dest is None else dest[done:stop]] = raw
+    return stop
 
 
-def _read_kept_rows(fh, kept, out, step, path, n) -> None:
-    """Convert rows ``kept`` of the ``n`` in uncompressed ``fh``, whose pixel
-    section starts at its position, into ``out``. Each run of kept rows (with
-    the short gaps between them, within one ``step``-row chunk of the file)
-    is one read at its offset, into a buffer of at most ``step`` rows that
-    is converted whenever the next read does not fit."""
+def _read_kept_rows(fh, kept, out, dest, step, path, n) -> None:
+    """Place rows ``kept`` (sorted) of the ``n`` in uncompressed ``fh``,
+    whose pixel section starts at its position, into ``out`` at ``dest``.
+    Each run of kept rows (with the short gaps between them, within one
+    ``step``-row chunk of the file) is one read at its offset, into a
+    buffer of at most ``step`` rows that is placed whenever the next read
+    does not fit."""
     pixels, base, size = out.shape[1], fh.tell(), kept.size
     if not size:
         return
@@ -78,11 +87,11 @@ def _read_kept_rows(fh, kept, out, step, path, n) -> None:
     cap = max(min(step, size), int(spans.max()))
     buf = np.empty((cap, pixels), dtype=np.uint8)
     view, fd = memoryview(buf.reshape(-1)), fh.fileno()
-    filled = done = 0  # rows in the buffer, rows converted
+    filled = done = 0  # rows in the buffer, rows placed
     for start, stop, span, row in zip(starts.tolist(), stops.tolist(), spans.tolist(),
                                       kept[starts].tolist()):
         if filled + span > cap:
-            done, filled = _convert(buf[:filled], out, done), 0
+            done, filled = _place(buf[:filled], out, dest, done), 0
         got = os.preadv(fd, [view[filled * pixels:(filled + span) * pixels]],
                         base + row * pixels)
         if got != span * pixels:
@@ -90,24 +99,26 @@ def _read_kept_rows(fh, kept, out, step, path, n) -> None:
                                   f"({row * pixels + got} of {n * pixels} bytes)")
         if span == stop - start:
             filled += span
-        else:  # gap rows were read: convert the buffered rows, then this read's kept rows
-            done = _convert(buf[:filled], out, done)
-            done, filled = _convert(buf[filled + kept[start:stop] - row], out, done), 0
-    _convert(buf[:filled], out, done)
+        else:  # gap rows were read: place the buffered rows, then this read's kept rows
+            done = _place(buf[:filled], out, dest, done)
+            done, filled = _place(buf[filled + kept[start:stop] - row], out, dest, done), 0
+    _place(buf[:filled], out, dest, done)
 
 
 def load_idx_images(path, keep=None) -> np.ndarray:
     """Big-endian IDX3 images as float32 in [0, 1], shape (n, rows, cols, 1).
 
-    ``keep`` (optional) maps the header's image count n to the sorted,
-    distinct rows to return, or to None for all of them. The result is one
-    float32 array with the bits of ``uint8.astype(float32) / 255``, filled
-    about ``_INGEST_CHUNK`` bytes of whole rows at a time; besides it the
-    load holds one chunk of pixel bytes, and a copy of the kept rows
-    picked out of it when rows between them were read. An uncompressed
-    file, already checked by its size, has only its kept rows read, and the
-    gaps of at most ``_READ_GAP`` bytes between them; a gzip file, or a
-    load of every row, reads the pixel section to its end.
+    ``keep`` (optional) maps the header's image count n to the distinct
+    rows to return, in the order to return them, or to None for all of
+    them in file order. The result is one float32 array with the bits of
+    ``uint8.astype(float32) / 255``, filled about ``_INGEST_CHUNK`` bytes
+    of whole rows at a time, each row written straight to its place;
+    besides it the load holds one chunk of pixel bytes, and a copy of the
+    kept rows picked out of it when rows between them were read. An
+    uncompressed file, already checked by its size, has only its kept rows
+    read, in file order, and the gaps of at most ``_READ_GAP`` bytes
+    between them; a gzip file, or a load of every row, reads the pixel
+    section to its end.
     """
     path = Path(path)
     with _open_maybe_gz(path) as fh:
@@ -123,31 +134,42 @@ def load_idx_images(path, keep=None) -> np.ndarray:
             raise DataFormatError(f"{path}: header declares {n}x{rows}x{cols} pixels: "
                                   f"truncated file ({room} of {n * rows * cols} bytes)")
         kept = keep(n) if keep is not None else None
+        dest = None  # kept row i, in file order, is returned as row dest[i]
         if kept is not None:
             kept = np.asarray(kept, dtype=np.int64)
-            if kept.size and (kept[0] < 0 or kept[-1] >= n or np.any(np.diff(kept) <= 0)):
-                raise ValueError(f"rows to keep of {n} images must be sorted, distinct "
-                                 f"and in range")
+            dest = np.argsort(kept, kind="stable")
+            kept = kept[dest]
+            if kept.size and (kept[0] < 0 or kept[-1] >= n or np.any(np.diff(kept) == 0)):
+                raise ValueError(f"rows to keep of {n} images must be distinct and in range")
         pixels = rows * cols
         images = np.empty((n if kept is None else kept.size, rows, cols, 1), dtype=np.float32)
         out = images.reshape(images.shape[0], pixels)
         step = max(1, _INGEST_CHUNK // max(1, pixels))  # images a chunk
         if kept is not None and not gz:
-            _read_kept_rows(fh, kept, out, step, path, n)
-            return images
-        for start in range(0, n, step):
-            stop = min(start + step, n)
-            raw = np.frombuffer(_read_exact(fh, (stop - start) * pixels, "pixel data", path,
-                                            start * pixels, n * pixels), dtype=np.uint8)
-            raw = raw.reshape(stop - start, pixels)
-            if kept is None:
-                lo = start
-            else:
-                lo, hi = np.searchsorted(kept, (start, stop))
-                raw = raw[kept[lo:hi] - start]
-            _convert(raw, out, lo)
-            del raw  # before the next chunk is read
+            _read_kept_rows(fh, kept, out, dest, step, path, n)
+        else:
+            _read_all_rows(fh, kept, out, dest, step, path, n)
+    np.divide(out, np.float32(255), out=out)
     return images
+
+
+def _read_all_rows(fh, kept, out, dest, step, path, n) -> None:
+    """Place rows ``kept`` (sorted; None for all) of the ``n`` in ``fh``,
+    whose pixel section starts at its position, into ``out`` at ``dest``,
+    reading the whole section ``step`` rows at a time."""
+    pixels = out.shape[1]
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        raw = np.frombuffer(_read_exact(fh, (stop - start) * pixels, "pixel data", path,
+                                        start * pixels, n * pixels), dtype=np.uint8)
+        raw = raw.reshape(stop - start, pixels)
+        if kept is None:
+            lo = start
+        else:
+            lo, hi = np.searchsorted(kept, (start, stop))
+            raw = raw[kept[lo:hi] - start]
+        _place(raw, out, dest, lo)
+        del raw  # before the next chunk is read
 
 
 def load_idx_labels(path) -> np.ndarray:
@@ -163,8 +185,9 @@ def load_idx_labels(path) -> np.ndarray:
 
 
 def _load_idx_split(directory: Path, images: str, labels: str, split: str, keep=None):
-    """(x, y) of one split; ``keep`` as in ``load_idx_images``, called once
-    the image count matches the label count."""
+    """(x, y) of one split; ``keep`` maps the split's labels to the rows to
+    return, as in ``load_idx_images``, called once the image count matches
+    the label count."""
     y = load_idx_labels(directory / labels)
     kept = None
 
@@ -172,7 +195,7 @@ def _load_idx_split(directory: Path, images: str, labels: str, split: str, keep=
         nonlocal kept
         if n != y.shape[0]:
             raise DataFormatError(f"{directory}: {n} {split} images vs {y.shape[0]} labels")
-        kept = keep(n) if keep is not None else None
+        kept = keep(y) if keep is not None else None
         return kept
 
     x = load_idx_images(directory / images, rows)
@@ -184,9 +207,10 @@ def load_idx_dataset(directory, keep_train=None):
 
     Returns ((train_x, train_y), (test_x, test_y)); raises
     DataFormatError on missing/corrupt files or image/label count
-    mismatches. ``keep_train`` (optional) maps the training count to the
-    sorted, distinct training rows to keep, or to None for all; only
-    those images are converted.
+    mismatches. ``keep_train`` (optional) maps the training labels, which
+    load first, to the distinct training rows to return, in the order to
+    return them, or to None for all in file order; only those images are
+    converted, each straight into its place.
     """
     directory = Path(directory)
     return (_load_idx_split(directory, TRAIN_IMAGES, TRAIN_LABELS, "train", keep_train),
@@ -219,7 +243,7 @@ _SYNTHETIC_CHUNK = 1 << 18
 
 def make_synthetic(classes: int, dims: tuple[int, int, int], per_class: int,
                    rng: np.random.Generator, sigma: float = 0.1,
-                   separation: float = 6.0):
+                   separation: float = 6.0, keep=None):
     """Gaussian class-blob images, linearly separable by construction.
 
     Each class brightens its own block of pixels; block amplitude is set
@@ -229,9 +253,16 @@ def make_synthetic(classes: int, dims: tuple[int, int, int], per_class: int,
     Class means depend only on (classes, dims, sigma, separation), so
     independently generated train/test splits share them.
 
+    ``keep`` (optional) maps the labels, which are drawn first, to the
+    distinct rows to return, in the order to return them, or to None for
+    all in drawn order. Every row is drawn either way, so the kept rows
+    have the same bits.
+
     Rows are built in chunks of about ``_SYNTHETIC_CHUNK`` elements (at
     least one row) into one float32 result, with the bits of one
-    whole-array draw; the peak is about the result plus one chunk.
+    whole-array draw; the peak is about the result plus one chunk. Kept
+    rows are built in a float32 block of one chunk and written from it to
+    their places.
     """
     if classes < 2:
         raise ConfigError("synthetic dataset needs at least 2 classes")
@@ -253,12 +284,22 @@ def make_synthetic(classes: int, dims: tuple[int, int, int], per_class: int,
     n = classes * per_class
     labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
     labels = labels[rng.permutation(n)]
-    samples = np.empty((n,) + tuple(dims), dtype=np.float32)
-    rows = samples.reshape(n, flat)
+    kept = keep(labels) if keep is not None else None
+    count = n if kept is None else len(kept)
+    samples = np.empty((count,) + tuple(dims), dtype=np.float32)
+    rows = samples.reshape(count, flat)
     step = max(1, _SYNTHETIC_CHUNK // flat)
+    if kept is not None:
+        dest = np.full(n, -1)  # the row of the result each drawn row goes to; -1 drops it
+        dest[kept] = np.arange(count)
+        block = np.empty((min(step, n), flat), dtype=np.float32)
     for start in range(0, n, step):
-        out = rows[start:start + step]
+        out = rows[start:start + step] if kept is None else block[:min(step, n - start)]
         out[...] = rng.normal(0.0, sigma, size=out.shape)
         out += means[labels[start:start + step]]
         np.clip(out, 0.0, 1.0, out=out)
-    return samples, labels
+        if kept is not None:
+            at = dest[start:start + step]
+            hit = at >= 0
+            rows[at[hit]] = out[hit]
+    return samples, (labels if kept is None else labels[kept])

@@ -230,14 +230,26 @@ def _kept_rows(config: ExperimentConfig, n: int):
 
 
 def build_dataset(config: ExperimentConfig):
-    """Returns (train_x, train_y, test_x, test_y) for the configured dataset.
-    IDX files convert only the training rows the run keeps."""
+    """Returns (train_x, train_y, test_x, test_y, sizes) for the configured
+    dataset. The training split holds only the rows the run keeps, in
+    client order (``fedsim.client_order`` of their labels), and ``sizes``
+    gives each client's shard size. Its labels come first, so each kept
+    row is converted or drawn straight into its place."""
+    spec, sizes = config.resolve().partition, []
+
+    def client_rows(labels):
+        keep = _kept_rows(config, labels.size)
+        rows, shard_sizes = fedsim.client_order(
+            labels if keep is None else labels[keep], spec)
+        sizes.append(shard_sizes)
+        return rows if keep is None else keep[rows]
+
     if config.dataset == "synthetic":
         syn = config.synthetic
         train_x, train_y = datasets.make_synthetic(
             syn.classes, syn.dims, syn.per_class,
             rngmod.stream(config.master_seed, rngmod.DATA, 1),
-            syn.sigma, syn.separation)
+            syn.sigma, syn.separation, client_rows)
         if syn.test_per_class:
             test_x, test_y = datasets.make_synthetic(
                 syn.classes, syn.dims, syn.test_per_class,
@@ -246,13 +258,10 @@ def build_dataset(config: ExperimentConfig):
         else:  # no test split, and nothing drawn from its stream
             test_x = np.empty((0, *syn.dims), dtype=np.float32)
             test_y = np.empty(0, dtype=np.int64)
-        keep = _kept_rows(config, train_x.shape[0])
-        if keep is not None:
-            train_x, train_y = train_x[keep], train_y[keep]
     else:
         (train_x, train_y), (test_x, test_y) = datasets.load_idx_dataset(
-            config.data_dir, keep_train=lambda n: _kept_rows(config, n))
-    return train_x, train_y, test_x, test_y
+            config.data_dir, keep_train=client_rows)
+    return train_x, train_y, test_x, test_y, sizes[0]
 
 
 def build_schedule(config: ExperimentConfig) -> growth.GrowthSchedule:
@@ -295,9 +304,9 @@ def run(config: ExperimentConfig) -> Path:
     if config.dataset == "synthetic" and dims != tuple(first.input_shape):
         raise ConfigError(f"synthetic dims {dims} do not match schedule input "
                           f"{first.input_shape}")
-    train_x, train_y, test_x, test_y = build_dataset(config)
-    # An empty test split is a run without evaluations; partition rejects
-    # an empty training split.
+    train_x, train_y, test_x, test_y, sizes = build_dataset(config)
+    # An empty test split is a run without evaluations; build_dataset
+    # rejects an empty training split.
     for split, x, y in (("dataset", train_x, train_y), ("test split", test_x, test_y)):
         if x.shape[0] and tuple(x.shape[1:]) != tuple(first.input_shape):
             raise ConfigError(f"{split} samples {x.shape[1:]} do not match "
@@ -306,10 +315,9 @@ def run(config: ExperimentConfig) -> Path:
         if n_classes > first.num_classes:
             raise ConfigError(f"{split} has {n_classes} classes but the schedule "
                               f"classifier has {first.num_classes}")
-    shards = fedsim.partition(train_x, train_y, config.partition)
-    # The shards copy every training sample: drop the corpus before the
-    # pool forks, so no worker maps a second copy.
-    del train_x, train_y
+    # The shards are views of the training split, the run's one copy of
+    # its training data, which the pool's workers share copy-on-write.
+    shards = fedsim.partition(train_x, train_y, sizes)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(config.to_dict(), indent=2) + "\n")

@@ -94,23 +94,32 @@ class PartitionSpec:
             raise ConfigError("shards per client must be >= 1")
 
 
-def partition(samples: np.ndarray, labels: np.ndarray,
-              spec: PartitionSpec) -> list[ClientShard]:
-    """Split a dataset into disjoint, exhaustive client shards."""
-    n = samples.shape[0]
+def client_order(labels: np.ndarray, spec: PartitionSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, sizes): the rows of a dataset with ``labels`` in client
+    order, client 0's shard first, and each client's shard size. The
+    shards are disjoint and exhaustive. They depend only on the labels and
+    ``spec``, so a loader can write its rows straight into this order."""
+    n = labels.shape[0]
     if n == 0:
         raise ConfigError("cannot partition an empty dataset")
     if spec.client_count > n:
         raise ConfigError(f"more clients ({spec.client_count}) than samples ({n})")
     rng = rngmod.stream(spec.seed, rngmod.DATA)
     if spec.scheme == "iid-uniform":
-        order = rng.permutation(n)
-        pieces = np.array_split(order, spec.client_count)
+        pieces = np.array_split(rng.permutation(n), spec.client_count)
     else:
         pieces = _label_shard_pieces(labels, spec, rng)
-    shards = [ClientShard(cid, samples[idx], labels[idx])
-              for cid, idx in enumerate(pieces)]
-    return shards
+    return np.concatenate(pieces), np.array([piece.size for piece in pieces])
+
+
+def partition(samples: np.ndarray, labels: np.ndarray,
+              sizes: np.ndarray) -> list[ClientShard]:
+    """The client shards of a dataset already in client order (see
+    ``client_order``): client k holds the next ``sizes[k]`` rows, as views
+    of ``samples`` and ``labels``, so the shards copy nothing."""
+    ends = np.cumsum(sizes).tolist()
+    return [ClientShard(cid, samples[start:end], labels[start:end])
+            for cid, (start, end) in enumerate(zip([0, *ends], ends))]
 
 
 def _label_shard_pieces(labels, spec, rng):

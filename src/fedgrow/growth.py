@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,11 +40,15 @@ CLIENTS_PER_ROUND = {"emnist": 35, "cifar10": 10, "mnist": 10}
 
 @dataclass(frozen=True)
 class GrowthSchedule:
-    """Ordered model sequence with per-switch thresholds."""
+    """Ordered model sequence with per-switch thresholds. ``diffs`` holds
+    the transform steps between consecutive models once
+    ``validate_schedule`` has found them; it is not part of the value."""
 
     dataset: str
     models: tuple[nn.ModelArch, ...]
     thresholds: tuple[float, ...]
+    diffs: tuple[tuple[TransformStep, ...], ...] | None = field(
+        default=None, compare=False, repr=False)
 
     @property
     def num_models(self) -> int:
@@ -183,8 +187,7 @@ def builtin_schedule(dataset: str) -> GrowthSchedule:
         build_arch(shape, row, name=f"{dataset}-model-{i + 1}")
         for i, row in enumerate(rows))
     schedule = GrowthSchedule(dataset, models, THRESHOLDS[dataset])
-    validate_schedule(schedule)
-    return schedule
+    return replace(schedule, diffs=validate_schedule(schedule))
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +380,9 @@ def diff_models(a: nn.ModelArch, b: nn.ModelArch) -> tuple[TransformStep, ...]:
     return tuple(steps)
 
 
-def validate_schedule(schedule: GrowthSchedule):
+def validate_schedule(schedule: GrowthSchedule) -> tuple[tuple[TransformStep, ...], ...]:
     """Check arity, growth and reachability; raise ScheduleError with every
-    violation found."""
+    violation found. Returns the diff of each model to the next."""
     n = len(schedule.models)
     problems = ["schedule has no models"] if n < 1 else []
     problems += _threshold_problems(schedule)
@@ -389,17 +392,19 @@ def validate_schedule(schedule: GrowthSchedule):
         except ConfigError as e:
             problems.append(f"model {mi + 1}: {e}")
     counts = [nn.count_params(m) for m in schedule.models]
+    diffs = []
     for mi in range(n - 1):
         if counts[mi + 1] <= counts[mi]:
             problems.append(
                 f"non-increasing parameter count: model {mi + 1} has {counts[mi]}, "
                 f"model {mi + 2} has {counts[mi + 1]}")
         try:
-            diff_models(schedule.models[mi], schedule.models[mi + 1])
+            diffs.append(diff_models(schedule.models[mi], schedule.models[mi + 1]))
         except ScheduleError as e:
             problems.append(f"models {mi + 1} -> {mi + 2} not reachable: {e}")
     if problems:
         raise ScheduleError(problems)
+    return tuple(diffs)
 
 
 def _threshold_problems(schedule: GrowthSchedule) -> list[str]:
@@ -417,7 +422,7 @@ def _threshold_problems(schedule: GrowthSchedule) -> list[str]:
 def with_thresholds(schedule: GrowthSchedule, thresholds) -> GrowthSchedule:
     """``schedule``, already validated, with other ``thresholds``: only
     their count and sign are checked (ScheduleError)."""
-    schedule = GrowthSchedule(schedule.dataset, schedule.models, tuple(thresholds))
+    schedule = replace(schedule, thresholds=tuple(thresholds))
     problems = _threshold_problems(schedule)
     if problems:
         raise ScheduleError(problems)
@@ -425,6 +430,10 @@ def with_thresholds(schedule: GrowthSchedule, thresholds) -> GrowthSchedule:
 
 
 def schedule_diffs(schedule: GrowthSchedule) -> list[tuple[TransformStep, ...]]:
+    """The diff of each model to the next: those validation found, or
+    computed now for a schedule built without it."""
+    if schedule.diffs is not None:
+        return list(schedule.diffs)
     return [diff_models(schedule.models[i], schedule.models[i + 1])
             for i in range(len(schedule.models) - 1)]
 
@@ -542,8 +551,7 @@ def schedule_from_dict(data: dict) -> GrowthSchedule:
     if problems:
         raise ScheduleError(problems)
     schedule = GrowthSchedule(dataset, tuple(models), thresholds)
-    validate_schedule(schedule)
-    return schedule
+    return replace(schedule, diffs=validate_schedule(schedule))
 
 
 def load_schedule(path) -> GrowthSchedule:

@@ -3,13 +3,20 @@
 import numpy as np
 import pytest
 
-from fedgrow import growth, nn
+from fedgrow import fedsim, growth, nn
 from fedgrow.rng import stream
 
 
 # The 18 models of the builtin schedules, by "<dataset> m<k>".
 BUILTIN_MODELS = {f"{dataset} m{k + 1}": arch for dataset in ("mnist", "emnist", "cifar10")
                   for k, arch in enumerate(growth.builtin_schedule(dataset).models)}
+
+
+def shards_of(x, y, spec):
+    """The client shards of (x, y) under ``spec``: the dataset gathered
+    into client order, then split into views."""
+    rows, sizes = fedsim.client_order(y, spec)
+    return fedsim.partition(x[rows], y[rows], sizes)
 
 
 def tiny_conv_arch(dropout_rate=0.0):

@@ -20,7 +20,7 @@ from fedgrow import datasets, experiment, fedsim, growth, morph, nn
 from fedgrow.rng import stream
 from fedgrow.switching import SwitchPolicy
 
-from conftest import finite_difference_check, random_params
+from conftest import finite_difference_check, random_params, shards_of
 
 
 def _report(criterion, ok, detail):
@@ -128,7 +128,7 @@ def test_criterion_3_per_round_communication_reduction():
     sched = growth.builtin_schedule("emnist")
     m = 35
     x, y = datasets.make_synthetic(62, (28, 28, 1), 4, stream(33, 1))
-    shards = fedsim.partition(x, y, fedsim.PartitionSpec(client_count=62, seed=33))
+    shards = shards_of(x, y, fedsim.PartitionSpec(client_count=62, seed=33))
     settings = fedsim.RunSettings(
         rounds=2, clients_per_round=m,
         train=nn.TrainConfig(learning_rate=0.035), master_seed=33, eval_every=0)

@@ -132,6 +132,38 @@ def test_synthetic_chunks_have_the_bits_of_one_whole_draw(monkeypatch, chunk, cl
     assert x.tobytes() == ref_x.tobytes() and y.tobytes() == ref_y.tobytes()
 
 
+@pytest.mark.parametrize("chunk, rows", [
+    (None, [17, 3, 29, 0, 11]),     # a few rows of one chunk, unsorted
+    (4 * 64, list(range(29, -1, -1))),  # every row, reversed, over 4-row chunks
+    (4 * 64, [5, 28, 6, 12, 1, 2]),  # rows of several chunks, none from some
+], ids=["few-rows", "every-row-reversed", "across-chunks"])
+def test_synthetic_keeps_rows_in_the_requested_order(monkeypatch, chunk, rows):
+    if chunk is not None:
+        monkeypatch.setattr(datasets, "_SYNTHETIC_CHUNK", chunk)
+    whole_x, whole_y = datasets.make_synthetic(3, (8, 8, 1), 10, stream(4, 1), 0.3, 5.0)
+    seen = []
+    x, y = datasets.make_synthetic(3, (8, 8, 1), 10, stream(4, 1), 0.3, 5.0,
+                                   lambda labels: seen.append(labels.copy()) or rows)
+    assert len(seen) == 1 and seen[0].tobytes() == whole_y.tobytes()
+    assert x.flags.c_contiguous and x.flags.owndata
+    assert x.tobytes() == whole_x[rows].tobytes() and y.tobytes() == whole_y[rows].tobytes()
+
+
+def test_synthetic_kept_rows_hold_about_the_result_plus_one_chunk():
+    rows = stream(6, 8).permutation(1000)[:500]
+    tracemalloc.start()
+    try:
+        x, y = datasets.make_synthetic(10, (32, 32, 3), 100, stream(6, 7),
+                                       keep=lambda labels: rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A chunk's float64 draw beside the float32 block it is built in:
+    # 12 bytes an element.
+    assert x.shape == (500, 32, 32, 3)
+    assert peak < 1.25 * (x.nbytes + y.nbytes) + 12 * datasets._SYNTHETIC_CHUNK
+
+
 def test_synthetic_splits_share_class_means():
     train_x, train_y = datasets.make_synthetic(3, (8, 8, 1), 400, stream(1, 1))
     test_x, test_y = datasets.make_synthetic(3, (8, 8, 1), 400, stream(2, 2))
@@ -283,9 +315,12 @@ def _count_reads(monkeypatch) -> list[int]:
 
 # 20 rows of 64 bytes; a 200-byte chunk reads 3 whole rows, a 50-byte one 1.
 @pytest.mark.parametrize("rows", [[0, 19], [7], list(range(20)), [2, 3, 5, 6, 8, 9, 17],
-                                  [1, 5, 11, 18], [*range(2, 9), *range(12, 20)]],
+                                  [1, 5, 11, 18], [*range(2, 9), *range(12, 20)],
+                                  [18, 5, 11, 1], list(range(19, -1, -1)),
+                                  [9, 2, 17, 3, 8, 6, 5]],
                          ids=["first-and-last", "one-row", "every-row", "chunk-edges",
-                              "sparse", "long-runs"])
+                              "sparse", "long-runs", "unsorted-sparse", "every-row-reversed",
+                              "unsorted-chunk-edges"])
 @pytest.mark.parametrize("chunk", [200, 50])
 @pytest.mark.parametrize("gz", [False, True])
 def test_kept_rows_load_to_the_whole_array_formula(tmp_path, monkeypatch, rows, chunk, gz):
@@ -341,18 +376,20 @@ def test_images_of_no_pixels_load_empty(tmp_path, keep):
     assert images.shape == (3 if keep is None else 1, 0, 5, 1)
 
 
-@pytest.mark.parametrize("rows", [[3, 3], [4, 2], [-1], [9]])
+# Rows may come in any order; [4, 2, 4] repeats a row that is not next
+# to its repeat.
+@pytest.mark.parametrize("rows", [[3, 3], [4, 2, 4], [-1], [9]])
 def test_rows_to_keep_must_be_sorted_distinct_and_in_range(tmp_path, rows):
     _write_idx_images(tmp_path / "images", np.zeros((9, 4, 4)))
-    with pytest.raises(ValueError, match="sorted, distinct and in range"):
+    with pytest.raises(ValueError, match="distinct and in range"):
         datasets.load_idx_images(tmp_path / "images", lambda n: rows)
 
 
 def test_the_dataset_keeps_the_labels_of_its_kept_images(idx_dir):
     (all_x, all_y), (all_tx, all_ty) = datasets.load_idx_dataset(idx_dir)
-    rows = np.array([0, 13, 14, 50, 99])
+    rows = np.array([50, 0, 99, 14, 13])
     (train_x, train_y), (test_x, test_y) = datasets.load_idx_dataset(
-        idx_dir, keep_train=lambda n: rows if n == 100 else None)
+        idx_dir, keep_train=lambda labels: rows if labels.size == 100 else None)
     assert train_x.tobytes() == all_x[rows].tobytes()
     assert train_y.dtype == np.int64 and train_y.tobytes() == all_y[rows].tobytes()
     assert test_x.tobytes() == all_tx.tobytes() and test_y.tobytes() == all_ty.tobytes()
@@ -369,6 +406,27 @@ def test_kept_image_ingest_holds_the_kept_rows_plus_one_chunk(tmp_path):
     finally:
         tracemalloc.stop()
     assert images.shape == (1000, 28, 28, 1)
+    assert peak < 1.25 * images.nbytes + datasets._INGEST_CHUNK
+
+
+@pytest.mark.parametrize("gz", [False, True])
+def test_client_ordered_ingest_holds_the_kept_rows_plus_one_chunk(tmp_path, gz):
+    # The rows a run keeps come in client order, unsorted; each is
+    # written straight to its place, with no staging copy.
+    path = tmp_path / "images"
+    pixels = stream(6, 6).integers(0, 256, (3000, 28, 28)).astype(np.uint8)
+    _write_idx_images(path, pixels)
+    if gz:
+        _gzip_in_place(path)
+    rows = stream(6, 7).choice(3000, size=1000, replace=False)
+    tracemalloc.start()
+    try:
+        images = datasets.load_idx_images(path, lambda n: rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = pixels[rows].astype(np.float32).reshape(1000, 28, 28, 1) / np.float32(255)
+    assert images.tobytes() == want.tobytes()
     assert peak < 1.25 * images.nbytes + datasets._INGEST_CHUNK
 
 
@@ -400,6 +458,6 @@ def test_an_image_label_count_mismatch_is_rejected_before_any_row_is_picked(idx_
         fh.write(labels.astype(np.uint8).tobytes())
     picked = []
     with pytest.raises(DataFormatError, match="100 train images vs 99 labels"):
-        datasets.load_idx_dataset(idx_dir, keep_train=lambda n: picked.append(n) or
-                                  np.arange(0, n, 2))
+        datasets.load_idx_dataset(idx_dir, keep_train=lambda labels: picked.append(labels)
+                                  or np.arange(0, labels.size, 2))
     assert picked == []

@@ -1,14 +1,12 @@
 """Experiment orchestration and CLI tests."""
 
 import csv
-import gc
 import json
 import os
 import signal
 import subprocess
 import sys
 import time
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -538,22 +536,23 @@ def test_a_synthetic_test_split_of_zero_runs_without_evaluations(tmp_path, monke
 
 
 @pytest.mark.parametrize("source", ["synthetic", "idx"])
-def test_the_run_drops_its_training_corpus_before_the_round_loop(tmp_path, monkeypatch,
-                                                                  source):
-    # The client shards copy every training sample; the loaded corpus
-    # must be gone before the pool forks, so no process holds it twice.
-    corpus = []
+def test_the_run_trains_on_views_of_its_one_training_split(tmp_path, monkeypatch, source):
+    # The client shards are consecutive views of the split build_dataset
+    # returns, in client order: the pool forks with one copy of the data.
+    built = []
     build, run_experiment = experiment.build_dataset, fedsim.run_experiment
 
     def watched(config):
-        train_x, train_y, test_x, test_y = build(config)
-        corpus.extend([weakref.ref(train_x), weakref.ref(train_y)])
-        return train_x, train_y, test_x, test_y
+        built.append(build(config))
+        return built[-1]
 
-    def checked(*args):
-        gc.collect()
-        assert len(corpus) == 2 and all(ref() is None for ref in corpus)
-        return run_experiment(*args)
+    def checked(method, schedule, shards, *args):
+        (train_x, train_y, _, _, sizes), = built
+        assert [shard.n for shard in shards] == sizes.tolist()
+        for shard, start in zip(shards, np.cumsum(sizes) - sizes):
+            assert shard.samples.base is train_x and shard.labels.base is train_y
+            assert np.shares_memory(shard.samples, train_x[start:start + shard.n])
+        return run_experiment(method, schedule, shards, *args)
 
     monkeypatch.setattr(experiment, "build_dataset", watched)
     monkeypatch.setattr(fedsim, "run_experiment", checked)
@@ -779,12 +778,72 @@ def test_an_idx_run_keeps_the_rows_it_draws_of_the_whole_corpus(tmp_path, kept):
     test = datasets.make_synthetic(3, (8, 8, 1), 5, stream(1, 2))
     datasets.save_idx_dataset(tmp_path / "idx", train, test)
     cfg = ExperimentConfig(dataset="mnist", data_dir=str(tmp_path / "idx"), master_seed=7,
-                           max_train_samples=kept)
-    train_x, train_y, test_x, test_y = experiment.build_dataset(cfg)
+                           max_train_samples=kept,
+                           partition=fedsim.PartitionSpec(client_count=10, seed=7))
+    train_x, train_y, test_x, test_y, sizes = experiment.build_dataset(cfg)
     (all_x, all_y), (all_tx, all_ty) = datasets.load_idx_dataset(cfg.data_dir)
     rows = np.arange(120)
     if kept < 120:  # the draw of the whole-corpus path; a full corpus draws nothing
         rows = np.sort(stream(7, DATA, 3).choice(120, size=kept, replace=False))
+    order, sizes_of_rows = fedsim.client_order(all_y[rows], cfg.partition)
+    rows = rows[order]  # the run's client order of the kept rows
+    assert sizes.tolist() == sizes_of_rows.tolist()
     assert train_x.tobytes() == all_x[rows].tobytes()
     assert train_y.tobytes() == all_y[rows].tobytes()
     assert test_x.tobytes() == all_tx.tobytes() and test_y.tobytes() == all_ty.tobytes()
+
+
+def _copied_shards(samples, labels, spec):
+    """(samples, labels) of each client as a copying partition builds them:
+    ``samples[piece]`` for each client's rows, drawn from the same stream."""
+    rng = stream(spec.seed, DATA)
+    if spec.scheme == "iid-uniform":
+        pieces = np.array_split(rng.permutation(labels.size), spec.client_count)
+    else:
+        pieces = fedsim._label_shard_pieces(labels, spec, rng)
+    return [(samples[piece], labels[piece]) for piece in pieces]
+
+
+@pytest.mark.parametrize("kept", [0, 50], ids=["every-row", "max-train-samples"])
+@pytest.mark.parametrize("source", ["synthetic", "idx"])
+@pytest.mark.parametrize("scheme", ["iid-uniform", "label-shard-non-iid"])
+def test_every_shard_is_a_view_of_one_array_equal_to_its_copy(tmp_path, scheme, source,
+                                                              kept):
+    cfg = ExperimentConfig(master_seed=7, max_train_samples=kept)
+    cfg.synthetic = experiment.SyntheticSpec(classes=3, per_class=40, test_per_class=5,
+                                             dims=(8, 8, 1))
+    cfg.partition = fedsim.PartitionSpec(scheme, client_count=12, seed=5)
+    syn = cfg.synthetic
+    whole = datasets.make_synthetic(3, syn.dims, syn.per_class, stream(7, DATA, 1),
+                                    syn.sigma, syn.separation)
+    if source == "idx":
+        test = datasets.make_synthetic(3, syn.dims, 5, stream(7, DATA, 2))
+        datasets.save_idx_dataset(tmp_path / "idx", whole, test)
+        cfg.dataset, cfg.data_dir = "mnist", str(tmp_path / "idx")
+        whole, _ = datasets.load_idx_dataset(cfg.data_dir)
+    all_x, all_y = whole
+    if kept:
+        rows = np.sort(stream(7, DATA, 3).choice(120, size=kept, replace=False))
+        all_x, all_y = all_x[rows], all_y[rows]
+    train_x, train_y, _, _, sizes = experiment.build_dataset(cfg)
+    shards = fedsim.partition(train_x, train_y, sizes)
+    copies = _copied_shards(all_x, all_y, cfg.partition)
+    assert len(shards) == len(copies) == 12
+    for shard, (x, y) in zip(shards, copies):
+        assert np.shares_memory(shard.samples, train_x)
+        assert np.shares_memory(shard.labels, train_y)
+        assert shard.samples.tobytes() == x.tobytes() and shard.labels.tobytes() == y.tobytes()
+
+
+def test_a_run_diffs_each_pair_of_models_once(tmp_path, monkeypatch):
+    calls = []
+    diff_models = growth.diff_models
+    monkeypatch.setattr(growth, "diff_models",
+                        lambda a, b: calls.append(a.name) or diff_models(a, b))
+    cfg = ExperimentConfig(schedule="mnist", thresholds_override=(1e9,) * 5, rounds=1,
+                           clients_per_round=2, eval_every=0).resolve()
+    schedule = experiment.build_schedule(cfg)
+    x, y = datasets.make_synthetic(10, (28, 28, 1), 2, stream(3, 1))
+    shards = [fedsim.ClientShard(k, x[k::2], y[k::2]) for k in range(2)]
+    fedsim.run_experiment("fnn", schedule, shards, x[:0], y[:0], cfg)
+    assert calls == [m.name for m in schedule.models[:-1]]  # num_models - 1 calls

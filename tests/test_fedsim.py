@@ -12,12 +12,12 @@ import pytest
 from fedgrow import fedsim, growth, nn
 from fedgrow.errors import ConfigError, NumericalError
 from fedgrow.fedsim import (ClientShard, PartitionSpec, RunSettings, aggregate,
-                            fd_extract, fd_merge, local_train, partition,
+                            client_order, fd_extract, fd_merge, local_train,
                             run_experiment, select_clients)
 from fedgrow.rng import CLIENT, SELECT, stream
 from fedgrow.switching import DEFAULT_LAG, DEFAULT_WINDOW
 
-from conftest import BUILTIN_MODELS, random_params
+from conftest import BUILTIN_MODELS, random_params, shards_of
 
 
 def toy_dataset(n, classes=4, seed=0):
@@ -46,12 +46,12 @@ def tiny_schedule():
 
 def test_iid_partition_is_exhaustive_and_even():
     x, y = toy_dataset(6000)  # 600 per client, as with 60000 over 100
-    shards = partition(x, y, PartitionSpec(client_count=10, seed=3))
+    shards = shards_of(x, y, PartitionSpec(client_count=10, seed=3))
     assert len(shards) == 10
     assert all(s.n == 600 for s in shards)
     # exhaustive + disjoint via index bookkeeping on a tagged copy
     tags = np.arange(x.shape[0], dtype=np.float32).reshape(-1, 1, 1, 1)
-    shards_tagged = partition(np.broadcast_to(tags, x.shape).copy(), y,
+    shards_tagged = shards_of(np.broadcast_to(tags, x.shape).copy(), y,
                               PartitionSpec(client_count=10, seed=3))
     collected = np.sort(np.concatenate(
         [s.samples[:, 0, 0, 0].astype(int) for s in shards_tagged]))
@@ -60,14 +60,14 @@ def test_iid_partition_is_exhaustive_and_even():
 
 def test_single_client_gets_everything():
     x, y = toy_dataset(37)
-    shards = partition(x, y, PartitionSpec(client_count=1, seed=0))
+    shards = shards_of(x, y, PartitionSpec(client_count=1, seed=0))
     assert len(shards) == 1 and shards[0].n == 37
 
 
 def test_partition_deterministic_under_seed():
     x, y = toy_dataset(100)
-    a = partition(x, y, PartitionSpec(client_count=7, seed=5))
-    b = partition(x, y, PartitionSpec(client_count=7, seed=5))
+    a = shards_of(x, y, PartitionSpec(client_count=7, seed=5))
+    b = shards_of(x, y, PartitionSpec(client_count=7, seed=5))
     for sa, sb in zip(a, b):
         assert np.array_equal(sa.samples, sb.samples)
         assert np.array_equal(sa.labels, sb.labels)
@@ -77,7 +77,7 @@ def test_label_shard_partition_limits_labels_per_client():
     x, y = toy_dataset(600, classes=10, seed=4)
     spec = PartitionSpec(scheme="label-shard-non-iid", client_count=30,
                          shards_per_client=2, seed=4)
-    shards = partition(x, y, spec)
+    shards = shards_of(x, y, spec)
     assert all(len(np.unique(s.labels)) <= 2 for s in shards)
     assert sum(s.n for s in shards) == 600
 
@@ -85,7 +85,7 @@ def test_label_shard_partition_limits_labels_per_client():
 def test_more_clients_than_samples_rejected():
     x, y = toy_dataset(5)
     with pytest.raises(ConfigError, match="more clients"):
-        partition(x, y, PartitionSpec(client_count=6, seed=0))
+        client_order(y, PartitionSpec(client_count=6, seed=0))
 
 
 def test_select_clients_all_and_determinism():
@@ -509,7 +509,7 @@ def _settings(rounds, **kw):
 @pytest.fixture(scope="module")
 def toy_world():
     x, y = toy_dataset(160, classes=3, seed=20)
-    shards = partition(x, y, PartitionSpec(client_count=16, seed=20))
+    shards = shards_of(x, y, PartitionSpec(client_count=16, seed=20))
     tx, ty = toy_dataset(60, classes=3, seed=21)
     return shards, tx, ty
 

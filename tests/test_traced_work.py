@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 from fedgrow import datasets, experiment, fedsim, growth, nn, rng
-from fedgrow.fedsim import PartitionSpec, RunSettings, partition, run_experiment
+from fedgrow.fedsim import PartitionSpec, RunSettings, run_experiment
 from fedgrow.rng import stream
+
+from conftest import shards_of
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 MODULES = {"datasets": datasets, "experiment": experiment, "fedsim": fedsim,
@@ -55,7 +57,7 @@ def test_traced_parameter_work_is_four_bytes_a_parameter(spans, monkeypatch):
     r = stream(40, 0)
     x = r.random((80, 4, 4, 1), dtype=np.float32)
     y = r.integers(0, 3, 80)
-    shards = partition(x, y, PartitionSpec(client_count=8, seed=40))
+    shards = shards_of(x, y, PartitionSpec(client_count=8, seed=40))
     sched = growth.GrowthSchedule("tiny", tuple(
         growth.build_arch((4, 4, 1), row, 0.125)
         for row in ([("conv", 2, 3), ("pool", 2), ("dense", 4), ("dense", 3)],

@@ -46,6 +46,10 @@ NEVER_SWITCH_EARLY = [1e9] * 5  # every stage lasts exactly window + lag rounds
 IDX_MAX_TRAIN_SAMPLES = {
     "dataset": "mnist", "max_train_samples": 1000, "switch_window": 3, "switch_lag": 5,
     "rounds": 16, "eval_every": 4, "thresholds_override": NEVER_SWITCH_EARLY}
+IDX_NON_IID_MAX_TRAIN_SAMPLES = {
+    **IDX_MAX_TRAIN_SAMPLES,
+    "partition": {"scheme": "label-shard-non-iid", "client_count": 100,
+                  "shards_per_client": 2, "seed": 0}}
 
 # Overrides of configs/synthetic-fnn.json, one per variant.
 VARIANTS = {
@@ -121,13 +125,24 @@ VARIANTS = {
     # at rounds 7 and 15, both evaluation rounds.
     "idx-max-train-samples": IDX_MAX_TRAIN_SAMPLES,
     "idx-gz-max-train-samples": IDX_MAX_TRAIN_SAMPLES,
+    # The same 1000 of 3000 rows dealt to label-sharded clients, whose
+    # client order, unlike the IID one, depends on the kept labels.
+    "idx-non-iid-max-train-samples": IDX_NON_IID_MAX_TRAIN_SAMPLES,
+    "idx-gz-non-iid-max-train-samples": IDX_NON_IID_MAX_TRAIN_SAMPLES,
+    # A synthetic training set of which the run keeps 500 of 1000 rows.
+    "synthetic-max-train-samples": {
+        "max_train_samples": 500, "switch_window": 3, "switch_lag": 5, "rounds": 16,
+        "eval_every": 4, "thresholds_override": NEVER_SWITCH_EARLY},
 }
 IDX_IMAGES = 1000  # per split, unless named below
-IDX_TRAIN_IMAGES = {"idx-max-train-samples": 3000, "idx-gz-max-train-samples": 3000}
+IDX_TRAIN_IMAGES = {name: 3000 for name in (
+    "idx-max-train-samples", "idx-gz-max-train-samples",
+    "idx-non-iid-max-train-samples", "idx-gz-non-iid-max-train-samples")}
 IDX_TEST_IMAGES = {"idx-no-test-set": 0}
 # Variants whose four IDX files are gzipped, each with the variant of the
 # same files uncompressed, whose hash it must print.
-IDX_GZIP = {"idx-gz-max-train-samples": "idx-max-train-samples"}
+IDX_GZIP = {"idx-gz-max-train-samples": "idx-max-train-samples",
+            "idx-gz-non-iid-max-train-samples": "idx-non-iid-max-train-samples"}
 IDX_IMAGE_MAGIC, IDX_LABEL_MAGIC = 2051, 2049
 
 
