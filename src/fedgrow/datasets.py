@@ -97,11 +97,9 @@ def _read_kept_rows(fh, kept, out, dest, step, path, n) -> None:
         if got != span * pixels:
             raise DataFormatError(f"{path}: truncated file while reading pixel data "
                                   f"({row * pixels + got} of {n * pixels} bytes)")
-        if span == stop - start:
-            filled += span
-        else:  # gap rows were read: place the buffered rows, then this read's kept rows
-            done = _place(buf[:filled], out, dest, done)
-            done, filled = _place(buf[filled + kept[start:stop] - row], out, dest, done), 0
+        if span != stop - start:  # gap rows were read: keep only this read's kept rows
+            buf[filled:filled + stop - start] = buf[filled + kept[start:stop] - row]
+        filled += stop - start
     _place(buf[:filled], out, dest, done)
 
 
@@ -148,28 +146,20 @@ def load_idx_images(path, keep=None) -> np.ndarray:
         if kept is not None and not gz:
             _read_kept_rows(fh, kept, out, dest, step, path, n)
         else:
-            _read_all_rows(fh, kept, out, dest, step, path, n)
+            for start in range(0, n, step):
+                stop = min(start + step, n)
+                raw = np.frombuffer(_read_exact(fh, (stop - start) * pixels, "pixel data",
+                                                path, start * pixels, n * pixels),
+                                    dtype=np.uint8).reshape(stop - start, pixels)
+                if kept is None:
+                    lo = start
+                else:
+                    lo, hi = np.searchsorted(kept, (start, stop))
+                    raw = raw[kept[lo:hi] - start]
+                _place(raw, out, dest, lo)
+                del raw  # before the next chunk is read
     np.divide(out, np.float32(255), out=out)
     return images
-
-
-def _read_all_rows(fh, kept, out, dest, step, path, n) -> None:
-    """Place rows ``kept`` (sorted; None for all) of the ``n`` in ``fh``,
-    whose pixel section starts at its position, into ``out`` at ``dest``,
-    reading the whole section ``step`` rows at a time."""
-    pixels = out.shape[1]
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        raw = np.frombuffer(_read_exact(fh, (stop - start) * pixels, "pixel data", path,
-                                        start * pixels, n * pixels), dtype=np.uint8)
-        raw = raw.reshape(stop - start, pixels)
-        if kept is None:
-            lo = start
-        else:
-            lo, hi = np.searchsorted(kept, (start, stop))
-            raw = raw[kept[lo:hi] - start]
-        _place(raw, out, dest, lo)
-        del raw  # before the next chunk is read
 
 
 def load_idx_labels(path) -> np.ndarray:

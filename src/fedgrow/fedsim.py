@@ -105,10 +105,11 @@ def client_order(labels: np.ndarray, spec: PartitionSpec) -> tuple[np.ndarray, n
     if spec.client_count > n:
         raise ConfigError(f"more clients ({spec.client_count}) than samples ({n})")
     rng = rngmod.stream(spec.seed, rngmod.DATA)
-    if spec.scheme == "iid-uniform":
-        pieces = np.array_split(rng.permutation(n), spec.client_count)
-    else:
-        pieces = _label_shard_pieces(labels, spec, rng)
+    if spec.scheme == "iid-uniform":  # the sizes of np.array_split's pieces
+        sizes = np.full(spec.client_count, n // spec.client_count)
+        sizes[:n % spec.client_count] += 1
+        return rng.permutation(n), sizes
+    pieces = _label_shard_pieces(labels, spec, rng)
     return np.concatenate(pieces), np.array([piece.size for piece in pieces])
 
 
