@@ -835,7 +835,7 @@ def test_every_shard_is_a_view_of_one_array_equal_to_its_copy(tmp_path, scheme, 
         assert shard.samples.tobytes() == x.tobytes() and shard.labels.tobytes() == y.tobytes()
 
 
-def test_a_run_diffs_each_pair_of_models_once(tmp_path, monkeypatch):
+def test_a_run_diffs_each_pair_of_models_once(monkeypatch):
     calls = []
     diff_models = growth.diff_models
     monkeypatch.setattr(growth, "diff_models",

@@ -83,7 +83,7 @@ def test_label_shard_partition_limits_labels_per_client():
 
 
 def test_more_clients_than_samples_rejected():
-    x, y = toy_dataset(5)
+    _, y = toy_dataset(5)
     with pytest.raises(ConfigError, match="more clients"):
         client_order(y, PartitionSpec(client_count=6, seed=0))
 
