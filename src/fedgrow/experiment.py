@@ -23,10 +23,7 @@ from . import __version__
 from . import datasets, fedsim, growth, nn, rng as rngmod
 from .errors import ConfigError, FedgrowError
 
-# The header of metrics.csv: one column per RoundMetrics field, in field order.
-METRICS_COLUMNS = ["round", "model_index", "weighted_loss", "test_accuracy",
-                   "S_t", "switch_flag", "download_bytes", "upload_bytes",
-                   "cumulative_bytes", "flops_per_client"]
+METRICS_COLUMNS = [f.name for f in fields(fedsim.RoundMetrics)]
 
 LEDGER_COLUMNS = ["method", "dataset", "rounds", "clients_per_round",
                   "final_model_index", "total_download_bytes",

@@ -272,17 +272,6 @@ def _fold(updates, total: float, out: np.ndarray, start: int, stop: int,
 # Federated dropout
 
 
-@dataclass(frozen=True)
-class DropoutMask:
-    """Kept output indices per maskable trainable layer.
-
-    Layers absent from ``kept`` (the final classifier) keep every output.
-    Index arrays are sorted and unique.
-    """
-
-    kept: dict[int, np.ndarray]
-
-
 def fd_kept_units(arch: nn.ModelArch, keep_fraction: float | None):
     """Federated dropout's keep fraction on ``arch`` and the units it keeps
     of each hidden trainable layer, floor(width * keep fraction); the
@@ -309,33 +298,30 @@ def fd_extract(arch: nn.ModelArch, params: nn.Params, keep_fraction: float,
 
     Keeps the units ``fd_kept_units`` counts, chosen at random, in every
     hidden trainable layer, with the weights of the next trainable layer
-    that read them (``nn.next_inputs``). Returns (sub_arch, sub_params, mask).
+    that read them (``nn.next_inputs``). Returns (sub_arch, sub_params,
+    mask), the mask mapping each hidden trainable layer to its kept output
+    indices, sorted and unique; the classifier, absent, keeps every output.
     """
     _, counts = fd_kept_units(arch, keep_fraction)
-    kept: dict[int, np.ndarray] = {}
-    for i, count in counts.items():
-        width = arch.layers[i].weight_shape[-1]
-        if count == width:
-            kept[i] = np.arange(width)
-        else:
-            kept[i] = np.sort(rng.choice(width, size=count, replace=False))
-    mask = DropoutMask(kept)
+    mask = {i: np.sort(rng.choice(arch.layers[i].weight_shape[-1], size=count,
+                                  replace=False))
+            for i, count in counts.items()}
     sub_arch, sub_params = _crop_model(arch, params, mask)
     return sub_arch, sub_params, mask
 
 
-def _kept_blocks(arch: nn.ModelArch, mask: DropoutMask) -> dict:
+def _kept_blocks(arch: nn.ModelArch, mask: dict[int, np.ndarray]) -> dict:
     """Trainable layer index -> its kept (input, output) indices in the full
     model's coordinates; None keeps the whole axis."""
-    blocks = {i: (None, mask.kept.get(i)) for i in nn.trainable_indices(arch)}
-    for i, kept in mask.kept.items():
+    blocks = {i: (None, mask.get(i)) for i in nn.trainable_indices(arch)}
+    for i, kept in mask.items():
         j, rows = nn.next_inputs(arch, i, kept)
         if j is not None:
             blocks[j] = (rows, blocks[j][1])
     return blocks
 
 
-def _crop_model(arch: nn.ModelArch, params: nn.Params, mask: DropoutMask):
+def _crop_model(arch: nn.ModelArch, params: nn.Params, mask: dict[int, np.ndarray]):
     layers = list(arch.layers)
     cropped = {}
     for i, (in_idx, out_idx) in _kept_blocks(arch, mask).items():
@@ -349,7 +335,7 @@ def _crop_model(arch: nn.ModelArch, params: nn.Params, mask: DropoutMask):
 
 
 def fd_merge(arch: nn.ModelArch, global_params: nn.Params,
-             updates: list[tuple[nn.Params, DropoutMask, int]]) -> nn.Params:
+             updates: list[tuple[nn.Params, dict[int, np.ndarray], int]]) -> nn.Params:
     """Fold sub-network updates that share one mask back into the global model.
 
     The kept block of every layer becomes ``aggregate`` of the clients'
@@ -361,8 +347,8 @@ def fd_merge(arch: nn.ModelArch, global_params: nn.Params,
         raise ConfigError("fd_merge needs at least one update")
     mask = updates[0][1]
     for _, other, _ in updates[1:]:
-        same = other is mask or (other.kept.keys() == mask.kept.keys() and all(
-            np.array_equal(other.kept[i], kept) for i, kept in mask.kept.items()))
+        same = other is mask or (other.keys() == mask.keys() and all(
+            np.array_equal(other[i], kept) for i, kept in mask.items()))
         if not same:
             raise ConfigError("fd_merge: updates carry different masks; "
                               "a round shares one mask")
@@ -420,8 +406,8 @@ class RoundMetrics:
     model_index: int
     weighted_loss: float
     test_accuracy: float | None
-    signal: float | None
-    switched: bool
+    S_t: float | None
+    switch_flag: bool
     download_bytes: int
     upload_bytes: int
     cumulative_bytes: int

@@ -73,6 +73,13 @@ def test_validation_collects_all_problems(tmp_path):
         assert fragment in message
 
 
+def test_the_metrics_header_is_the_ten_documented_columns():
+    # bench/checks.py and bench/child.py read these columns by name.
+    assert METRICS_COLUMNS == ["round", "model_index", "weighted_loss", "test_accuracy",
+                               "S_t", "switch_flag", "download_bytes", "upload_bytes",
+                               "cumulative_bytes", "flops_per_client"]
+
+
 def test_run_writes_all_artifacts(tmp_path):
     cfg = tiny_config(tmp_path, rounds=30)
     out = experiment.run(cfg)

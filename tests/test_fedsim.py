@@ -293,7 +293,7 @@ def test_fd_extract_keep_one_is_identity():
     assert sub_arch.layers == arch.layers
     for i in params:
         assert np.array_equal(sub_params[i].w, params[i].w)
-    for i, kept in mask.kept.items():
+    for i, kept in mask.items():
         assert np.array_equal(kept, np.arange(len(kept)))
 
 
@@ -303,8 +303,8 @@ def test_fd_extract_keep_count_uses_floor():
     params = random_params(arch, 7)
     _, _, mask = fd_extract(arch, params, 0.875, stream(0, 5))
     dense_idx = nn.trainable_indices(arch)[1]
-    assert len(mask.kept[dense_idx]) == 448  # floor(512 * 0.875)
-    assert len(mask.kept[0]) == 7  # floor(8 * 0.875)
+    assert len(mask[dense_idx]) == 448  # floor(512 * 0.875)
+    assert len(mask[0]) == 7  # floor(8 * 0.875)
 
 
 def test_fd_extract_zero_kept_rejected():
@@ -318,7 +318,7 @@ def test_fd_extract_classifier_never_masked():
     arch = tiny_schedule().models[1]
     params = random_params(arch, 9)
     _, _, mask = fd_extract(arch, params, 0.5, stream(0, 7))
-    assert max(nn.trainable_indices(arch)) not in mask.kept
+    assert max(nn.trainable_indices(arch)) not in mask
 
 
 def test_fd_round_trip_without_training_is_identity():
@@ -349,7 +349,7 @@ def test_fd_sub_model_computes_the_full_model_with_dropped_units_zeroed(name):
     params = random_params(arch, 15)
     sub_arch, sub_params, mask = fd_extract(arch, params, 0.5, stream(0, 15))
     zeroed = nn.copy_params(params)
-    for i, kept in mask.kept.items():
+    for i, kept in mask.items():
         dropped = np.setdiff1d(np.arange(arch.layers[i].weight_shape[-1]), kept)
         zeroed[i].w[..., dropped] = 0.0
         zeroed[i].b[dropped] = 0.0
@@ -362,14 +362,14 @@ def test_fd_merge_differing_masks_rejected():
     arch = nn.ModelArch((4,), (nn.dense(4, 4), nn.relu(), nn.dropout(0.1),
                                nn.dense(4, 2), nn.softmax()))
     params = random_params(arch, 12)
-    mask_a = fedsim.DropoutMask({0: np.array([0, 1])})
-    mask_b = fedsim.DropoutMask({0: np.array([2, 3])})
+    mask_a = {0: np.array([0, 1])}
+    mask_b = {0: np.array([2, 3])}
     _, sub_a = fedsim._crop_model(arch, params, mask_a)
     _, sub_b = fedsim._crop_model(arch, params, mask_b)
     with pytest.raises(ConfigError, match="different masks"):
         fd_merge(arch, params, [(sub_a, mask_a, 1), (sub_b, mask_b, 1)])
     # An equal mask held in another object is the same mask.
-    same_a = fedsim.DropoutMask({0: np.array([0, 1])})
+    same_a = {0: np.array([0, 1])}
     merged = fd_merge(arch, params, [(sub_a, mask_a, 1), (sub_a, same_a, 2)])
     assert np.array_equal(merged[0].w, params[0].w)
 
@@ -396,7 +396,7 @@ def test_fd_merge_uncovered_positions_keep_global_values():
     arch = nn.ModelArch((4,), (nn.dense(4, 4), nn.relu(), nn.dropout(0.1),
                                nn.dense(4, 2), nn.softmax()))
     params = random_params(arch, 14)
-    mask = fedsim.DropoutMask({0: np.array([1])})
+    mask = {0: np.array([1])}
     _, sub = fedsim._crop_model(arch, params, mask)
     sub[0].w += 5.0
     merged = fd_merge(arch, params, [(sub, mask, 2)])
@@ -426,12 +426,12 @@ def test_fd_merge_matches_brute_force_with_shared_mask(cpus, monkeypatch):
         if layer == conv:
             return row
         if layer == classifier:
-            return _kept_position(mask.kept[dense], row)
+            return _kept_position(mask[dense], row)
         position, channel = divmod(row, channels)
-        sub_channel = _kept_position(mask.kept[conv], channel)
+        sub_channel = _kept_position(mask[conv], channel)
         if sub_channel is None:
             return None
-        return position * len(mask.kept[conv]) + sub_channel
+        return position * len(mask[conv]) + sub_channel
 
     covered = uncovered = 0
     # fd_merge folds through aggregate: at the default fold, then in
@@ -460,7 +460,7 @@ def test_fd_merge_matches_brute_force_with_shared_mask(cpus, monkeypatch):
                     acc = weight = 0.0
                     for sub, mask, n in updates:
                         row = sub_input(mask, i, pos[-2])
-                        col = _kept_position(mask.kept.get(i), pos[-1])
+                        col = _kept_position(mask.get(i), pos[-1])
                         if row is not None and col is not None:
                             acc += float(n) * float(sub[i].w[pos[:-2] + (row, col)])
                             weight += float(n)
@@ -472,7 +472,7 @@ def test_fd_merge_matches_brute_force_with_shared_mask(cpus, monkeypatch):
                 for col in range(expect_b.shape[0]):
                     acc = weight = 0.0
                     for sub, mask, n in updates:
-                        sub_col = _kept_position(mask.kept.get(i), col)
+                        sub_col = _kept_position(mask.get(i), col)
                         if sub_col is not None:
                             acc += float(n) * float(sub[i].b[sub_col])
                             weight += float(n)
@@ -487,8 +487,7 @@ def test_fd_merge_mask_shape_inconsistency_rejected():
     arch = tiny_schedule().models[1]
     params = random_params(arch, 15)
     _, sub_params, mask = fd_extract(arch, params, 0.5, stream(0, 11))
-    wrong_mask = fedsim.DropoutMask(
-        {i: np.arange(max(1, len(k) - 1)) for i, k in mask.kept.items()})
+    wrong_mask = {i: np.arange(max(1, len(k) - 1)) for i, k in mask.items()}
     with pytest.raises(ConfigError, match="inconsistent"):
         fd_merge(arch, params, [(sub_params, wrong_mask, 1)])
 
