@@ -10,6 +10,7 @@ from __future__ import annotations
 import gzip
 import os
 import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -42,15 +43,33 @@ def _open_maybe_gz(path: Path):
 _INGEST_CHUNK = 1 << 20
 
 
-def _read_exact(fh, count: int, what: str, path, done: int = 0, total: int = 0) -> bytes:
+def _read_exact(fh, count: int, what: str, done: int = 0, total: int = 0) -> bytes:
     """``count`` bytes of ``fh``. When they continue a ``total``-byte
     section of which ``done`` bytes were read, a truncation reports the
-    section's byte counts."""
-    data = fh.read(count)
+    section's byte counts. Errors name the file read, the gzip file for
+    a gzip stream, which may also end early or not inflate."""
+    try:
+        data = fh.read(count)
+    except (EOFError, zlib.error, gzip.BadGzipFile) as e:
+        raise DataFormatError(f"{fh.name}: corrupt or truncated gzip data while "
+                              f"reading {what}: {e}") from e
     if len(data) != count:
-        raise DataFormatError(f"{path}: truncated file while reading {what} "
+        raise DataFormatError(f"{fh.name}: truncated file while reading {what} "
                               f"({done + len(data)} of {total or count} bytes)")
     return data
+
+
+def _sorted_rows(rows, n: int):
+    """(sorted, order) of ``rows``, the rows of ``n`` to return in the order
+    to return them: ``sorted`` is ``rows`` in ascending order, and its row
+    i is returned as row ``order[i]``. Raises ValueError unless the rows
+    are distinct and in range."""
+    rows = np.asarray(rows, dtype=np.int64)
+    order = np.argsort(rows, kind="stable")
+    rows = rows[order]
+    if rows.size and (rows[0] < 0 or rows[-1] >= n or np.any(np.diff(rows) == 0)):
+        raise ValueError(f"rows to keep of {n} must be distinct and in range")
+    return rows, order
 
 
 # A gap of at most this many bytes between two kept rows in one chunk of
@@ -120,7 +139,7 @@ def load_idx_images(path, keep=None) -> np.ndarray:
     """
     path = Path(path)
     with _open_maybe_gz(path) as fh:
-        magic, n, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, "header", path))
+        magic, n, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, "header"))
         if magic != IDX_IMAGE_MAGIC:
             raise DataFormatError(f"{path}: bad image magic {magic} "
                                   f"(expected {IDX_IMAGE_MAGIC})")
@@ -134,11 +153,7 @@ def load_idx_images(path, keep=None) -> np.ndarray:
         kept = keep(n) if keep is not None else None
         dest = None  # kept row i, in file order, is returned as row dest[i]
         if kept is not None:
-            kept = np.asarray(kept, dtype=np.int64)
-            dest = np.argsort(kept, kind="stable")
-            kept = kept[dest]
-            if kept.size and (kept[0] < 0 or kept[-1] >= n or np.any(np.diff(kept) == 0)):
-                raise ValueError(f"rows to keep of {n} images must be distinct and in range")
+            kept, dest = _sorted_rows(kept, n)
         pixels = rows * cols
         images = np.empty((n if kept is None else kept.size, rows, cols, 1), dtype=np.float32)
         out = images.reshape(images.shape[0], pixels)
@@ -149,7 +164,7 @@ def load_idx_images(path, keep=None) -> np.ndarray:
             for start in range(0, n, step):
                 stop = min(start + step, n)
                 raw = np.frombuffer(_read_exact(fh, (stop - start) * pixels, "pixel data",
-                                                path, start * pixels, n * pixels),
+                                                start * pixels, n * pixels),
                                     dtype=np.uint8).reshape(stop - start, pixels)
                 if kept is None:
                     lo = start
@@ -166,11 +181,11 @@ def load_idx_labels(path) -> np.ndarray:
     """Big-endian IDX1 labels as int64."""
     path = Path(path)
     with _open_maybe_gz(path) as fh:
-        magic, n = struct.unpack(">II", _read_exact(fh, 8, "header", path))
+        magic, n = struct.unpack(">II", _read_exact(fh, 8, "header"))
         if magic != IDX_LABEL_MAGIC:
             raise DataFormatError(f"{path}: bad label magic {magic} "
                                   f"(expected {IDX_LABEL_MAGIC})")
-        raw = _read_exact(fh, n, "label data", path)
+        raw = _read_exact(fh, n, "label data")
     return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
 
 
@@ -281,7 +296,8 @@ def make_synthetic(classes: int, dims: tuple[int, int, int], per_class: int,
     step = max(1, _SYNTHETIC_CHUNK // flat)
     if kept is not None:
         dest = np.full(n, -1)  # the row of the result each drawn row goes to; -1 drops it
-        dest[kept] = np.arange(count)
+        drawn, order = _sorted_rows(kept, n)
+        dest[drawn] = order
         block = np.empty((min(step, n), flat), dtype=np.float32)
     for start in range(0, n, step):
         out = rows[start:start + step] if kept is None else block[:min(step, n - start)]

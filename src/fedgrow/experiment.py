@@ -23,6 +23,7 @@ from . import __version__
 from . import datasets, fedsim, growth, nn, rng as rngmod
 from .errors import ConfigError, FedgrowError
 
+# The header of metrics.csv.
 METRICS_COLUMNS = [f.name for f in fields(fedsim.RoundMetrics)]
 
 LEDGER_COLUMNS = ["method", "dataset", "rounds", "clients_per_round",
@@ -131,6 +132,10 @@ class ExperimentConfig(fedsim.RunSettings):
         if self.thresholds_override is not None and \
                 any(t <= 0 for t in self.thresholds_override):
             problems.append("threshold overrides must be positive")
+        out = Path(self.output_dir)
+        nearest = next(p for p in (out, *out.parents) if p.exists())  # "." or "/" at worst
+        if not nearest.is_dir():
+            problems.append(f"output_dir {self.output_dir!r}: {nearest} is not a directory")
         if problems:
             raise ConfigError("invalid config: " + "; ".join(problems))
 
@@ -412,6 +417,8 @@ def _load_run(run_dir):
                      "round_bytes": int(rec["download_bytes"]) + int(rec["upload_bytes"]),
                      "cumulative_bytes": int(rec["cumulative_bytes"])}
                     for rec in csv.DictReader(fh)]
+        if any(r["round_bytes"] <= 0 or r["cumulative_bytes"] <= 0 for r in rows):
+            raise ValueError("metrics.csv has a byte count that is not positive")
         return manifest["dataset"], manifest["method"], rows
     except (OSError, ValueError, KeyError, TypeError) as e:
         raise ConfigError(f"cannot read run {run_dir}: {type(e).__name__}: {e}") from e

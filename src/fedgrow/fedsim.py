@@ -402,6 +402,8 @@ def evaluate(arch: nn.ModelArch, params: nn.Params, samples: np.ndarray,
 
 @dataclass
 class RoundMetrics:
+    """One row of metrics.csv, whose columns are these fields' names."""
+
     round: int
     model_index: int
     weighted_loss: float

@@ -294,6 +294,25 @@ def _gzip_in_place(path):
     path.unlink()
 
 
+@pytest.mark.parametrize("name", [datasets.TRAIN_IMAGES, datasets.TRAIN_LABELS])
+def test_a_cut_gzip_file_is_a_data_format_error(idx_dir, tmp_path, capsys, name):
+    for each in (datasets.TRAIN_IMAGES, datasets.TRAIN_LABELS,
+                 datasets.TEST_IMAGES, datasets.TEST_LABELS):
+        _gzip_in_place(idx_dir / each)
+    cut = idx_dir / (name + ".gz")
+    data = cut.read_bytes()
+    cut.write_bytes(data[:len(data) * 2 // 3])
+    with pytest.raises(DataFormatError, match=f"{cut}: corrupt or truncated gzip data"):
+        datasets.load_idx_dataset(idx_dir)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dataset": "mnist", "data_dir": str(idx_dir)}))
+    out = tmp_path / "never-written"
+    assert cli.main(["run", "--config", str(config), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def _count_reads(monkeypatch) -> list[int]:
     """The byte counts the image loader asks of its file, one a read call,
     in order; filled as it reads."""
@@ -376,13 +395,22 @@ def test_images_of_no_pixels_load_empty(tmp_path, keep):
     assert images.shape == (3 if keep is None else 1, 0, 5, 1)
 
 
-# Rows may come in any order; [4, 2, 4] repeats a row that is not next
-# to its repeat.
-@pytest.mark.parametrize("rows", [[3, 3], [4, 2, 4], [-1], [9]])
+# Rows to keep of 9 that both sources reject. Rows may come in any order;
+# [4, 2, 4] repeats a row that is not next to its repeat.
+_BAD_ROWS_OF_9 = [[3, 3], [4, 2, 4], [-1], [9]]
+
+
+@pytest.mark.parametrize("rows", _BAD_ROWS_OF_9)
 def test_rows_to_keep_must_be_sorted_distinct_and_in_range(tmp_path, rows):
     _write_idx_images(tmp_path / "images", np.zeros((9, 4, 4)))
     with pytest.raises(ValueError, match="distinct and in range"):
         datasets.load_idx_images(tmp_path / "images", lambda n: rows)
+
+
+@pytest.mark.parametrize("rows", _BAD_ROWS_OF_9)
+def test_synthetic_rows_to_keep_must_be_distinct_and_in_range(rows):
+    with pytest.raises(ValueError, match="distinct and in range"):
+        datasets.make_synthetic(3, (4, 4, 1), 3, stream(0, 1), keep=lambda labels: rows)
 
 
 def test_the_dataset_keeps_the_labels_of_its_kept_images(idx_dir):

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -294,6 +295,57 @@ def test_cli_compare_names_a_run_it_cannot_read(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read run {missing}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_cli_run_into_or_under_a_file_fails_before_any_compute(tmp_path, capsys,
+                                                               monkeypatch, under):
+    cfg = tiny_config(tmp_path, rounds=2)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    blocker = tmp_path / "a-file"
+    blocker.write_text("not a directory")
+    out = blocker / "x" if under else blocker
+    built = []
+    monkeypatch.setattr(experiment, "build_dataset", lambda config: built.append(config))
+    assert cli.main(["run", "--config", str(cfg_path), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "is not a directory" in err
+    assert built == [] and blocker.read_text() == "not a directory"
+
+
+def _a_run_and_its_copy(tmp_path):
+    """Two run directories with the same rows: a 2-round run and a copy of it."""
+    run_a = experiment.run(tiny_config(tmp_path, rounds=2, name="run-a"))
+    run_b = tmp_path / "run-b"
+    shutil.copytree(run_a, run_b)
+    return run_a, run_b
+
+
+def test_cli_compare_into_a_missing_directory_is_an_error_line(tmp_path, capsys):
+    run_a, run_b = _a_run_and_its_copy(tmp_path)
+    red = tmp_path / "missing" / "red.csv"
+    assert cli.main(["compare", str(run_a), str(run_b), "--output", str(red)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not red.parent.exists()
+
+
+def test_cli_compare_rejects_a_run_of_zero_bytes(tmp_path, capsys):
+    run_a, run_b = _a_run_and_its_copy(tmp_path)
+    with open(run_b / "metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(run_b / "metrics.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=METRICS_COLUMNS)
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({**row, "download_bytes": "0", "upload_bytes": "0",
+                             "cumulative_bytes": "0"})
+    red = tmp_path / "red.csv"
+    assert cli.main(["compare", str(run_a), str(run_b), "--output", str(red)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read run {run_b}: ") and err.count("\n") == 1
+    assert not red.exists()
 
 
 def test_cli_seed_override_keeps_the_configured_partition(tmp_path):

@@ -191,9 +191,10 @@ def _one_cpu() -> None:
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 
 
-def golden_run(name: str, overrides: dict, work: Path, one_cpu: bool):
-    """(sha256 of ``metrics.csv``, the manifest's switch events, the
-    manifest's worker count) of one run."""
+def variant_config(name: str, overrides: dict, work: Path) -> dict:
+    """The config dict of variant ``name``: configs/synthetic-fnn.json with
+    ``overrides``, its schedule written to ``work`` when given inline, and
+    its IDX files, when it loads them, written there by ``write_idx``."""
     config = {**json.loads(BASE_CONFIG.read_text()), **overrides}
     if isinstance(config["schedule"], dict):
         schedule_path = work / f"{name}-schedule.json"
@@ -204,6 +205,13 @@ def golden_run(name: str, overrides: dict, work: Path, one_cpu: bool):
         gz = name in IDX_GZIP
         directory = work / "idx-{}-{}{}".format(*counts, "-gz" if gz else "")
         config["data_dir"] = str(write_idx(directory, *counts, gz))
+    return config
+
+
+def golden_run(name: str, overrides: dict, work: Path, one_cpu: bool):
+    """(sha256 of ``metrics.csv``, the manifest's switch events, the
+    manifest's worker count) of one run."""
+    config = variant_config(name, overrides, work)
     name = f"{name}-{'one-cpu' if one_cpu else 'all-cpus'}"
     config_path = work / f"{name}.json"
     config_path.write_text(json.dumps(config))
