@@ -84,7 +84,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FedgrowError, OSError) as e:
+    except (FedgrowError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:  # before or after a run's rounds

@@ -59,6 +59,13 @@ def _read_exact(fh, count: int, what: str, done: int = 0, total: int = 0) -> byt
     return data
 
 
+def _kept(keep, arg, n: int):
+    """The rows ``keep(arg)`` asks for, in the order asked: every row of
+    ``n`` when ``keep`` or its result is None."""
+    rows = None if keep is None else keep(arg)
+    return np.arange(n) if rows is None else rows
+
+
 def _sorted_rows(rows, n: int):
     """(sorted, order) of ``rows``, the rows of ``n`` to return in the order
     to return them: ``sorted`` is ``rows`` in ascending order, and its row
@@ -80,11 +87,11 @@ _READ_GAP = 1 << 12
 
 def _place(raw, out, dest, done: int) -> int:
     """Write uint8 rows ``raw``, kept rows ``done`` on in file order, into
-    float32 ``out``: kept row i goes to row ``dest[i]`` (row i when
-    ``dest`` is None). The values are exact; the loader divides by 255
-    once every row is placed. Returns the kept row after them."""
+    float32 ``out``: kept row i goes to row ``dest[i]``. The values are
+    exact; the loader divides by 255 once every row is placed. Returns the
+    kept row after them."""
     stop = done + len(raw)
-    out[slice(done, stop) if dest is None else dest[done:stop]] = raw
+    out[dest[done:stop]] = raw
     return stop
 
 
@@ -127,15 +134,15 @@ def load_idx_images(path, keep=None) -> np.ndarray:
 
     ``keep`` (optional) maps the header's image count n to the distinct
     rows to return, in the order to return them, or to None for all of
-    them in file order. The result is one float32 array with the bits of
-    ``uint8.astype(float32) / 255``, filled about ``_INGEST_CHUNK`` bytes
-    of whole rows at a time, each row written straight to its place;
-    besides it the load holds one chunk of pixel bytes, and a copy of the
-    kept rows picked out of it when rows between them were read. An
-    uncompressed file, already checked by its size, has only its kept rows
-    read, in file order, and the gaps of at most ``_READ_GAP`` bytes
-    between them; a gzip file, or a load of every row, reads the pixel
-    section to its end.
+    them in file order, the rows ``np.arange(n)``. The result is one
+    float32 array with the bits of ``uint8.astype(float32) / 255``, filled
+    about ``_INGEST_CHUNK`` bytes of whole rows at a time, each row
+    written straight to its place; besides it the load holds one chunk of
+    pixel bytes, and a copy of the kept rows picked out of it from a gzip
+    file, or when rows between them were read. An uncompressed file, already checked by its
+    size, has only its kept rows read, in file order, and the gaps of at
+    most ``_READ_GAP`` bytes between them, so a load of every row reads
+    one chunk a call; a gzip file is read to the end of its pixel section.
     """
     path = Path(path)
     with _open_maybe_gz(path) as fh:
@@ -150,15 +157,13 @@ def load_idx_images(path, keep=None) -> np.ndarray:
         if n * rows * cols > room:
             raise DataFormatError(f"{path}: header declares {n}x{rows}x{cols} pixels: "
                                   f"truncated file ({room} of {n * rows * cols} bytes)")
-        kept = keep(n) if keep is not None else None
-        dest = None  # kept row i, in file order, is returned as row dest[i]
-        if kept is not None:
-            kept, dest = _sorted_rows(kept, n)
+        # Kept row i, in file order, is returned as row dest[i].
+        kept, dest = _sorted_rows(_kept(keep, n, n), n)
         pixels = rows * cols
-        images = np.empty((n if kept is None else kept.size, rows, cols, 1), dtype=np.float32)
-        out = images.reshape(images.shape[0], pixels)
+        images = np.empty((kept.size, rows, cols, 1), dtype=np.float32)
+        out = images.reshape(kept.size, pixels)
         step = max(1, _INGEST_CHUNK // max(1, pixels))  # images a chunk
-        if kept is not None and not gz:
+        if not gz:
             _read_kept_rows(fh, kept, out, dest, step, path, n)
         else:
             for start in range(0, n, step):
@@ -166,12 +171,8 @@ def load_idx_images(path, keep=None) -> np.ndarray:
                 raw = np.frombuffer(_read_exact(fh, (stop - start) * pixels, "pixel data",
                                                 start * pixels, n * pixels),
                                     dtype=np.uint8).reshape(stop - start, pixels)
-                if kept is None:
-                    lo = start
-                else:
-                    lo, hi = np.searchsorted(kept, (start, stop))
-                    raw = raw[kept[lo:hi] - start]
-                _place(raw, out, dest, lo)
+                lo, hi = np.searchsorted(kept, (start, stop))
+                _place(raw[kept[lo:hi] - start], out, dest, lo)
                 del raw  # before the next chunk is read
     np.divide(out, np.float32(255), out=out)
     return images
@@ -200,11 +201,11 @@ def _load_idx_split(directory: Path, images: str, labels: str, split: str, keep=
         nonlocal kept
         if n != y.shape[0]:
             raise DataFormatError(f"{directory}: {n} {split} images vs {y.shape[0]} labels")
-        kept = keep(y) if keep is not None else None
+        kept = _kept(keep, y, n)
         return kept
 
     x = load_idx_images(directory / images, rows)
-    return x, (y if kept is None else y[kept])
+    return x, y[kept]
 
 
 def load_idx_dataset(directory, keep_train=None):
@@ -260,14 +261,13 @@ def make_synthetic(classes: int, dims: tuple[int, int, int], per_class: int,
 
     ``keep`` (optional) maps the labels, which are drawn first, to the
     distinct rows to return, in the order to return them, or to None for
-    all in drawn order. Every row is drawn either way, so the kept rows
-    have the same bits.
+    all in drawn order, the rows ``np.arange(n)``. Every row is drawn
+    either way, so the kept rows have the same bits.
 
     Rows are built in chunks of about ``_SYNTHETIC_CHUNK`` elements (at
-    least one row) into one float32 result, with the bits of one
-    whole-array draw; the peak is about the result plus one chunk. Kept
-    rows are built in a float32 block of one chunk and written from it to
-    their places.
+    least one row), each in a float32 block of one chunk, and written from
+    it to their places in one float32 result, with the bits of one
+    whole-array draw; the peak is about the result plus one chunk.
     """
     if classes < 2:
         raise ConfigError("synthetic dataset needs at least 2 classes")
@@ -289,23 +289,20 @@ def make_synthetic(classes: int, dims: tuple[int, int, int], per_class: int,
     n = classes * per_class
     labels = np.repeat(np.arange(classes, dtype=np.int64), per_class)
     labels = labels[rng.permutation(n)]
-    kept = keep(labels) if keep is not None else None
-    count = n if kept is None else len(kept)
-    samples = np.empty((count,) + tuple(dims), dtype=np.float32)
-    rows = samples.reshape(count, flat)
+    kept = _kept(keep, labels, n)
+    dest = np.full(n, -1)  # the row of the result each drawn row goes to; -1 drops it
+    drawn, order = _sorted_rows(kept, n)
+    dest[drawn] = order
+    samples = np.empty((drawn.size,) + tuple(dims), dtype=np.float32)
+    rows = samples.reshape(drawn.size, flat)
     step = max(1, _SYNTHETIC_CHUNK // flat)
-    if kept is not None:
-        dest = np.full(n, -1)  # the row of the result each drawn row goes to; -1 drops it
-        drawn, order = _sorted_rows(kept, n)
-        dest[drawn] = order
-        block = np.empty((min(step, n), flat), dtype=np.float32)
+    block = np.empty((min(step, n), flat), dtype=np.float32)
     for start in range(0, n, step):
-        out = rows[start:start + step] if kept is None else block[:min(step, n - start)]
+        out = block[:min(step, n - start)]
         out[...] = rng.normal(0.0, sigma, size=out.shape)
         out += means[labels[start:start + step]]
         np.clip(out, 0.0, 1.0, out=out)
-        if kept is not None:
-            at = dest[start:start + step]
-            hit = at >= 0
-            rows[at[hit]] = out[hit]
-    return samples, (labels if kept is None else labels[kept])
+        at = dest[start:start + step]
+        hit = at >= 0
+        rows[at[hit]] = out[hit]
+    return samples, labels[kept]

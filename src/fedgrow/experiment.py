@@ -222,9 +222,9 @@ def _from_fields(cls, data: dict, where: str):
 
 def _kept_rows(config: ExperimentConfig, n: int):
     """The sorted rows of ``n`` training samples that ``max_train_samples``
-    keeps, or None for all of them."""
+    keeps."""
     if not config.max_train_samples or config.max_train_samples >= n:
-        return None
+        return np.arange(n)
     keep = rngmod.stream(config.master_seed, rngmod.DATA, 3).choice(
         n, size=config.max_train_samples, replace=False)
     keep.sort()
@@ -241,10 +241,9 @@ def build_dataset(config: ExperimentConfig):
 
     def client_rows(labels):
         keep = _kept_rows(config, labels.size)
-        rows, shard_sizes = fedsim.client_order(
-            labels if keep is None else labels[keep], spec)
+        rows, shard_sizes = fedsim.client_order(labels[keep], spec)
         sizes.append(shard_sizes)
-        return rows if keep is None else keep[rows]
+        return keep[rows]
 
     if config.dataset == "synthetic":
         syn = config.synthetic

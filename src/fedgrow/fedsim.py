@@ -311,13 +311,15 @@ def fd_extract(arch: nn.ModelArch, params: nn.Params, keep_fraction: float,
 
 
 def _kept_blocks(arch: nn.ModelArch, mask: dict[int, np.ndarray]) -> dict:
-    """Trainable layer index -> its kept (input, output) indices in the full
-    model's coordinates; None keeps the whole axis."""
-    blocks = {i: (None, mask.get(i)) for i in nn.trainable_indices(arch)}
+    """Trainable layer index -> its kept [input, output] indices in the full
+    model's coordinates, ``np.arange`` of a whole axis."""
+    blocks = {i: [np.arange(n) for n in arch.layers[i].weight_shape[-2:]]
+              for i in nn.trainable_indices(arch)}
     for i, kept in mask.items():
+        blocks[i][1] = kept
         j, rows = nn.next_inputs(arch, i, kept)
         if j is not None:
-            blocks[j] = (rows, blocks[j][1])
+            blocks[j][0] = rows
     return blocks
 
 
@@ -327,7 +329,7 @@ def _crop_model(arch: nn.ModelArch, params: nn.Params, mask: dict[int, np.ndarra
     for i, (in_idx, out_idx) in _kept_blocks(arch, mask).items():
         spec, p = arch.layers[i], params[i]
         w = p.w[_index_expr(in_idx, out_idx)]
-        cropped[i] = nn.LayerParams(w, p.b if out_idx is None else p.b[out_idx])
+        cropped[i] = nn.LayerParams(w, p.b[out_idx])
         layers[i] = spec.with_widths(*w.shape[-2:])
     sub_arch = arch.with_layers(layers)
     nn.validate_arch(sub_arch)
@@ -355,26 +357,19 @@ def fd_merge(arch: nn.ModelArch, global_params: nn.Params,
     mean = aggregate([(sub, n) for sub, _, n in updates])
     merged = nn.copy_params(global_params)
     for i, (in_idx, out_idx) in _kept_blocks(arch, mask).items():
-        *kernel, full_in, full_out = arch.layers[i].weight_shape
-        expect_in = len(in_idx) if in_idx is not None else full_in
-        expect_out = len(out_idx) if out_idx is not None else full_out
-        if mean[i].w.shape != (*kernel, expect_in, expect_out) or \
-                mean[i].b.shape != (expect_out,):
+        kernel = arch.layers[i].weight_shape[:-2]
+        if mean[i].w.shape != (*kernel, len(in_idx), len(out_idx)) or \
+                mean[i].b.shape != (len(out_idx),):
             raise ConfigError(f"fd_merge: layer {i} update shape {mean[i].w.shape} "
                               f"inconsistent with its mask")
         merged[i].w[_index_expr(in_idx, out_idx)] = mean[i].w
-        merged[i].b[out_idx if out_idx is not None else slice(None)] = mean[i].b
+        merged[i].b[out_idx] = mean[i].b
     return merged
 
 
 def _index_expr(in_idx, out_idx):
     """Index of the kept (input, output) block of a trainable layer's weight
-    array, inputs on axis -2 and outputs on axis -1; None keeps the whole
-    axis."""
-    if in_idx is None:
-        return (Ellipsis,) if out_idx is None else (Ellipsis, out_idx)
-    if out_idx is None:
-        return (Ellipsis, in_idx, slice(None))
+    array, inputs on axis -2 and outputs on axis -1."""
     return (Ellipsis,) + np.ix_(in_idx, out_idx)
 
 

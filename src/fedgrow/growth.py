@@ -10,9 +10,10 @@ shape (see ``schedule_from_dict`` for the format).
 each defined once for conv2d and dense layers. This module owns structure:
 each kind has one arch edit (``split_pool_arch``, ``insert_identity_arch``,
 ``widen_arch``) that checks every structural precondition of its step, and
-``apply_step_to_arch`` replays a step through it. ``morph`` calls the same
-edits and then only moves trained parameters, so a diff that
-``diff_models`` accepts applies at every switch.
+``diff_models`` replays each step it emits through it. ``morph.apply_diff``,
+the one place that maps a step kind to its transform, calls the same edits
+and then only moves trained parameters, so a diff that ``diff_models``
+accepts applies at every switch.
 """
 
 from __future__ import annotations
@@ -98,15 +99,17 @@ def build_arch(input_shape, tokens, dropout_rate: float = nn.DEFAULT_DROPOUT,
     last_dense = max((i for i, t in enumerate(tokens) if t[0] == "dense"), default=-1)
     for ti, tok in enumerate(tokens):
         kind = tok[0]
+        if kind in ("conv", "pool", "gap") and len(cur) != 3:
+            raise ConfigError(f"token {ti}: {kind} after flat shape {cur}")
         if kind == "conv":
             _, out_ch, k = tok
-            if len(cur) != 3:
-                raise ConfigError(f"token {ti}: conv after flat shape {cur}")
             layers.append(nn.conv2d(nn.KernelShape(k, k, cur[2], out_ch)))
             layers.extend((nn.relu(), nn.dropout(dropout_rate)))
             cur = (cur[0], cur[1], out_ch)
         elif kind == "pool":
             _, window = tok
+            if window > min(cur[:2]):
+                raise ConfigError(f"token {ti}: maxpool window {window} too large for {cur}")
             layers.append(nn.maxpool(window))
             cur = (cur[0] // window, cur[1] // window, cur[2])
         elif kind == "gap":
@@ -276,26 +279,6 @@ def widen_arch(arch: nn.ModelArch, layer: int, width: int) -> nn.ModelArch:
     return new_arch
 
 
-def apply_step_to_arch(arch: nn.ModelArch, step: TransformStep) -> nn.ModelArch:
-    """Apply one step structurally (specs only, no parameters). A step that
-    cannot apply raises ScheduleError naming its layer."""
-    i = step.layer
-    if not 0 <= i < len(arch.layers):
-        raise ScheduleError(f"step {step.kind}: layer index {i} out of range")
-    try:
-        if step.kind == "split-pool":
-            return split_pool_arch(arch, i)
-        if step.kind == "insert-identity":
-            return insert_identity_arch(arch, i, step.spec)
-        if step.kind == "widen":
-            return widen_arch(arch, i, step.width)
-    except TransformError as e:
-        raise ScheduleError(str(e)) from e
-    except ConfigError as e:
-        raise ScheduleError(f"{step.kind} at layer {i}: {e}") from e
-    raise ScheduleError(f"unknown transform step kind {step.kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Structural diffing
 
@@ -338,40 +321,43 @@ def diff_models(a: nn.ModelArch, b: nn.ModelArch) -> tuple[TransformStep, ...]:
         raise ScheduleError("models have different input shapes")
     steps: list[TransformStep] = []
     cur = a
+    try:
+        # Pool splits: a 4x4 pool in `cur` facing a 2x2 pool in `b`.
+        while (i := _first_structural_mismatch(cur, b)) is not None and \
+                i < min(len(cur.layers), len(b.layers)):
+            ca, cb = cur.layers[i], b.layers[i]
+            if (ca.kind, cb.kind, ca.window, cb.window) != ("maxpool", "maxpool", 4, 2):
+                break
+            steps.append(TransformStep("split-pool", i))
+            cur = split_pool_arch(cur, i)
 
-    # Pool splits: a 4x4 pool in `cur` facing a 2x2 pool in `b`.
-    while (i := _first_structural_mismatch(cur, b)) is not None and \
-            i < min(len(cur.layers), len(b.layers)):
-        ca, cb = cur.layers[i], b.layers[i]
-        if (ca.kind, cb.kind, ca.window, cb.window) != ("maxpool", "maxpool", 4, 2):
-            break
-        step = TransformStep("split-pool", i)
-        cur = apply_step_to_arch(cur, step)
-        steps.append(step)
+        # Identity insertions: `b` has an extra conv/dense block at the
+        # mismatch, as wide as the activations entering it.
+        while (i := _first_structural_mismatch(cur, b)) is not None:
+            if i >= len(b.layers):
+                raise ScheduleError(f"layer {i}: target model is shorter than source")
+            tb = b.layers[i]
+            if tb.kind not in nn.TRAINABLE_KINDS:
+                have = cur.layers[i].kind if i < len(cur.layers) else "end"
+                raise ScheduleError(
+                    f"layer {i}: cannot reach target (target wants {tb.kind!r}, "
+                    f"source has {have!r})")
+            width = nn.shape_before(cur, i)[-1]
+            steps.append(TransformStep("insert-identity", i,
+                                       spec=tb.with_widths(width, width)))
+            cur = insert_identity_arch(cur, i, steps[-1].spec)
 
-    # Identity insertions: `b` has an extra conv/dense block at the mismatch,
-    # as wide as the activations entering it.
-    while (i := _first_structural_mismatch(cur, b)) is not None:
-        if i >= len(b.layers):
-            raise ScheduleError(f"layer {i}: target model is shorter than source")
-        tb = b.layers[i]
-        if tb.kind not in nn.TRAINABLE_KINDS:
-            have = cur.layers[i].kind if i < len(cur.layers) else "end"
-            raise ScheduleError(
-                f"layer {i}: cannot reach target (target wants {tb.kind!r}, "
-                f"source has {have!r})")
-        width = nn.shape_before(cur, i)[-1]
-        step = TransformStep("insert-identity", i, spec=tb.with_widths(width, width))
-        cur = apply_step_to_arch(cur, step)
-        steps.append(step)
-
-    # Widenings, in layer order.
-    for i, tb in enumerate(b.layers):
-        if tb.kind in nn.TRAINABLE_KINDS and \
-                cur.layers[i].weight_shape[-1] != tb.weight_shape[-1]:
-            step = TransformStep("widen", i, width=tb.weight_shape[-1])
-            cur = apply_step_to_arch(cur, step)
-            steps.append(step)
+        # Widenings, in layer order.
+        for i, tb in enumerate(b.layers):
+            if tb.kind in nn.TRAINABLE_KINDS and \
+                    cur.layers[i].weight_shape[-1] != tb.weight_shape[-1]:
+                steps.append(TransformStep("widen", i, width=tb.weight_shape[-1]))
+                cur = widen_arch(cur, i, tb.weight_shape[-1])
+    except TransformError as e:
+        raise ScheduleError(str(e)) from e
+    except ConfigError as e:  # an arch failed nn.validate_arch
+        at = f"{steps[-1].kind} at layer {steps[-1].layer}: " if steps else ""
+        raise ScheduleError(at + str(e)) from e
 
     if cur.layers != b.layers:
         i = next(j for j, (x, y) in enumerate(zip(cur.layers, b.layers)) if x != y)

@@ -103,6 +103,10 @@ def widen_with_mapping(arch: nn.ModelArch, params: nn.Params,
     """Widen using a caller-provided mapping (the deterministic core of
     ``widen``; tests use it to inject hand-chosen mappings)."""
     new_arch = growth.widen_arch(arch, mapping.layer, len(mapping.mapping))
+    width = arch.layers[mapping.layer].weight_shape[-1]
+    if len(mapping.counts) != width:
+        raise TransformError(f"widen at layer {mapping.layer}: mapping has "
+                             f"{len(mapping.counts)} source channels, the layer {width}")
     return new_arch, _widened_params(arch, new_arch, params, mapping)
 
 
@@ -147,10 +151,13 @@ def apply_diff(arch: nn.ModelArch, params: nn.Params,
     """Apply every step of a validated diff (see ``growth.diff_models``).
 
     Widen mappings are sampled from ``rng`` in step order. Returns
-    (new arch, new params, list of WidenMapping).
+    (new arch, new params, list of WidenMapping). This is the one place
+    that maps a step kind to its transform.
     """
     mappings: list[WidenMapping] = []
     for step in diff:
+        if not 0 <= step.layer < len(arch.layers):
+            raise TransformError(f"{step.kind} at layer {step.layer}: out of range")
         if step.kind == "split-pool":
             arch, params = split_pool(arch, params, step.layer)
         elif step.kind == "insert-identity":

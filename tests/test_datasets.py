@@ -365,6 +365,20 @@ def test_kept_rows_load_to_the_whole_array_formula(tmp_path, monkeypatch, rows, 
         assert sizes[0] == 16 and sum(sizes) == 16 + 64 * len(rows)
 
 
+@pytest.mark.parametrize("keep", [None, lambda n: None], ids=["no-keep", "keep-gives-none"])
+def test_a_load_of_every_row_reads_one_chunk_a_call(tmp_path, monkeypatch, keep):
+    # 20 rows of 64 bytes; a 200-byte chunk holds 3 rows.
+    monkeypatch.setattr(datasets, "_INGEST_CHUNK", 200)
+    pixels = stream(5, 9).integers(0, 256, (20, 8, 8))
+    path = tmp_path / "images"
+    _write_idx_images(path, pixels)
+    sizes = _count_reads(monkeypatch)
+    plain = datasets.load_idx_images(path, keep)
+    assert sizes == [16] + [3 * 64] * 6 + [2 * 64]
+    _gzip_in_place(path)
+    assert datasets.load_idx_images(path, keep).tobytes() == plain.tobytes()
+
+
 def test_a_kept_load_reads_short_gaps_and_skips_long_ones(tmp_path, monkeypatch):
     # Rows of 784 bytes: a gap of 2 rows (1568 bytes) is read with its
     # neighbours, gaps of 15 and 17 rows are skipped.

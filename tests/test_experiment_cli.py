@@ -831,6 +831,21 @@ def test_an_interrupt_before_the_rounds_is_an_error_line(tmp_path, monkeypatch, 
     assert capsys.readouterr().err == "error: interrupted\n"
 
 
+def test_a_failed_allocation_is_an_error_line(tmp_path, monkeypatch, capsys):
+    # Stands in for numpy's MemoryError on a dataset too large to allocate;
+    # asking for the memory itself could succeed and exhaust the host.
+    def too_large(config):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr(experiment, "build_dataset", too_large)
+    cfg = tiny_config(tmp_path)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB for an array\n"
+    assert not Path(cfg.output_dir).exists()
+
+
 @pytest.mark.parametrize("kept", [50, 120])
 def test_an_idx_run_keeps_the_rows_it_draws_of_the_whole_corpus(tmp_path, kept):
     train = datasets.make_synthetic(3, (8, 8, 1), 40, stream(1, 1))

@@ -100,6 +100,12 @@ DENSE_HEAD_PAIRS = {"flatten-head": _dense_head_pair([]),
                     "gap-head": _dense_head_pair([("gap",)])}
 
 
+def _replay(arch, step):
+    """The arch ``morph.apply_diff`` makes of ``arch`` by ``step``."""
+    return morph.apply_diff(arch, nn.init_params(arch, stream(0, 0)), (step,),
+                            stream(0, 1))[0]
+
+
 @pytest.mark.parametrize("dataset", ["emnist", "cifar10", "mnist", *DENSE_HEAD_PAIRS])
 def test_diff_replay_reproduces_target(dataset):
     if dataset in DENSE_HEAD_PAIRS:
@@ -113,7 +119,7 @@ def test_diff_replay_reproduces_target(dataset):
         diff = growth.diff_models(a, b)
         cur = a
         for step in diff:
-            cur = growth.apply_step_to_arch(cur, step)
+            cur = _replay(cur, step)
         assert cur.layers == b.layers
 
 
@@ -126,7 +132,7 @@ def test_diff_is_stable_under_its_own_replay():
         assert diff == again
         cur = a
         for step in diff:
-            cur = growth.apply_step_to_arch(cur, step)
+            cur = _replay(cur, step)
         assert growth.diff_models(a, cur) == diff
 
 
@@ -183,6 +189,17 @@ def test_validate_collects_multiple_violations():
     assert len(exc.value.violations) >= 2
 
 
+def test_validate_lists_a_model_that_does_not_build_beside_its_diff():
+    bad = nn.ModelArch((4,), (nn.dense(4, 2), nn.relu(), nn.dense(3, 3), nn.softmax()))
+    good = nn.ModelArch((4,), (nn.dense(4, 2), nn.relu(), nn.dense(2, 2), nn.relu(),
+                               nn.dense(2, 3), nn.softmax()))
+    with pytest.raises(ScheduleError) as exc:
+        growth.validate_schedule(growth.GrowthSchedule("custom", (bad, good), (0.5,)))
+    assert exc.value.violations == [
+        "model 1: layer 2: dense needs a (3,) input, got (2,)",
+        "models 1 -> 2 not reachable: layer 2: dense needs a (3,) input, got (2,)"]
+
+
 def test_schedule_file_round_trip(tmp_path):
     sched = growth.builtin_schedule("cifar10")
     path = tmp_path / "sched.json"
@@ -219,6 +236,21 @@ def test_schedule_file_arity_error(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(ScheduleError):
         growth.load_schedule(path)
+
+
+@pytest.mark.parametrize("row, message", [
+    ([{"conv": 4}, {"pool": 16}, {"dense": 8}, {"dense": 3}],
+     "model 1: token 1: maxpool window 16 too large for (8, 8, 4)"),
+    ([{"conv": 4}, {"pool": 8}, {"pool": 2}, {"dense": 3}],
+     "model 1: token 2: maxpool window 2 too large for (1, 1, 4)"),
+    ([{"dense": 8}, {"pool": 2}, {"dense": 3}], "model 1: token 1: pool after flat shape (8,)"),
+    ([{"dense": 8}, {"gap": True}, {"dense": 3}], "model 1: token 1: gap after flat shape (8,)"),
+], ids=["window-over-input", "window-over-pooled", "pool-after-dense", "gap-after-dense"])
+def test_a_spatial_token_that_does_not_fit_its_input_is_named(row, message):
+    with pytest.raises(ScheduleError) as exc:
+        growth.schedule_from_dict({"dataset": "custom", "input_shape": [8, 8, 1],
+                                   "thresholds": [], "models": [row]})
+    assert exc.value.violations == [message]
 
 
 def test_custom_schedule_supports_ablation_variants(tmp_path):

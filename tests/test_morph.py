@@ -73,6 +73,18 @@ def test_widen_dense_hand_mapping_halves_replicated_rows():
     assert eval_delta(arch, params, new_arch, new_params, x) < 1e-6
 
 
+def test_widen_mapping_for_another_width_rejected():
+    # g has 3 sources, the layer 4 outputs: applied, output 3 would be
+    # dropped and the function would change.
+    arch = nn.ModelArch((4,), (
+        nn.dense(4, 4), nn.relu(), nn.dropout(0.125),
+        nn.dense(4, 3), nn.softmax()))
+    g = np.array([0, 1, 2, 0, 1])
+    with pytest.raises(TransformError, match="mapping has 3 source channels, the layer 4"):
+        morph.widen_with_mapping(arch, random_params(arch, 3),
+                                 morph.WidenMapping(0, g, np.bincount(g)))
+
+
 def test_widen_through_flatten_emnist_m3_m4():
     sched = growth.builtin_schedule("emnist")
     arch = sched.models[2]
@@ -249,6 +261,14 @@ def test_apply_empty_diff_keeps_params():
     assert mappings == []
     for i in params:
         assert np.array_equal(new_params[i].w, params[i].w)
+
+
+@pytest.mark.parametrize("layer", [10, 42, -1])
+def test_apply_diff_rejects_a_step_out_of_range(layer):
+    arch = small_conv_dense_arch()
+    with pytest.raises(TransformError, match=f"widen at layer {layer}: out of range"):
+        morph.apply_diff(arch, random_params(arch, 21),
+                         (growth.TransformStep("widen", layer, width=8),), stream(0, 0))
 
 
 def test_emnist_m2_m3_pipeline_preserves_within_1e6():

@@ -1,13 +1,17 @@
 """Guard for the bench tracer: the names it wraps exist, the work it
-records for the parameter-moving calls is 4 bytes per parameter, and the
-conv FLOPs it records over an evaluation are the forward conv FLOPs.
+records for the parameter-moving calls is 4 bytes per parameter, the
+conv FLOPs it records over an evaluation are the forward conv FLOPs, and
+the bench's stand-ins for ``fedsim.run_experiment`` take the arguments
+``experiment.run`` passes.
 
-``bench/spans.py`` is loaded from its file and not changed; its own
-tests live outside this suite.
+``bench/spans.py`` and ``bench/child.py`` are loaded from their files and
+not changed; their own tests live outside this suite.
 """
 
+import dataclasses
 import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +23,8 @@ from fedgrow.rng import stream
 
 from conftest import shards_of
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS_PATH = ROOT / "bench" / "spans.py"
 MODULES = {"datasets": datasets, "experiment": experiment, "fedsim": fedsim,
            "growth": growth, "nn": nn, "rng": rng}
 
@@ -30,6 +35,36 @@ def spans():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def child():
+    # child.py imports its bench neighbours by name, as under bench/run.py.
+    sys.path.insert(0, str(SPANS_PATH.parent))
+    try:
+        spec = importlib.util.spec_from_file_location("bench_child",
+                                                      SPANS_PATH.with_name("child.py"))
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(SPANS_PATH.parent))
+    return module
+
+
+def test_the_bench_clocks_and_stops_run_experiment_as_run_calls_it(child, tmp_path):
+    # round_clock and time_setup stand in for fedsim.run_experiment with
+    # exactly (method, schedule, shards, test_x, test_y, settings, on_round).
+    def config(name):
+        cfg = experiment.ExperimentConfig.load(ROOT / "configs" / "synthetic-fnn.json")
+        cfg.rounds, cfg.output_dir = 3, str(tmp_path / name)
+        cfg.synthetic = dataclasses.replace(cfg.synthetic, per_class=20)
+        return cfg
+
+    with child.round_clock(fedsim) as stamps:
+        experiment.run(config("clocked"))
+    assert len(stamps["rounds"]) == 3
+    assert stamps["entry"] is not None and stamps["exit"] is not None
+    assert child.time_setup(experiment, fedsim, config("setup")) > 0
 
 
 def _bytes(params) -> int:
