@@ -59,6 +59,14 @@ def _read_exact(fh, count: int, what: str, done: int = 0, total: int = 0) -> byt
     return data
 
 
+def _room(fh, header: int) -> int:
+    """The bytes after its ``header`` that ``fh`` can hold: the rest of a
+    plain file, or what its compressed bytes can inflate to for a gzip
+    one (deflate inflates a byte to 1032 at most)."""
+    size = os.fstat(fh.fileno()).st_size
+    return size * 1032 if isinstance(fh, gzip.GzipFile) else size - header
+
+
 def _kept(keep, arg, n: int):
     """The rows ``keep(arg)`` asks for, in the order asked: every row of
     ``n`` when ``keep`` or its result is None."""
@@ -150,10 +158,7 @@ def load_idx_images(path, keep=None) -> np.ndarray:
         if magic != IDX_IMAGE_MAGIC:
             raise DataFormatError(f"{path}: bad image magic {magic} "
                                   f"(expected {IDX_IMAGE_MAGIC})")
-        # The pixel bytes the file can hold; deflate inflates a byte to 1032 at most.
-        size = os.fstat(fh.fileno()).st_size
-        gz = isinstance(fh, gzip.GzipFile)
-        room = size * 1032 if gz else size - 16
+        room = _room(fh, 16)
         if n * rows * cols > room:
             raise DataFormatError(f"{path}: header declares {n}x{rows}x{cols} pixels: "
                                   f"truncated file ({room} of {n * rows * cols} bytes)")
@@ -163,7 +168,7 @@ def load_idx_images(path, keep=None) -> np.ndarray:
         images = np.empty((kept.size, rows, cols, 1), dtype=np.float32)
         out = images.reshape(kept.size, pixels)
         step = max(1, _INGEST_CHUNK // max(1, pixels))  # images a chunk
-        if not gz:
+        if not isinstance(fh, gzip.GzipFile):
             _read_kept_rows(fh, kept, out, dest, step, path, n)
         else:
             for start in range(0, n, step):
@@ -179,13 +184,18 @@ def load_idx_images(path, keep=None) -> np.ndarray:
 
 
 def load_idx_labels(path) -> np.ndarray:
-    """Big-endian IDX1 labels as int64."""
+    """Big-endian IDX1 labels as int64. A header that declares more labels
+    than the file can hold is rejected before they are read."""
     path = Path(path)
     with _open_maybe_gz(path) as fh:
         magic, n = struct.unpack(">II", _read_exact(fh, 8, "header"))
         if magic != IDX_LABEL_MAGIC:
             raise DataFormatError(f"{path}: bad label magic {magic} "
                                   f"(expected {IDX_LABEL_MAGIC})")
+        room = _room(fh, 8)
+        if n > room:
+            raise DataFormatError(f"{path}: header declares {n} labels: "
+                                  f"truncated file ({room} of {n} bytes)")
         raw = _read_exact(fh, n, "label data")
     return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
 

@@ -1,6 +1,6 @@
 """Synchronous federated training loop.
 
-``run_experiment`` steps a ``RunState`` (arch, params, switching policy,
+``run_experiment`` steps a ``RunState`` (params, switching policy,
 metrics rows, switch events) round by round in one loop. Each round
 selects its clients (``select_clients``), broadcasts (``broadcast``: the
 full model, or a random sub-network cut by ``fd_extract`` where
@@ -460,9 +460,9 @@ class RunSettings:
 
 @dataclass
 class RunState:
-    """Everything a run carries from one round to the next."""
+    """Everything a run carries from one round to the next. The model is
+    ``params``, whose ``arch`` is its architecture."""
 
-    arch: nn.ModelArch
     params: nn.Params
     policy: SwitchPolicy
     metrics: list[RoundMetrics] = field(default_factory=list)
@@ -639,13 +639,13 @@ def fd_plan(method: str, schedule: GrowthSchedule, settings: RunSettings) -> lis
 
 
 def broadcast(state: RunState, r: int, plan: list, settings: RunSettings):
-    """(arch, params, mask) sent to round ``r``'s clients: the model cut at
-    its ``fd_plan`` keep fraction, or in full with mask None."""
+    """(params, mask) sent to round ``r``'s clients: the model cut at its
+    ``fd_plan`` keep fraction, or in full with mask None."""
     keep = plan[state.model_index]
     if keep is None:
-        return state.arch, state.params, None
-    return fd_extract(state.arch, state.params, keep,
-                      rngmod.stream(settings.master_seed, rngmod.FD_MASK, r))
+        return state.params, None
+    return fd_extract(state.params.arch, state.params, keep,
+                      rngmod.stream(settings.master_seed, rngmod.FD_MASK, r))[1:]
 
 
 def switch(state: RunState, r: int, signal: float, diffs, seed: int) -> SwitchEvent:
@@ -653,8 +653,8 @@ def switch(state: RunState, r: int, signal: float, diffs, seed: int) -> SwitchEv
     accuracies the round's settle step fills in."""
     index = state.model_index
     event = SwitchEvent(r, index, index + 1, signal, None, None)
-    state.arch, state.params, _ = apply_diff(
-        state.arch, state.params, diffs[index], rngmod.stream(seed, rngmod.SWITCH, index))
+    _, state.params, _ = apply_diff(
+        state.params.arch, state.params, diffs[index], rngmod.stream(seed, rngmod.SWITCH, index))
     state.events.append(event)
     state.policy.advance()
     return event
@@ -713,7 +713,7 @@ def run_experiment(method: str, schedule: GrowthSchedule,
     init_rng = rngmod.stream(settings.master_seed, rngmod.INIT)
     policy = SwitchPolicy(settings.switch_window, settings.switch_lag, model_index=index)
     # No local holds the initial params, so the first round frees them.
-    state = RunState(arch, nn.init_params(arch, init_rng, settings.init_scheme), policy)
+    state = RunState(nn.init_params(arch, init_rng, settings.init_scheme), policy)
     total_bytes = 0
     owed = None  # (row, event, models) of a finished round not yet settled
 
@@ -732,8 +732,8 @@ def run_experiment(method: str, schedule: GrowthSchedule,
         if owed is not None:
             (row, event, models), owed = owed, None
             with _in_round(row.round):
-                accuracies = [evaluate(arch, params, test_samples, test_labels)
-                              for arch, params in models]
+                accuracies = [evaluate(p.arch, p, test_samples, test_labels)
+                              for p in models]
             if event is not None:
                 event.accuracy_before, event.accuracy_after = accuracies
             if evaluated(row.round):
@@ -749,7 +749,8 @@ def run_experiment(method: str, schedule: GrowthSchedule,
                 with _in_round(r):
                     sel = select_clients(rngmod.stream(settings.master_seed, rngmod.SELECT, r),
                                          len(shards), settings.clients_per_round)
-                    arch, params, mask = broadcast(state, r, plan, settings)
+                    params, mask = broadcast(state, r, plan, settings)
+                    arch = params.arch
                     slices = pool.submit(arch, params, sel, r, settings)
                     if mask is None:  # slot 0 holds the model now, its only copy
                         state.params = nn.Params(arch, pool.slots[0, :params.flat.size])
@@ -762,17 +763,17 @@ def run_experiment(method: str, schedule: GrowthSchedule,
                     state.params = aggregate([(p, n) for p, _, n in updates],
                                              out=state.params.flat)
                 else:
-                    state.params = fd_merge(state.arch, state.params,
+                    state.params = fd_merge(state.params.arch, state.params,
                                             [(p, mask, n) for p, _, n in updates])
                 wloss = weighted_round_loss((loss, n) for _, loss, n in updates)
                 policy.record_round_loss(wloss)
                 signal = policy.progress_signal()
-                event, models = None, [(state.arch, state.params)]
+                event, models = None, [state.params]
                 if diffs is not None and policy.should_switch(schedule):
                     if testing and mask is None:  # the next submit overwrites slot 0
-                        models = [(state.arch, nn.copy_params(state.params))]
+                        models = [nn.copy_params(state.params)]
                     event = switch(state, r, signal, diffs, settings.master_seed)
-                    models.append((state.arch, state.params))
+                    models.append(state.params)
                 elif not evaluated(r):
                     models = []
 

@@ -7,11 +7,11 @@ once for conv2d and dense layers (weights put inputs on axis -2 and
 outputs on axis -1):
 
 * ``widen`` (widen) replaces a conv/dense layer with a wider one. New
-  output channels copy randomly chosen existing ones through a mapping
-  ``g`` (identity on the original channels), and the next layer's
-  incoming weights for a channel replicated ``c`` times are divided by
-  ``c`` so every replica group contributes exactly the original amount.
-  The next layer's rows for ``g`` come from ``nn.next_inputs``.
+  channel ``j`` copies channel ``g[j]`` of the map ``g`` (identity on
+  the original channels), and the next layer's incoming weights for a
+  channel replicated ``c = bincount(g)`` times are divided by ``c`` so
+  every replica group contributes exactly the original amount. The
+  next layer's rows for ``g`` come from ``nn.next_inputs``.
 * ``deepen`` (insert-identity) inserts an identity-initialized layer
   (a one at the centre of every kernel axis times the identity on the
   in/out axes) followed by a relu, which is exact because the insertion
@@ -29,47 +29,14 @@ result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import growth, nn
 from .errors import TransformError
 
 __all__ = [
-    "WidenMapping", "widen", "deepen", "split_pool", "apply_diff",
+    "widen", "widen_with_mapping", "deepen", "split_pool", "apply_diff",
 ]
-
-
-@dataclass(frozen=True)
-class WidenMapping:
-    """Channel mapping used by one widening.
-
-    ``mapping[j]`` is the source channel copied into new channel ``j``;
-    it is the identity for the original channels. ``counts[q]`` is the
-    number of new-model channels that point at source channel ``q``.
-    """
-
-    layer: int
-    mapping: np.ndarray
-    counts: np.ndarray
-
-    def __post_init__(self):
-        old = len(self.counts)
-        if not np.array_equal(self.mapping[:old], np.arange(old)):
-            raise TransformError("widen mapping must be the identity on existing channels")
-        if self.mapping.min(initial=0) < 0 or not np.array_equal(
-                self.counts, np.bincount(self.mapping, minlength=old)):
-            raise TransformError("widen mapping replication counts are inconsistent")
-
-
-def sample_mapping(layer: int, old_width: int, new_width: int,
-                   rng: np.random.Generator) -> WidenMapping:
-    """Identity prefix plus uniformly sampled sources for the new channels."""
-    extra = rng.integers(0, old_width, size=new_width - old_width)
-    mapping = np.concatenate([np.arange(old_width), extra])
-    counts = np.bincount(mapping, minlength=old_width)
-    return WidenMapping(layer, mapping, counts)
 
 
 def _shift_params(params, at: int, arch, new_arch) -> dict[int, nn.LayerParams]:
@@ -79,12 +46,11 @@ def _shift_params(params, at: int, arch, new_arch) -> dict[int, nn.LayerParams]:
 
 
 def _widened_params(arch: nn.ModelArch, new_arch: nn.ModelArch, params: nn.Params,
-                    mapping: WidenMapping) -> nn.Params:
-    """``params`` with the outputs of ``mapping.layer`` and the inputs of
-    the next trainable layer replicated through ``mapping``."""
-    layer, g = mapping.layer, mapping.mapping
+                    layer: int, g: np.ndarray) -> nn.Params:
+    """``params`` with the outputs of ``layer`` and the inputs of the next
+    trainable layer replicated through the map ``g``."""
     nxt, rows = nn.next_inputs(arch, layer, g)
-    div = mapping.counts.astype(nn.DTYPE)[g]
+    div = np.bincount(g).astype(nn.DTYPE)[g]
 
     new_params = dict(params)
     p = params[layer]
@@ -98,28 +64,31 @@ def _widened_params(arch: nn.ModelArch, new_arch: nn.ModelArch, params: nn.Param
     return nn.pack(new_arch, new_params)
 
 
-def widen_with_mapping(arch: nn.ModelArch, params: nn.Params,
-                       mapping: WidenMapping):
-    """Widen using a caller-provided mapping (the deterministic core of
-    ``widen``; tests use it to inject hand-chosen mappings)."""
-    new_arch = growth.widen_arch(arch, mapping.layer, len(mapping.mapping))
-    width = arch.layers[mapping.layer].weight_shape[-1]
-    if len(mapping.counts) != width:
-        raise TransformError(f"widen at layer {mapping.layer}: mapping has "
-                             f"{len(mapping.counts)} source channels, the layer {width}")
-    return new_arch, _widened_params(arch, new_arch, params, mapping)
+def widen_with_mapping(arch: nn.ModelArch, params: nn.Params, layer: int, g: np.ndarray):
+    """Widen ``layer`` through the caller's map ``g`` (the deterministic
+    core of ``widen``; tests use it to inject hand-chosen maps), which must
+    be the identity on the layer's channels and copy only them."""
+    new_arch = growth.widen_arch(arch, layer, len(g))
+    old = arch.layers[layer].weight_shape[-1]
+    if not (np.array_equal(g[:old], np.arange(old)) and ((g >= 0) & (g < old)).all()):
+        raise TransformError(f"widen at layer {layer}: the map must be the identity on "
+                             f"the {old} existing channels and copy only them")
+    return new_arch, _widened_params(arch, new_arch, params, layer, g)
 
 
 def widen(arch: nn.ModelArch, params: nn.Params, layer: int, new_width: int,
           rng: np.random.Generator):
     """Widen a hidden conv or dense layer to ``new_width`` outputs.
 
-    Returns (new arch, new params, WidenMapping). Equal widths yield the
-    identity mapping and unchanged parameters.
+    Returns (new arch, new params, g): new channel j copies channel
+    ``g[j]``, the identity on the original channels and drawn uniformly
+    from ``rng`` for the new ones. Equal widths yield the identity map
+    and unchanged parameters.
     """
     new_arch = growth.widen_arch(arch, layer, new_width)
-    mapping = sample_mapping(layer, arch.layers[layer].weight_shape[-1], new_width, rng)
-    return new_arch, _widened_params(arch, new_arch, params, mapping), mapping
+    old = arch.layers[layer].weight_shape[-1]
+    g = np.concatenate([np.arange(old), rng.integers(0, old, size=new_width - old)])
+    return new_arch, _widened_params(arch, new_arch, params, layer, g), g
 
 
 def deepen(arch: nn.ModelArch, params: nn.Params, position: int,
@@ -150,11 +119,11 @@ def apply_diff(arch: nn.ModelArch, params: nn.Params,
                diff: tuple[growth.TransformStep, ...], rng: np.random.Generator):
     """Apply every step of a validated diff (see ``growth.diff_models``).
 
-    Widen mappings are sampled from ``rng`` in step order. Returns
-    (new arch, new params, list of WidenMapping). This is the one place
-    that maps a step kind to its transform.
+    Widen maps are drawn from ``rng`` in step order. Returns (new arch,
+    new params, list of widen maps ``g``). This is the one place that
+    maps a step kind to its transform.
     """
-    mappings: list[WidenMapping] = []
+    maps: list[np.ndarray] = []
     for step in diff:
         if not 0 <= step.layer < len(arch.layers):
             raise TransformError(f"{step.kind} at layer {step.layer}: out of range")
@@ -163,8 +132,8 @@ def apply_diff(arch: nn.ModelArch, params: nn.Params,
         elif step.kind == "insert-identity":
             arch, params = deepen(arch, params, step.layer, step.spec)
         elif step.kind == "widen":
-            arch, params, mapping = widen(arch, params, step.layer, step.width, rng)
-            mappings.append(mapping)
+            arch, params, g = widen(arch, params, step.layer, step.width, rng)
+            maps.append(g)
         else:
             raise TransformError(f"unknown diff step kind {step.kind!r}")
-    return arch, params, mappings
+    return arch, params, maps

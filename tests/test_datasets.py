@@ -247,6 +247,31 @@ def test_cli_reports_a_header_larger_than_its_file(idx_dir, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("gz", [False, True])
+def test_a_label_header_larger_than_its_file_is_rejected_before_reading(
+        tmp_path, monkeypatch, gz):
+    # 58 bytes: a header declaring 0xFFFFFFFF labels, then 50 of them. No
+    # read may ask for more bytes than the file can hold.
+    data = struct.pack(">II", datasets.IDX_LABEL_MAGIC, 0xFFFFFFFF) + bytes(50)
+    path = tmp_path / "labels"
+    if gz:
+        with gzip.open(tmp_path / "labels.gz", "wb") as out:
+            out.write(data)
+        room = (tmp_path / "labels.gz").stat().st_size * 1032
+    else:
+        path.write_bytes(data)
+        room = 50
+    read_exact = datasets._read_exact
+
+    def bounded_read_exact(fh, count, *args):
+        assert count <= room, f"asked for {count} bytes of {room}"
+        return read_exact(fh, count, *args)
+
+    monkeypatch.setattr(datasets, "_read_exact", bounded_read_exact)
+    with pytest.raises(DataFormatError, match=f"{path}: header declares 4294967295 labels"):
+        datasets.load_idx_labels(path)
+
+
 def test_image_ingest_holds_about_one_float_copy(tmp_path):
     path = tmp_path / "images"
     _write_idx_images(path, stream(6, 6).integers(0, 256, (3000, 28, 28)))

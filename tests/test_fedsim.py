@@ -644,6 +644,22 @@ def test_fnn_fd_exemption_prefix(toy_world):
         assert all(b < full1 for b in by_model[1])
 
 
+@pytest.mark.parametrize("method", fedsim.METHODS)
+def test_the_final_model_is_the_schedule_model_the_run_reached(toy_world, method):
+    # The run keeps one record of its model, the params, whose arch must
+    # be the schedule's model at the policy's index, grown or cropped on
+    # the way or not.
+    shards, tx, ty = toy_world
+    sched = tiny_schedule()
+    result = run_experiment(method, sched, shards, tx, ty,
+                            _settings(40, fd_keep_fraction=0.5, fd_exempt_prefix=1))
+    assert result.params.arch.layers == sched.models[result.model_index].layers
+    assert result.params.flat.size == nn.count_params(result.params.arch)
+    assert result.model_index == (len(result.events) if method.startswith("fnn") else 2)
+    if method.startswith("fnn"):
+        assert result.events
+
+
 def test_run_settings_defaults():
     settings = RunSettings()
     assert (settings.switch_window, settings.switch_lag) == (DEFAULT_WINDOW, DEFAULT_LAG)

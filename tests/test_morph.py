@@ -34,8 +34,8 @@ def test_widen_same_width_is_identity():
     arch = small_conv_dense_arch()
     params = random_params(arch, 1)
     x = stream(1, 9).random((4, 8, 8, 1), dtype=np.float32)
-    new_arch, new_params, mapping = morph.widen(arch, params, 0, 4, stream(0, 0))
-    assert np.array_equal(mapping.mapping, np.arange(4))
+    new_arch, new_params, g = morph.widen(arch, params, 0, 4, stream(0, 0))
+    assert np.array_equal(g, np.arange(4))
     assert new_arch.layers == arch.layers
     for i in params:
         assert np.array_equal(new_params[i].w, params[i].w)
@@ -63,8 +63,7 @@ def test_widen_dense_hand_mapping_halves_replicated_rows():
     params = random_params(arch, 3)
     w_next = params[3].w.copy()
     g = np.array([0, 1, 0])
-    mapping = morph.WidenMapping(0, g, np.bincount(g))
-    new_arch, new_params = morph.widen_with_mapping(arch, params, mapping)
+    new_arch, new_params = morph.widen_with_mapping(arch, params, 0, g)
     assert np.allclose(new_params[3].w[0], w_next[0] / 2.0)
     assert np.allclose(new_params[3].w[2], w_next[0] / 2.0)
     assert np.allclose(new_params[3].w[1], w_next[1])
@@ -80,9 +79,8 @@ def test_widen_mapping_for_another_width_rejected():
         nn.dense(4, 4), nn.relu(), nn.dropout(0.125),
         nn.dense(4, 3), nn.softmax()))
     g = np.array([0, 1, 2, 0, 1])
-    with pytest.raises(TransformError, match="mapping has 3 source channels, the layer 4"):
-        morph.widen_with_mapping(arch, random_params(arch, 3),
-                                 morph.WidenMapping(0, g, np.bincount(g)))
+    with pytest.raises(TransformError, match="identity on the 4 existing channels"):
+        morph.widen_with_mapping(arch, random_params(arch, 3), 0, g)
 
 
 def test_widen_through_flatten_emnist_m3_m4():
@@ -110,9 +108,8 @@ def test_widen_1x1_feature_map_equals_plain_dense_widening():
         3: nn.LayerParams(cp[4].w.copy(), cp[4].b.copy()),
     }
     g = np.array([0, 1, 2, 3, 1, 3])
-    counts = np.bincount(g)
-    _, cp2 = morph.widen_with_mapping(conv_arch, cp, morph.WidenMapping(0, g, counts))
-    _, dp2 = morph.widen_with_mapping(dense_equiv, dp, morph.WidenMapping(0, g, counts))
+    _, cp2 = morph.widen_with_mapping(conv_arch, cp, 0, g)
+    _, dp2 = morph.widen_with_mapping(dense_equiv, dp, 0, g)
     assert np.array_equal(cp2[0].w.reshape(3, 6), dp2[0].w)
     assert np.array_equal(cp2[4].w, dp2[3].w)
 
@@ -126,24 +123,32 @@ def test_widen_final_classifier_rejected():
 
 
 def test_widen_mapping_prefix_identity_validated():
-    for mapping, counts, match in [
-        ([1, 0, 0], [2, 1], "identity"),
-        # The right total, but channel 0 has two copies and channel 1 one.
-        ([0, 1, 0], [1, 2], "inconsistent"),
-        ([0, 1, -1], [1, 2], "inconsistent"),
-    ]:
-        with pytest.raises(TransformError, match=match):
-            morph.WidenMapping(0, np.array(mapping), np.array(counts))
+    # A width-2 dense layer: a map that moves an existing channel, copies
+    # a channel below 0 or one past the layer's width is rejected.
+    arch = nn.ModelArch((4,), (
+        nn.dense(4, 2), nn.relu(), nn.dropout(0.125),
+        nn.dense(2, 3), nn.softmax()))
+    params = random_params(arch, 3)
+    for g in ([1, 0, 0], [0, 1, -1], [0, 1, 2]):
+        with pytest.raises(TransformError, match="identity on the 2 existing channels"):
+            morph.widen_with_mapping(arch, params, 0, np.array(g))
 
 
 @settings(max_examples=30, deadline=None)
 @given(old=st.integers(2, 12), extra=st.integers(0, 12), seed=st.integers(0, 2**31))
 def test_sampled_mapping_invariants(old, extra, seed):
-    m = morph.sample_mapping(0, old, old + extra, stream(seed, 0))
-    assert np.array_equal(m.mapping[:old], np.arange(old))
-    assert m.counts.sum() == old + extra
-    assert (m.counts >= 1).all()
-    assert m.mapping[old:].max(initial=0) < old
+    arch = nn.ModelArch((3,), (
+        nn.dense(3, old), nn.relu(), nn.dropout(0.125),
+        nn.dense(old, 2), nn.softmax()))
+    params = random_params(arch, seed)
+    new_arch, new_params, g = morph.widen(arch, params, 0, old + extra, stream(seed, 0))
+    drawn = stream(seed, 0).integers(0, old, size=extra)
+    assert np.array_equal(g, np.concatenate([np.arange(old), drawn]))
+    counts = np.bincount(g)
+    assert counts.sum() == old + extra and len(counts) == old and (counts >= 1).all()
+    same_arch, same_params = morph.widen_with_mapping(arch, params, 0, g)
+    assert same_arch.layers == new_arch.layers
+    assert same_params.flat.tobytes() == new_params.flat.tobytes()
 
 
 def test_replication_groups_conserve_next_layer_contribution():
@@ -151,19 +156,20 @@ def test_replication_groups_conserve_next_layer_contribution():
     params = random_params(arch, 8)
     dense_idx = nn.trainable_indices(arch)[1]
     w_next_before = params[nn.trainable_indices(arch)[2]].w.copy()
-    new_arch, new_params, mapping = morph.widen(
+    new_arch, new_params, g = morph.widen(
         arch, params, dense_idx, 13, stream(11, 0))
     w_next = new_params[max(nn.trainable_indices(new_arch))].w
-    g = mapping.mapping
-    for q in range(len(mapping.counts)):
+    for q in range(arch.layers[dense_idx].weight_shape[-1]):
         group = np.flatnonzero(g == q)
         assert np.abs(w_next[group].sum(axis=0) - w_next_before[q]).max() < 1e-6
 
 
 def test_widen_mapping_reproducible_per_seed():
-    m1 = morph.sample_mapping(0, 16, 32, stream(3, 4))
-    m2 = morph.sample_mapping(0, 16, 32, stream(3, 4))
-    assert np.array_equal(m1.mapping, m2.mapping)
+    arch = small_conv_dense_arch()
+    params = random_params(arch, 8)
+    _, _, g1 = morph.widen(arch, params, 0, 32, stream(3, 4))
+    _, _, g2 = morph.widen(arch, params, 0, 32, stream(3, 4))
+    assert np.array_equal(g1, g2)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +403,7 @@ def test_dropout_alone_drives_replica_divergence():
 
     for rate, expect_equal in ((0.0, True), (0.25, False)):
         params = random_params(arch, 31)
-        new_arch, new_params, mapping = morph.widen(arch, params, 0, 24, stream(9, 0))
+        new_arch, new_params, g = morph.widen(arch, params, 0, 24, stream(9, 0))
         if rate == 0.0:
             layers = tuple(nn.dropout(0.0) if s.kind == "dropout" else s
                            for s in new_arch.layers)
@@ -409,7 +415,6 @@ def test_dropout_alone_drives_replica_divergence():
         r = stream(10, 0)
         for _ in range(3):
             cur, _ = nn.backward_and_step(train_arch, cur, x, y, cfg, r)
-        g = mapping.mapping
         dup = [(j, g[j]) for j in range(16, 24)]
         equal = all(
             np.array_equal(cur[0].w[..., j], cur[0].w[..., src]) and
