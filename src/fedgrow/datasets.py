@@ -156,11 +156,11 @@ def load_idx_images(path, keep=None) -> np.ndarray:
     with _open_maybe_gz(path) as fh:
         magic, n, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, "header"))
         if magic != IDX_IMAGE_MAGIC:
-            raise DataFormatError(f"{path}: bad image magic {magic} "
+            raise DataFormatError(f"{fh.name}: bad image magic {magic} "
                                   f"(expected {IDX_IMAGE_MAGIC})")
         room = _room(fh, 16)
         if n * rows * cols > room:
-            raise DataFormatError(f"{path}: header declares {n}x{rows}x{cols} pixels: "
+            raise DataFormatError(f"{fh.name}: header declares {n}x{rows}x{cols} pixels: "
                                   f"truncated file ({room} of {n * rows * cols} bytes)")
         # Kept row i, in file order, is returned as row dest[i].
         kept, dest = _sorted_rows(_kept(keep, n, n), n)
@@ -190,11 +190,11 @@ def load_idx_labels(path) -> np.ndarray:
     with _open_maybe_gz(path) as fh:
         magic, n = struct.unpack(">II", _read_exact(fh, 8, "header"))
         if magic != IDX_LABEL_MAGIC:
-            raise DataFormatError(f"{path}: bad label magic {magic} "
+            raise DataFormatError(f"{fh.name}: bad label magic {magic} "
                                   f"(expected {IDX_LABEL_MAGIC})")
         room = _room(fh, 8)
         if n > room:
-            raise DataFormatError(f"{path}: header declares {n} labels: "
+            raise DataFormatError(f"{fh.name}: header declares {n} labels: "
                                   f"truncated file ({room} of {n} bytes)")
         raw = _read_exact(fh, n, "label data")
     return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)

@@ -15,7 +15,10 @@ row. A round owes the models before and after its switch, or on every
 ``eval_every``-th round the merged model, unless there are no test
 samples. A full broadcast leaves the server's model in the pool's slot
 0, its only copy, and ``aggregate`` writes the merged model over it.
-Every transmitted scalar is accounted at 4 bytes.
+Federated dropout crops the server's model into slot 0, and ``fd_merge``
+folds the sub-updates into it and writes their mean over the server's
+model in place, so no round copies a model. Every transmitted scalar is
+accounted at 4 bytes.
 
 Methods:
   fedavg  - final model broadcast in full every round
@@ -293,7 +296,7 @@ def fd_kept_units(arch: nn.ModelArch, keep_fraction: float | None):
 
 
 def fd_extract(arch: nn.ModelArch, params: nn.Params, keep_fraction: float,
-               rng: np.random.Generator):
+               rng: np.random.Generator, *, out: np.ndarray | None = None):
     """Random sub-network for broadcasting.
 
     Keeps the units ``fd_kept_units`` counts, chosen at random, in every
@@ -301,12 +304,15 @@ def fd_extract(arch: nn.ModelArch, params: nn.Params, keep_fraction: float,
     that read them (``nn.next_inputs``). Returns (sub_arch, sub_params,
     mask), the mask mapping each hidden trainable layer to its kept output
     indices, sorted and unique; the classifier, absent, keeps every output.
+    ``sub_params`` is the ``nn.Params`` over the first
+    ``count_params(sub_arch)`` elements of ``out`` (a fresh vector when
+    None), which must not share memory with ``params``.
     """
     _, counts = fd_kept_units(arch, keep_fraction)
     mask = {i: np.sort(rng.choice(arch.layers[i].weight_shape[-1], size=count,
                                   replace=False))
             for i, count in counts.items()}
-    sub_arch, sub_params = _crop_model(arch, params, mask)
+    sub_arch, sub_params = _crop_model(arch, params, mask, out)
     return sub_arch, sub_params, mask
 
 
@@ -323,27 +329,40 @@ def _kept_blocks(arch: nn.ModelArch, mask: dict[int, np.ndarray]) -> dict:
     return blocks
 
 
-def _crop_model(arch: nn.ModelArch, params: nn.Params, mask: dict[int, np.ndarray]):
+def _crop_model(arch: nn.ModelArch, params: nn.Params, mask: dict[int, np.ndarray],
+                out: np.ndarray | None = None):
+    """(sub_arch, sub_params): the kept blocks of ``params``, copied one
+    layer at a time into ``out`` as ``fd_extract`` describes."""
+    blocks = _kept_blocks(arch, mask)
     layers = list(arch.layers)
-    cropped = {}
-    for i, (in_idx, out_idx) in _kept_blocks(arch, mask).items():
-        spec, p = arch.layers[i], params[i]
-        w = p.w[_index_expr(in_idx, out_idx)]
-        cropped[i] = nn.LayerParams(w, p.b[out_idx])
-        layers[i] = spec.with_widths(*w.shape[-2:])
+    for i, (in_idx, out_idx) in blocks.items():
+        layers[i] = arch.layers[i].with_widths(len(in_idx), len(out_idx))
     sub_arch = arch.with_layers(layers)
     nn.validate_arch(sub_arch)
-    return sub_arch, nn.pack(sub_arch, cropped)
+    if out is not None:
+        if np.shares_memory(out, params.flat):
+            raise ConfigError("fd_extract: out shares memory with the model it crops")
+        out = out[:nn.count_params(sub_arch)]
+    sub_params = nn.Params(sub_arch, out)
+    for i, (in_idx, out_idx) in blocks.items():
+        sub_params[i].w[...] = params[i].w[_index_expr(in_idx, out_idx)]
+        sub_params[i].b[...] = params[i].b[out_idx]
+    return sub_arch, sub_params
 
 
 def fd_merge(arch: nn.ModelArch, global_params: nn.Params,
-             updates: list[tuple[nn.Params, dict[int, np.ndarray], int]]) -> nn.Params:
-    """Fold sub-network updates that share one mask back into the global model.
+             updates: list[tuple[nn.Params, dict[int, np.ndarray], int]], *,
+             out: np.ndarray | None = None) -> nn.Params:
+    """Fold sub-network updates that share one mask into ``global_params``,
+    in place, and return it.
 
-    The kept block of every layer becomes ``aggregate`` of the clients'
-    sub-arrays (float64, list order, rounded once); positions the mask
-    drops keep the global value. Raises ConfigError when the updates
-    carry different masks.
+    The sub-updates are folded by ``aggregate`` (float64, list order,
+    rounded once) into ``out``, as its ``out`` (a fresh vector when None);
+    the mean's kept block of every layer is then written over
+    ``global_params``, whose positions the mask drops keep their value.
+    Every check runs before anything is written: ConfigError when the
+    updates carry different masks or shapes that do not fit the mask, or
+    when ``out`` shares memory with ``global_params``.
     """
     if not updates:
         raise ConfigError("fd_merge needs at least one update")
@@ -354,17 +373,21 @@ def fd_merge(arch: nn.ModelArch, global_params: nn.Params,
         if not same:
             raise ConfigError("fd_merge: updates carry different masks; "
                               "a round shares one mask")
-    mean = aggregate([(sub, n) for sub, _, n in updates])
-    merged = nn.copy_params(global_params)
-    for i, (in_idx, out_idx) in _kept_blocks(arch, mask).items():
+    blocks = _kept_blocks(arch, mask)
+    sub = updates[0][0]  # aggregate checks that the others have its shapes
+    for i, (in_idx, out_idx) in blocks.items():
         kernel = arch.layers[i].weight_shape[:-2]
-        if mean[i].w.shape != (*kernel, len(in_idx), len(out_idx)) or \
-                mean[i].b.shape != (len(out_idx),):
-            raise ConfigError(f"fd_merge: layer {i} update shape {mean[i].w.shape} "
+        if sub[i].w.shape != (*kernel, len(in_idx), len(out_idx)) or \
+                sub[i].b.shape != (len(out_idx),):
+            raise ConfigError(f"fd_merge: layer {i} update shape {sub[i].w.shape} "
                               f"inconsistent with its mask")
-        merged[i].w[_index_expr(in_idx, out_idx)] = mean[i].w
-        merged[i].b[out_idx] = mean[i].b
-    return merged
+    if out is not None and np.shares_memory(out, global_params.flat):
+        raise ConfigError("fd_merge: out shares memory with the global model")
+    mean = aggregate([(p, n) for p, _, n in updates], out=out)
+    for i, (in_idx, out_idx) in blocks.items():
+        global_params[i].w[_index_expr(in_idx, out_idx)] = mean[i].w
+        global_params[i].b[out_idx] = mean[i].b
+    return global_params
 
 
 def _index_expr(in_idx, out_idx):
@@ -556,8 +579,10 @@ class ClientPool:
     ``nn.count_params`` of the schedule. A model in a slot is the
     ``nn.Params`` over the slot's first ``count_params(arch)`` elements.
     Slot 0 holds the broadcast model and slot k + 1 the update of the
-    k-th selected client. A run that broadcasts in full keeps its model
-    in slot 0 and merges into it, so ``submit`` copies nothing then. Each
+    k-th selected client. A run writes the broadcast model into slot 0
+    itself and merges into it: in full it keeps its model there, and
+    under federated dropout it crops the model into it and folds the
+    sub-updates there. So ``submit`` copies nothing in a run. Each
     worker trains a contiguous slice of the selection and sends back only
     (loss, n), so at any worker count every client does the same
     arithmetic and the updates are the same bits.
@@ -638,14 +663,15 @@ def fd_plan(method: str, schedule: GrowthSchedule, settings: RunSettings) -> lis
     return plan
 
 
-def broadcast(state: RunState, r: int, plan: list, settings: RunSettings):
+def broadcast(state: RunState, r: int, plan: list, settings: RunSettings,
+              out: np.ndarray):
     """(params, mask) sent to round ``r``'s clients: the model cut at its
-    ``fd_plan`` keep fraction, or in full with mask None."""
+    ``fd_plan`` keep fraction into ``out``, or in full with mask None."""
     keep = plan[state.model_index]
     if keep is None:
         return state.params, None
     return fd_extract(state.params.arch, state.params, keep,
-                      rngmod.stream(settings.master_seed, rngmod.FD_MASK, r))[1:]
+                      rngmod.stream(settings.master_seed, rngmod.FD_MASK, r), out=out)[1:]
 
 
 def switch(state: RunState, r: int, signal: float, diffs, seed: int) -> SwitchEvent:
@@ -696,6 +722,11 @@ def run_experiment(method: str, schedule: GrowthSchedule,
     submit on, and the merge folds into it. The next submit overwrites
     slot 0, so a switch round copies out a pre-switch model it owes, and
     the run copies out its final model before the pool unmaps the slots.
+    Under federated dropout ``state.params`` stays outside the slots: the
+    crop is written into slot 0, and the merge folds into slot 0, then
+    writes the kept blocks over ``state.params`` in place. A model owed
+    an evaluation is still the one it owes, because each round settles
+    the previous round before its own merge.
     """
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -749,7 +780,7 @@ def run_experiment(method: str, schedule: GrowthSchedule,
                 with _in_round(r):
                     sel = select_clients(rngmod.stream(settings.master_seed, rngmod.SELECT, r),
                                          len(shards), settings.clients_per_round)
-                    params, mask = broadcast(state, r, plan, settings)
+                    params, mask = broadcast(state, r, plan, settings, pool.slots[0])
                     arch = params.arch
                     slices = pool.submit(arch, params, sel, r, settings)
                     if mask is None:  # slot 0 holds the model now, its only copy
@@ -762,9 +793,10 @@ def run_experiment(method: str, schedule: GrowthSchedule,
                 if mask is None:
                     state.params = aggregate([(p, n) for p, _, n in updates],
                                              out=state.params.flat)
-                else:
+                else:  # the crop in slot 0 is dead once collected
                     state.params = fd_merge(state.params.arch, state.params,
-                                            [(p, mask, n) for p, _, n in updates])
+                                            [(p, mask, n) for p, _, n in updates],
+                                            out=pool.slots[0, :nn.count_params(arch)])
                 wloss = weighted_round_loss((loss, n) for _, loss, n in updates)
                 policy.record_round_loss(wloss)
                 signal = policy.progress_signal()

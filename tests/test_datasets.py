@@ -3,6 +3,7 @@
 import gzip
 import json
 import os
+import re
 import shutil
 import struct
 import tracemalloc
@@ -54,11 +55,18 @@ def test_gzip_variant_loads(idx_dir, tmp_path):
 
 
 def test_bad_magic_rejected(idx_dir):
+    # The error names the file read: the gzip file when only it exists.
     path = idx_dir / datasets.TRAIN_IMAGES
     data = bytearray(path.read_bytes())
     data[:4] = struct.pack(">I", 1234)
     path.write_bytes(bytes(data))
-    with pytest.raises(DataFormatError, match="magic"):
+    with pytest.raises(DataFormatError, match=re.escape(f"{path}: bad image magic 1234")):
+        datasets.load_idx_dataset(idx_dir)
+    path.unlink()
+    gz = path.with_name(path.name + ".gz")
+    with gzip.open(gz, "wb") as out:
+        out.write(bytes(data))
+    with pytest.raises(DataFormatError, match=re.escape(f"{gz}: bad image magic 1234")):
         datasets.load_idx_dataset(idx_dir)
 
 
@@ -232,7 +240,9 @@ def test_a_header_larger_than_its_file_is_rejected_before_allocating(tmp_path, g
             out.write(_HUGE_HEADER)
     else:
         path.write_bytes(_HUGE_HEADER)
-    with pytest.raises(DataFormatError, match="declares 4294967295x255x255 pixels"):
+    read = tmp_path / ("images.gz" if gz else "images")
+    with pytest.raises(DataFormatError,
+                       match=re.escape(f"{read}: header declares 4294967295x255x255 pixels")):
         datasets.load_idx_images(path)
 
 
@@ -268,7 +278,9 @@ def test_a_label_header_larger_than_its_file_is_rejected_before_reading(
         return read_exact(fh, count, *args)
 
     monkeypatch.setattr(datasets, "_read_exact", bounded_read_exact)
-    with pytest.raises(DataFormatError, match=f"{path}: header declares 4294967295 labels"):
+    read = tmp_path / ("labels.gz" if gz else "labels")
+    with pytest.raises(DataFormatError,
+                       match=re.escape(f"{read}: header declares 4294967295 labels")):
         datasets.load_idx_labels(path)
 
 

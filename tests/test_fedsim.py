@@ -324,11 +324,12 @@ def test_fd_extract_classifier_never_masked():
 def test_fd_round_trip_without_training_is_identity():
     arch = tiny_schedule().models[1]
     params = random_params(arch, 10)
+    before = nn.copy_params(params)  # the merge writes over params
     sub_arch, sub_params, mask = fd_extract(arch, params, 0.5, stream(0, 8))
     merged = fd_merge(arch, params, [(sub_params, mask, 3)])
     for i in params:
-        assert np.array_equal(merged[i].w, params[i].w)
-        assert np.array_equal(merged[i].b, params[i].b)
+        assert np.array_equal(merged[i].w, before[i].w)
+        assert np.array_equal(merged[i].b, before[i].b)
 
 
 def test_fd_sub_model_forward_runs():
@@ -366,12 +367,13 @@ def test_fd_merge_differing_masks_rejected():
     mask_b = {0: np.array([2, 3])}
     _, sub_a = fedsim._crop_model(arch, params, mask_a)
     _, sub_b = fedsim._crop_model(arch, params, mask_b)
+    before = nn.copy_params(params)  # the merge writes over params
     with pytest.raises(ConfigError, match="different masks"):
         fd_merge(arch, params, [(sub_a, mask_a, 1), (sub_b, mask_b, 1)])
     # An equal mask held in another object is the same mask.
     same_a = {0: np.array([0, 1])}
     merged = fd_merge(arch, params, [(sub_a, mask_a, 1), (sub_a, same_a, 2)])
-    assert np.array_equal(merged[0].w, params[0].w)
+    assert np.array_equal(merged[0].w, before[0].w)
 
 
 def test_fd_merge_shared_mask_equals_aggregate_on_submatrix():
@@ -399,9 +401,11 @@ def test_fd_merge_uncovered_positions_keep_global_values():
     mask = {0: np.array([1])}
     _, sub = fedsim._crop_model(arch, params, mask)
     sub[0].w += 5.0
+    before = nn.copy_params(params)  # the merge writes over params
     merged = fd_merge(arch, params, [(sub, mask, 2)])
     for col in (0, 2, 3):
-        assert np.array_equal(merged[0].w[:, col], params[0].w[:, col])
+        assert np.array_equal(merged[0].w[:, col], before[0].w[:, col])
+    assert np.array_equal(merged[0].w[:, 1], sub[0].w[:, 0])
 
 
 def _kept_position(kept, index):
@@ -452,10 +456,11 @@ def test_fd_merge_matches_brute_force_with_shared_mask(cpus, monkeypatch):
                     p.w += rng.normal(0.0, 1.0, p.w.shape).astype(np.float32)
                     p.b += rng.normal(0.0, 1.0, p.b.shape).astype(np.float32)
                 updates.append((sub, mask, int(rng.integers(1, 20))))
+            before = nn.copy_params(params)  # the merge writes over params
             merged = fd_merge(arch, params, updates)
 
             for i in (conv, dense, classifier):
-                expect_w, expect_b = params[i].w.copy(), params[i].b.copy()
+                expect_w, expect_b = before[i].w.copy(), before[i].b.copy()
                 for pos in np.ndindex(expect_w.shape):
                     acc = weight = 0.0
                     for sub, mask, n in updates:
@@ -481,6 +486,57 @@ def test_fd_merge_matches_brute_force_with_shared_mask(cpus, monkeypatch):
                 assert np.array_equal(merged[i].w, expect_w), (case, i)
                 assert np.array_equal(merged[i].b, expect_b), (case, i)
     assert covered and uncovered
+
+
+def test_fd_extract_crops_into_out():
+    arch = tiny_schedule().models[2]
+    params = random_params(arch, 17)
+    sub_arch, fresh, mask = fd_extract(arch, params, 0.5, stream(0, 17))
+    out = np.full(nn.count_params(arch) + 5, np.nan, dtype=nn.DTYPE)
+    again_arch, sub, again = fd_extract(arch, params, 0.5, stream(0, 17), out=out)
+    size = nn.count_params(sub_arch)
+    assert again_arch == sub_arch and again.keys() == mask.keys()
+    assert np.shares_memory(sub.flat, out[:size]) and sub.flat.size == size
+    assert sub.flat.tobytes() == fresh.flat.tobytes()
+    assert np.isnan(out[size:]).all()
+    with pytest.raises(ConfigError, match="shares memory"):
+        fd_extract(arch, params, 0.5, stream(0, 17), out=params.flat)
+
+
+def test_fd_merge_folds_into_out_and_writes_the_global_model_in_place():
+    arch = tiny_schedule().models[1]
+    params = random_params(arch, 18)
+    _, _, mask = fd_extract(arch, params, 0.5, stream(0, 18))
+    subs = []
+    for k in range(3):
+        _, sub = fedsim._crop_model(arch, params, mask)
+        for p in sub.values():
+            p.w += np.float32(k + 1)
+        subs.append((sub, k + 2))
+    expected = fd_merge(arch, nn.copy_params(params), [(s, mask, n) for s, n in subs])
+    out = np.zeros(subs[0][0].flat.size, dtype=nn.DTYPE)
+    merged = fd_merge(arch, params, [(s, mask, n) for s, n in subs], out=out)
+    assert merged is params
+    assert params.flat.tobytes() == expected.flat.tobytes()
+    assert out.tobytes() == aggregate(subs).flat.tobytes()
+
+
+def test_fd_merge_checks_everything_before_it_writes():
+    arch = tiny_schedule().models[1]
+    params = random_params(arch, 19)
+    _, sub, mask = fd_extract(arch, params, 0.5, stream(0, 19))
+    _, other, other_mask = fd_extract(arch, params, 0.5, stream(1, 19))
+    wrong_mask = {i: np.arange(max(1, len(k) - 1)) for i, k in mask.items()}
+    before = params.flat.tobytes()
+    out = np.full(sub.flat.size, 7.0, dtype=nn.DTYPE)
+    for updates, match in (([(sub, mask, 1), (other, other_mask, 1)], "different masks"),
+                           ([(sub, wrong_mask, 1)], "inconsistent"),
+                           ([(sub, mask, 1)], "shares memory")):
+        target = params.flat[:out.size] if match == "shares memory" else out
+        with pytest.raises(ConfigError, match=match):
+            fd_merge(arch, params, updates, out=target)
+        assert params.flat.tobytes() == before
+        assert (out == 7.0).all()
 
 
 def test_fd_merge_mask_shape_inconsistency_rejected():
@@ -1040,3 +1096,50 @@ def test_one_worker_forks_nothing(toy_world, cpus, monkeypatch):
     result = run_experiment("fnn-fd", tiny_schedule(), shards, tx, ty,
                             _settings(30, fd_keep_fraction=0.5, fd_exempt_prefix=1))
     assert result.events and len(result.metrics) == 30
+
+
+def test_an_fd_run_copies_no_model_and_evaluates_the_models_it_owes(
+        toy_world, cpus, monkeypatch):
+    # The crop is written into slot 0, so every submit finds its model
+    # there, and the merge folds into slot 0 and writes over the server's
+    # model, so no round copies a model. Each evaluation still sees the
+    # model merged in the round it settles, although the next round's
+    # merge writes over that model in place: the settle comes first.
+    copies, submitted, merged, evaluated = [], [], [], []
+    copy_params, submit = nn.copy_params, fedsim.ClientPool.submit
+    merge, evaluate = fedsim.fd_merge, fedsim.evaluate
+
+    def copying(params):
+        copies.append(params)
+        return copy_params(params)
+
+    def submitting(pool, arch, params, *args):
+        submitted.append(params.flat.ctypes.data == pool.slots.ctypes.data
+                         and params.flat.strides == pool.slots[0].strides)
+        return submit(pool, arch, params, *args)
+
+    def merging(*args, **kwargs):
+        out = merge(*args, **kwargs)
+        merged.append(out.flat.tobytes())
+        return out
+
+    def evaluating(arch, params, *args):
+        evaluated.append(params.flat.tobytes())
+        return evaluate(arch, params, *args)
+
+    monkeypatch.setattr(nn, "copy_params", copying)
+    monkeypatch.setattr(fedsim.ClientPool, "submit", submitting)
+    monkeypatch.setattr(fedsim, "fd_merge", merging)
+    monkeypatch.setattr(fedsim, "evaluate", evaluating)
+    shards, tx, ty = toy_world
+    settings = _settings(12, eval_every=4, fd_keep_fraction=0.5)
+    runs = []
+    for workers in (1, 2):
+        cpus(workers)
+        merged.clear()
+        evaluated.clear()
+        runs.append(run_experiment("fd", tiny_schedule(), shards, tx, ty, settings))
+        assert copies == []
+        assert evaluated == [merged[r] for r in (3, 7, 11)]
+    assert submitted == [True] * 24
+    assert runs[0].metrics == runs[1].metrics

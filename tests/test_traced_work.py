@@ -104,15 +104,19 @@ def test_traced_parameter_work_is_four_bytes_a_parameter(spans, monkeypatch):
 
     expected = {name: [] for _, _, name, _ in RECEIVERS}
     for owner, attr, name, received in RECEIVERS:
-        def recorded(*args, _fn=getattr(owner, attr), _name=name, _received=received):
-            result = _fn(*args)
+        def recorded(*args, _fn=getattr(owner, attr), _name=name, _received=received,
+                     **kwargs):
+            result = _fn(*args, **kwargs)
             expected[_name].append(_received(args))
             return result
         monkeypatch.setattr(owner, attr, recorded)
 
+    # An fd run merges through fd_merge and aggregate; a fedavg run
+    # through aggregate, and it copies its final model out of the slots.
     tracer = spans.Tracer("guard")
     with tracer.install(MODULES):
-        run_experiment("fd", sched, shards, None, None, settings)
+        for method in ("fd", "fedavg"):
+            run_experiment(method, sched, shards, None, None, settings)
     for _, _, name, _ in RECEIVERS:
         recorded = [work for *_, span_name, _, _, work in tracer.spans if span_name == name]
         assert expected[name] and recorded == expected[name], name

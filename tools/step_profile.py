@@ -11,12 +11,15 @@ whole batch of a larger test set), each one evaluation batch, and
 ``fedsim.aggregate`` of 10 updates at the process's CPU count
 (``fedsim._cpus``), which sets how many threads the merge folds on. As
 in a run's full-broadcast merge, the updates sit in the slots of a
-one-worker ``fedsim.ClientPool`` and the merge folds into slot 0. It
-wraps module attributes from outside with this checkout's
+one-worker ``fedsim.ClientPool`` and the merge folds into slot 0. For
+the cropped model it also times ``fedsim.fd_merge`` of the same 10
+updates as sub-updates of the cifar10 final model, folded into slot 0
+and written over that model in place, as in a federated-dropout round.
+It wraps module attributes from outside with this checkout's
 ``bench/spans.py`` tracer and changes no source, so ``--root`` measures
 another checkout's ``src`` (for example a clone of the parent commit)
-with this same harness, if its ``aggregate`` takes ``out``; an older
-checkout is measured with its own copy of this script.
+with this same harness, if its ``aggregate`` and ``fd_merge`` take
+``out``; an older checkout is measured with its own copy of this script.
 
 Every row is the self time of a wrapped function: its time minus that
 of the wrapped functions it calls. ``_run_layers`` then holds the
@@ -30,8 +33,8 @@ before them are discarded.
 BLAS runs at one thread. Each model also reports the analytic FLOPs
 (``nn.fwd_bwd_flops`` per step, ``nn.forward_flops`` per evaluation),
 the achieved GFLOP/s, the float32 bytes a merge reads and its GB/s, the
-minor page faults per call and, for an evaluation, the tracemalloc peak
-of one more call (MiB).
+minor page faults per call and, for an evaluation and ``fd_merge``, the
+tracemalloc peak of one more call (MiB).
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ MERGES, MERGE_WARMUP = 9, 2  # measured and discarded merges per model
 # wrappers see every call.
 WRAPPED = (
     ("fedsim", "aggregate"),
+    ("fedsim", "fd_merge"),
     ("fedsim", "evaluate"),
     ("nn", "backward_and_step"),
     ("nn", "gradients"),
@@ -133,20 +137,22 @@ def traced_peak(call) -> float:
 
 
 def models(growth, fedsim, nn, rngmod, only):
-    """(name, arch, params) of the smallest and largest builtin model of
-    each schedule, of any other builtin model ``only`` names, and of the
-    cifar10 final model as federated dropout crops it."""
+    """(name, arch, params, crop) of the smallest and largest builtin model
+    of each schedule, of any other builtin model ``only`` names, and of
+    the cifar10 final model as federated dropout crops it, whose ``crop``
+    is (full arch, full params, mask); None for the others."""
     out = []
     for tag in ("mnist", "emnist", "cifar10"):
         schedule = growth.builtin_schedule(tag)
         for k, arch in enumerate(schedule.models):
             name = f"{tag} m{k + 1}"
             if k in (0, len(schedule.models) - 1) or name in (only or ()):
-                out.append((name, arch, nn.init_params(arch, rngmod.stream(0, k))))
-    _, arch, params = out[-1]
-    sub_arch, sub_params, _ = fedsim.fd_extract(arch, params, 1.0 - nn.DEFAULT_DROPOUT,
-                                                rngmod.stream(0, 99))
-    out.append((f"cifar10 m{len(schedule.models)} fd", sub_arch, sub_params))
+                out.append((name, arch, nn.init_params(arch, rngmod.stream(0, k)), None))
+    _, arch, params, _ = out[-1]
+    sub_arch, sub_params, mask = fedsim.fd_extract(arch, params, 1.0 - nn.DEFAULT_DROPOUT,
+                                                   rngmod.stream(0, 99))
+    out.append((f"cifar10 m{len(schedule.models)} fd", sub_arch, sub_params,
+                (arch, nn.copy_params(params), mask)))
     return out
 
 
@@ -157,7 +163,7 @@ def profile(root: Path, only) -> None:
 
     tracer = spans.Tracer("step_profile")
     install(tracer, {"nn": nn, "fedsim": fedsim})
-    for name, arch, params in models(growth, fedsim, nn, rngmod, only):
+    for name, arch, params, crop in models(growth, fedsim, nn, rngmod, only):
         if only and name not in only:
             continue
         data = rngmod.stream(1, 0)
@@ -195,14 +201,24 @@ def profile(root: Path, only) -> None:
             eval_rows[n] = measure(evaluate, EVAL_WARMUP, EVALS, tracer, EVAL_SECONDS)
             eval_rows[n]["gflop"] = nn.forward_flops(arch) * n / 1e9
             eval_rows[n]["peak_mib"] = traced_peak(evaluate)
-        merge_row = measure(aggregate, MERGE_WARMUP, MERGES, tracer)
+        merge_rows = {"aggregate": measure(aggregate, MERGE_WARMUP, MERGES, tracer)}
+        if crop is not None:
+            full_arch, full_params, mask = crop
+
+            def fd_merge():
+                fedsim.fd_merge(full_arch, full_params, [(p, mask, n) for p, n in updates],
+                                out=pool.slots[0])
+
+            merge_rows["fd merge"] = measure(fd_merge, MERGE_WARMUP, MERGES, tracer)
+            merge_rows["fd merge"]["peak_mib"] = traced_peak(fd_merge)
         del updates
         pool.close()
-        merge_row["mb"] = UPDATES * size * np.dtype(nn.DTYPE).itemsize / 1e6
-        report(name, step_row, eval_rows, merge_row, fedsim._cpus())
+        for row in merge_rows.values():
+            row["mb"] = UPDATES * size * np.dtype(nn.DTYPE).itemsize / 1e6
+        report(name, step_row, eval_rows, merge_rows, fedsim._cpus())
 
 
-def report(name: str, step_row: dict, eval_rows: dict, merge_row: dict,
+def report(name: str, step_row: dict, eval_rows: dict, merge_rows: dict,
            cpus: int) -> None:
     rows = [("step", step_row, BATCH)] + [("evaluate", row, n) for n, row in eval_rows.items()]
     for what, row, n in rows:
@@ -213,12 +229,14 @@ def report(name: str, step_row: dict, eval_rows: dict, merge_row: dict,
               f"{row['minor_faults']:g} minor faults"
               + (f", {row['peak_mib']:.1f} MiB peak" if "peak_mib" in row else ""))
         print_self_ms(row)
-    gbps = merge_row["mb"] / merge_row["wall_ms"]
-    print(f"{name} aggregate ({UPDATES} updates, {cpus} CPUs): "
-          f"{merge_row['wall_ms']:.2f} ms (median of {merge_row['calls']}), "
-          f"{merge_row['mb']:.1f} MB read, "
-          f"{gbps:.2f} GB/s, {merge_row['minor_faults']:g} minor faults")
-    print_self_ms(merge_row)
+    for what, row in merge_rows.items():
+        gbps = row["mb"] / row["wall_ms"]
+        print(f"{name} {what} ({UPDATES} updates, {cpus} CPUs): "
+              f"{row['wall_ms']:.2f} ms (median of {row['calls']}), "
+              f"{row['mb']:.1f} MB read, "
+              f"{gbps:.2f} GB/s, {row['minor_faults']:g} minor faults"
+              + (f", {row['peak_mib']:.2f} MiB peak" if "peak_mib" in row else ""))
+        print_self_ms(row)
     sys.stdout.flush()
 
 
